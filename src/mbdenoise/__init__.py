@@ -14,6 +14,7 @@ from .curriculum import (
     OptimizerConfig,
     PhasePlan,
     build_split,
+    materialize_combo,
     materialize_examples,
     train_curriculum,
 )
@@ -21,14 +22,13 @@ from .detect import (
     Detection,
     DetectionScore,
     DetectorConfig,
-    combined_detect,
     default_tolerance,
+    detect_conditions,
     detect_impulses,
     match_detections,
     score_rates,
 )
 from .dsp import (
-    FilterMatrix,
     FilterSpec,
     decimate,
     design_butterworth,
@@ -43,10 +43,8 @@ from .net import (
     LossReport,
     Network,
     adam_step,
-    backward,
     backward_batch,
     denoise_frame,
-    forward,
     forward_batch,
     init_network,
     load_checkpoint,

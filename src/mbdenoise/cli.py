@@ -36,18 +36,8 @@ def _child_seed(*key: int) -> int:
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _config_comment(cfg: RunConfig) -> str:
-    return cfg.resolved_text()
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +96,13 @@ def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
         signals.save_noise(out / rel, noise)
         entries.append((rel, noise.noise_id))
 
-    lines = [f"# {ln}" for ln in _config_comment(cfg).splitlines()]
+    lines = []
     for rel, ident in entries:
         for suffix in ("", ".meta"):
             path = out / (rel + suffix)
             lines.append(f"{_sha256(path)}  {rel + suffix}  id={ident}")
-    _atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
+    signals.atomic_write(out / "manifest.txt",
+                         cfg.comment_header() + "\n".join(lines) + "\n")
     return out
 
 
@@ -202,9 +193,8 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
         rot_dir = out / f"rotation_{rotation}"
         rot_dir.mkdir(parents=True, exist_ok=True)
         net.save_checkpoint(rot_dir / "checkpoint.bin", model)
-        curriculum.write_convergence_csv(
-            rot_dir / "convergence.csv", log, _config_comment(cfg)
-        )
+        signals.atomic_write(rot_dir / "convergence.csv",
+                             cfg.comment_header() + log.to_csv())
     return out
 
 
@@ -226,15 +216,8 @@ def evaluate_example(
 ) -> dict[str, bool]:
     """Detection outcome of one example under all four conditions."""
     denoised = net.denoise_frame(model, example.noisy)
-    flags = {}
-    for condition, signal in (
-        ("clean", example.clean), ("noisy", example.noisy), ("denoised", denoised),
-    ):
-        dets = detect.detect_impulses(signal, fs, det_cfg)
-        matched, _ = detect.match_detections(dets, [example.truth_onset], tolerance)
-        flags[condition] = matched[0]
-    flags["combined"] = flags["noisy"] or flags["denoised"]
-    return flags
+    return detect.detect_conditions(example.clean, example.noisy, denoised,
+                                    example.truth_onset, tolerance, fs, det_cfg)
 
 
 def _test_examples(cfg: RunConfig, corpus: Corpus, rotation: int,
@@ -263,8 +246,7 @@ def _test_examples(cfg: RunConfig, corpus: Corpus, rotation: int,
 
 def _score_csv(flags: dict[tuple[float, str], list[bool]], cfg: RunConfig) -> str:
     buf = io.StringIO()
-    for line in _config_comment(cfg).splitlines():
-        buf.write(f"# {line}\n")
+    buf.write(cfg.comment_header())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCORE_CSV_HEADER)
     by_condition: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
@@ -290,6 +272,10 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     det_cfg = _detector_config(cfg)
     tolerance = detect.default_tolerance(cfg.fs)
 
+    splits = curriculum.build_split(
+        corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
+    )
+    shots_by_id, noises_by_id = corpus.shots_by_id(), corpus.noises_by_id()
     val_flags: dict[tuple[float, str], list[bool]] = {}
     test_flags: dict[tuple[float, str], list[bool]] = {}
     for rotation in cfg.rotations():
@@ -301,21 +287,23 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
             raise DataError(
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
-        splits = curriculum.build_split(
-            corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
+        split = splits[rotation]
+        validation = curriculum.materialize_combo(
+            split, split.validation_combo, shots_by_id, noises_by_id,
+            list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
+            decim_factor=cfg.decim_factor,
         )
-        data = _materialize_rotation(cfg, corpus, rotation)
-        for example in data.validation:
+        for example in validation:
             outcome = evaluate_example(model, example, det_cfg, tolerance, cfg.fs)
             for condition, matched in outcome.items():
                 val_flags.setdefault((example.snr_bin, condition), []).append(matched)
-        for example in _test_examples(cfg, corpus, rotation, splits[rotation]):
+        for example in _test_examples(cfg, corpus, rotation, split):
             outcome = evaluate_example(model, example, det_cfg, tolerance, cfg.fs)
             for condition, matched in outcome.items():
                 test_flags.setdefault((example.snr_bin, condition), []).append(matched)
 
-    _atomic_write_text(out / "scores_validation.csv", _score_csv(val_flags, cfg))
-    _atomic_write_text(out / "scores_test.csv", _score_csv(test_flags, cfg))
+    signals.atomic_write(out / "scores_validation.csv", _score_csv(val_flags, cfg))
+    signals.atomic_write(out / "scores_test.csv", _score_csv(test_flags, cfg))
     return out
 
 
@@ -364,8 +352,7 @@ def cmd_report(cfg: RunConfig, eval_dir: str | Path, train_dir: str | Path | Non
     out.mkdir(parents=True, exist_ok=True)
 
     buf = io.StringIO()
-    for line in _config_comment(cfg).splitlines():
-        buf.write(f"# {line}\n")
+    buf.write(cfg.comment_header())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("dataset",) + SCORE_CSV_HEADER)
     for dataset, name in (("validation", "scores_validation.csv"),
@@ -379,12 +366,11 @@ def cmd_report(cfg: RunConfig, eval_dir: str | Path, train_dir: str | Path | Non
         next(reader)  # header
         for row in reader:
             writer.writerow([dataset] + row)
-    _atomic_write_text(out / "detection_rates.csv", buf.getvalue())
+    signals.atomic_write(out / "detection_rates.csv", buf.getvalue())
 
     if train_dir is not None:
         buf = io.StringIO()
-        for line in _config_comment(cfg).splitlines():
-            buf.write(f"# {line}\n")
+        buf.write(cfg.comment_header())
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("rotation",) + curriculum.ConvergenceLog.CSV_HEADER)
         for rotation in cfg.rotations():
@@ -396,7 +382,7 @@ def cmd_report(cfg: RunConfig, eval_dir: str | Path, train_dir: str | Path | Non
                 writer.writerow([rotation, r.phase, r.iteration,
                                  f"{r.train_mse:.12g}", f"{r.val_mse:.12g}",
                                  int(r.f_frozen), r.n_active])
-        _atomic_write_text(out / "convergence_curves.csv", buf.getvalue())
+        signals.atomic_write(out / "convergence_curves.csv", buf.getvalue())
     return out
 
 

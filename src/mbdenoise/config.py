@@ -37,7 +37,6 @@ class RunConfig:
     # network
     hidden: int = 64
     kernel_len: int = 63
-    aa_kernel_len: int = 127
     filter_cutoff_mode: str = "original"  # which rate the /41 divides
     # training plan
     phase_thresholds_db: tuple[float, ...] = (0.0, -5.0, -10.0, -15.0, -20.0)
@@ -59,6 +58,8 @@ class RunConfig:
             raise ConfigError(f"fs must be positive, got {self.fs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.decim_factor < 1:
+            raise ConfigError(f"decim_factor must be >= 1, got {self.decim_factor}")
         if self.frame_len % self.decim_factor != 0:
             raise ConfigError(
                 f"frame_len {self.frame_len} not divisible by decim_factor "
@@ -75,6 +76,17 @@ class RunConfig:
             raise ConfigError(f"rotation must be in [-1, 5], got {self.rotation}")
         if self.n_shots_a < 2:
             raise ConfigError("n_shots_a must be >= 2")
+        if self.sections_per_noise < 1:
+            raise ConfigError(
+                f"sections_per_noise must be >= 1, got {self.sections_per_noise}")
+        if self.examples_per_cell < 1:
+            raise ConfigError(
+                f"examples_per_cell must be >= 1, got {self.examples_per_cell}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 0:
+            raise ConfigError(
+                f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if any(b >= a for a, b in zip(self.phase_thresholds_db,
                                       self.phase_thresholds_db[1:])):
             raise ConfigError("phase_thresholds_db must be strictly decreasing")
@@ -107,6 +119,11 @@ class RunConfig:
                 value = ",".join(_format_number(v) for v in value)
             lines.append(f"{f.name}={value}")
         return "\n".join(lines)
+
+    def comment_header(self) -> str:
+        """The resolved config as `# key=value` lines, the header every
+        emitted text file starts with."""
+        return "".join(f"# {line}\n" for line in self.resolved_text().splitlines())
 
 
 def _format_number(v) -> str:

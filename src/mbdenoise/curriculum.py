@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -166,6 +165,65 @@ class MaterializedSplit:
     rotation: int
 
 
+def materialize_combo(
+    split: DatasetSplit,
+    combo: Combo,
+    shots_by_id: dict[str, ShotRecord],
+    noises_by_id: dict[str, NoiseRecord],
+    snr_grid: list[float],
+    examples_per_cell: int,
+    seed: int,
+    decim_factor: int = 8,
+) -> list[NoisyExample]:
+    """Mix every (shot, noise section, SNR) cell of one combination.
+
+    Noise offsets are drawn deterministically per cell from the seed and
+    the combination's index in split.combos, so the same seed
+    regenerates identical examples whichever combinations are built.
+    Frames are decimated once here for network consumption; the
+    full-rate originals stay for detection-rate evaluation.
+    """
+    for snr in snr_grid:
+        if not -25.0 <= snr <= 15.0:
+            raise ConfigError(f"snr {snr} dB outside [-25, +15] grid range")
+    combo_idx = split.combos.index(combo)
+    shot_ids = split.shot_subsets[combo.shot_subset]
+    nsub = split.noise_subsets[combo.noise_subset]
+    noise = noises_by_id[nsub.noise_id]
+    out = []
+    for shot_pos, shot_id in enumerate(shot_ids):
+        shot = shots_by_id[shot_id]
+        frame_len = len(shot.waveform)
+        fs = shot.waveform.fs
+        for sec_idx, (start, stop) in enumerate(nsub.sections):
+            if stop - start < frame_len:
+                raise DataError(
+                    f"noise section {sec_idx} of {nsub.noise_id} shorter "
+                    f"than the {frame_len}-sample frame"
+                )
+            for snr_idx, snr in enumerate(snr_grid):
+                for rep in range(examples_per_cell):
+                    rng = np.random.default_rng(
+                        [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
+                    )
+                    offset = int(rng.integers(start, stop - frame_len + 1))
+                    mix = mix_at_snr(shot, noise, offset, snr)
+                    out.append(NoisyExample(
+                        noisy=mix.noisy.samples,
+                        clean=mix.clean.samples,
+                        noisy_dec=decimate(mix.noisy.samples, fs, decim_factor),
+                        clean_dec=decimate(mix.clean.samples, fs, decim_factor),
+                        snr_db=mix.achieved_snr_db,
+                        snr_bin=snr,
+                        truth_onset=shot.onset,
+                        shot_id=shot_id,
+                        noise_id=nsub.noise_id,
+                        section=sec_idx,
+                        combo=combo,
+                    ))
+    return out
+
+
 def materialize_examples(
     split: DatasetSplit,
     shots_by_id: dict[str, ShotRecord],
@@ -175,59 +233,14 @@ def materialize_examples(
     seed: int,
     decim_factor: int = 8,
 ) -> MaterializedSplit:
-    """Mix every (shot, noise section, SNR) cell of the rotation.
+    """Materialize the rotation's training and validation combinations."""
 
-    Noise offsets are drawn deterministically per cell, so the same
-    seed regenerates identical examples. Frames are decimated once here
-    for network consumption; the full-rate originals stay for
-    detection-rate evaluation.
-    """
-    for snr in snr_grid:
-        if not -25.0 <= snr <= 15.0:
-            raise ConfigError(f"snr {snr} dB outside [-25, +15] grid range")
+    def build(combo: Combo) -> list[NoisyExample]:
+        return materialize_combo(split, combo, shots_by_id, noises_by_id, snr_grid,
+                                 examples_per_cell, seed, decim_factor)
 
-    def build(combo: Combo, combo_idx: int) -> list[NoisyExample]:
-        shot_ids = split.shot_subsets[combo.shot_subset]
-        nsub = split.noise_subsets[combo.noise_subset]
-        noise = noises_by_id[nsub.noise_id]
-        out = []
-        for shot_pos, shot_id in enumerate(shot_ids):
-            shot = shots_by_id[shot_id]
-            frame_len = len(shot.waveform)
-            fs = shot.waveform.fs
-            for sec_idx, (start, stop) in enumerate(nsub.sections):
-                if stop - start < frame_len:
-                    raise DataError(
-                        f"noise section {sec_idx} of {nsub.noise_id} shorter "
-                        f"than the {frame_len}-sample frame"
-                    )
-                for snr_idx, snr in enumerate(snr_grid):
-                    for rep in range(examples_per_cell):
-                        rng = np.random.default_rng(
-                            [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
-                        )
-                        offset = int(rng.integers(start, stop - frame_len + 1))
-                        mix = mix_at_snr(shot, noise, offset, snr)
-                        out.append(NoisyExample(
-                            noisy=mix.noisy.samples,
-                            clean=mix.clean.samples,
-                            noisy_dec=decimate(mix.noisy.samples, fs, decim_factor),
-                            clean_dec=decimate(mix.clean.samples, fs, decim_factor),
-                            snr_db=mix.achieved_snr_db,
-                            snr_bin=snr,
-                            truth_onset=shot.onset,
-                            shot_id=shot_id,
-                            noise_id=nsub.noise_id,
-                            section=sec_idx,
-                            combo=combo,
-                        ))
-        return out
-
-    train: list[NoisyExample] = []
-    for combo in split.train_combos:
-        train.extend(build(combo, split.combos.index(combo)))
-    validation = build(split.validation_combo, split.combos.index(split.validation_combo))
-    return MaterializedSplit(train, validation, split.rotation)
+    train = [ex for combo in split.train_combos for ex in build(combo)]
+    return MaterializedSplit(train, build(split.validation_combo), split.rotation)
 
 
 @dataclass(frozen=True)
@@ -278,11 +291,8 @@ class ConvergenceLog:
     def phase_records(self, phase: int) -> list[LogRecord]:
         return [r for r in self.records if r.phase == phase]
 
-    def to_csv(self, header_comment: str = "") -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
-        if header_comment:
-            for line in header_comment.splitlines():
-                buf.write(f"# {line}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_HEADER)
         for r in self.records:
@@ -371,10 +381,3 @@ def train_curriculum(
                 on_iteration(phase, it, net)
     return net, log
 
-
-def write_convergence_csv(path: str | Path, log: ConvergenceLog,
-                          header_comment: str = "") -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(log.to_csv(header_comment))
-    tmp.replace(path)

@@ -149,25 +149,28 @@ def score_rates(flags_by_bin: dict[float, list[bool]]) -> list[DetectionScore]:
     return scores
 
 
-def combined_detect(
+def detect_conditions(
+    clean: np.ndarray,
     noisy: np.ndarray,
     denoised: np.ndarray,
     truth_onset: int,
     tolerance_samples: int,
     fs: int,
     config: DetectorConfig = DetectorConfig(),
-) -> bool:
-    """Parallel detection on the noisy and the denoised signal.
+) -> dict[str, bool]:
+    """Whether the truth onset is detected under each of the four
+    conditions: clean, noisy, denoised, and combined.
 
-    Matched iff either signal yields a detection within tolerance, so
-    the combined rate can never fall below either individual curve
-    (denoising occasionally filters out a blast the raw signal keeps).
+    Combined is the parallel rule noisy OR denoised, so the combined
+    rate can never fall below either individual curve (denoising
+    occasionally filters out a blast the raw signal keeps).
     """
-    if len(noisy) != len(denoised):
-        raise DataError("noisy and denoised lengths differ")
-    for signal in (noisy, denoised):
+    if not len(clean) == len(noisy) == len(denoised):
+        raise DataError("clean, noisy and denoised lengths differ")
+    flags = {}
+    for condition, signal in (("clean", clean), ("noisy", noisy), ("denoised", denoised)):
         dets = detect_impulses(signal, fs, config)
         matched, _ = match_detections(dets, [truth_onset], tolerance_samples)
-        if matched[0]:
-            return True
-    return False
+        flags[condition] = matched[0]
+    flags["combined"] = flags["noisy"] or flags["denoised"]
+    return flags

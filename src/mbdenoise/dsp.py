@@ -17,7 +17,7 @@ from .errors import DataError, NumericError
 from .signals import NoiseRecord, ShotRecord, Waveform, rms
 
 DEFAULT_KERNEL_LEN = 63
-DEFAULT_AA_KERNEL_LEN = 127
+AA_KERNEL_LEN = 127
 _DESIGN_GRID = 8192
 
 _design_cache: dict[tuple, "FilterSpec"] = {}
@@ -107,15 +107,6 @@ def design_butterworth(
     return spec
 
 
-def kernel_to_csv(spec: FilterSpec) -> str:
-    """Kernel taps as CSV (tap index relative to center, value), for
-    offline inspection of a designed filter."""
-    half = (spec.kernel_len - 1) // 2
-    lines = ["tap,value"]
-    lines += [f"{i - half},{v:.17g}" for i, v in enumerate(spec.kernel)]
-    return "\n".join(lines) + "\n"
-
-
 def convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-phase filtering: centered convolution with zero-padded edges."""
     x = np.asarray(x, dtype=np.float64)
@@ -134,19 +125,15 @@ def _filter_frame(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def anti_alias_spec(fs: float, factor: int, kernel_len: int = DEFAULT_AA_KERNEL_LEN) -> FilterSpec:
-    """Order-8 low-pass at fs/(2*factor) used before decimation: the
-    muzzle blast has no energy above fs/16, so an fs/16 cutoff at
-    factor 8 passes it essentially untouched."""
-    return design_butterworth(8, fs / (2.0 * factor), fs, kernel_len=kernel_len)
+def anti_alias_spec(fs: float, factor: int) -> FilterSpec:
+    """Order-8 low-pass at fs/(2*factor) with AA_KERNEL_LEN taps, used
+    before decimation and after interpolation: the muzzle blast has no
+    energy above fs/16, so an fs/16 cutoff at factor 8 passes it
+    essentially untouched."""
+    return design_butterworth(8, fs / (2.0 * factor), fs, kernel_len=AA_KERNEL_LEN)
 
 
-def decimate(
-    x: np.ndarray,
-    fs: float,
-    factor: int = 8,
-    kernel_len: int = DEFAULT_AA_KERNEL_LEN,
-) -> np.ndarray:
+def decimate(x: np.ndarray, fs: float, factor: int = 8) -> np.ndarray:
     """Low-pass filter then keep every factor-th sample.
 
     Input length must divide by factor; a 2048-sample frame becomes the
@@ -155,16 +142,11 @@ def decimate(
     x = np.asarray(x, dtype=np.float64)
     if x.size % factor != 0:
         raise DataError(f"length {x.size} not divisible by factor {factor}")
-    spec = anti_alias_spec(fs, factor, kernel_len)
+    spec = anti_alias_spec(fs, factor)
     return _filter_frame(x, spec.kernel)[::factor]
 
 
-def interpolate(
-    y: np.ndarray,
-    fs_out: float,
-    factor: int = 8,
-    kernel_len: int = DEFAULT_AA_KERNEL_LEN,
-) -> np.ndarray:
+def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
     """Zero-stuff by factor and low-pass at the output rate (gain x factor).
 
     Inverse of decimate for signals band-limited below fs_out/(2*factor):
@@ -174,7 +156,7 @@ def interpolate(
     image only 48 dB down, an ~0.8% ripple on constants).
     """
     y = np.asarray(y, dtype=np.float64)
-    spec = anti_alias_spec(fs_out, factor, kernel_len)
+    spec = anti_alias_spec(fs_out, factor)
     kernel = _interp_kernel(spec, factor)
     half = (kernel.size - 1) // 2
     pad = -(-half // factor)  # ceil: replicated originals covering the kernel
@@ -198,29 +180,14 @@ def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
     return kernel
 
 
-@dataclass(frozen=True)
-class FilterMatrix:
-    """Banded square matrix whose row n carries the kernel centered on
-    column n (truncated at the frame edges), so rows @ x equals the
-    zero-padded convolution of the kernel with x."""
-
-    dim: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        if self.rows.shape != (self.dim, self.dim):
-            raise DataError(f"rows shape {self.rows.shape} != ({self.dim}, {self.dim})")
-        self.rows.setflags(write=False)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.rows @ x
-
-
-def kernel_to_matrix(spec: FilterSpec | np.ndarray, dim: int = 256) -> FilterMatrix:
+def kernel_to_matrix(spec: FilterSpec | np.ndarray, dim: int = 256) -> np.ndarray:
     """Build the dim x dim banded matrix realizing convolution by the kernel.
 
-    Entry (n, m) is kernel[center + n - m]; zero whenever |n - m| exceeds
-    the kernel half-width. A unit-impulse kernel yields the identity.
+    Row n carries the kernel centered on column n (truncated at the frame
+    edges), so matrix @ x equals the zero-padded convolution of the
+    kernel with x: entry (n, m) is kernel[center + n - m], zero whenever
+    |n - m| exceeds the kernel half-width. A unit-impulse kernel yields
+    the identity.
     """
     kernel = spec.kernel if isinstance(spec, FilterSpec) else np.asarray(spec, dtype=np.float64)
     if kernel.size % 2 != 1:
@@ -231,7 +198,7 @@ def kernel_to_matrix(spec: FilterSpec | np.ndarray, dim: int = 256) -> FilterMat
     rows = np.zeros((dim, dim), dtype=np.float64)
     for offset in range(-half, half + 1):
         rows += kernel[half + offset] * np.eye(dim, k=-offset)
-    return FilterMatrix(dim, rows)
+    return rows
 
 
 def snr_db(shot: ShotRecord, noise_segment: Waveform | np.ndarray) -> float:

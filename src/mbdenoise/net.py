@@ -3,9 +3,9 @@
 A single-hidden-layer fully connected autoencoder (256 -> hidden -> 256,
 tanh hidden activation, linear reconstruction) followed by a 256x256
 filter matrix that starts life as a low-pass filter and is itself
-trainable once released. Forward, sum-of-squares loss, exact analytic
-backprop, Adam updates honoring the filter-freeze flag, and a
-byte-stable checkpoint format.
+trainable once released. Batch forward, sum-of-squares loss, exact
+analytic backprop, Adam updates honoring the filter-freeze flag, and a
+byte-stable checkpoint format; one frame is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .dsp import FilterSpec, decimate, interpolate, kernel_to_matrix
 from .errors import DataError, NumericError
+from .signals import atomic_write
 
 CHECKPOINT_MAGIC = b"MBDN"
 CHECKPOINT_VERSION = 1
@@ -61,13 +62,6 @@ class Network:
     def f_hash(self) -> str:
         """Hash of the filter-matrix bytes; constant over frozen segments."""
         return hashlib.sha256(self.f.tobytes()).hexdigest()
-
-    def copy(self) -> "Network":
-        return Network(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-            self.f.copy(), self.hidden, self.activation, self.f_frozen,
-            self.input_scale, self.seed, self.fs, self.decim_factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ def init_network(
     w1 = rng.uniform(-lim1, lim1, size=(hidden, dim))
     lim2 = np.sqrt(6.0 / (hidden + dim))
     w2 = rng.uniform(-lim2, lim2, size=(dim, hidden))
-    f = kernel_to_matrix(filter_spec, dim).rows.copy()
+    f = kernel_to_matrix(filter_spec, dim)
     return Network(
         w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(dim), f=f,
         hidden=hidden, f_frozen=True, seed=seed, fs=fs, decim_factor=decim_factor,
@@ -133,23 +127,13 @@ class ForwardCache:
     z: np.ndarray
 
 
-def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """y = f @ (w2 @ tanh(w1 @ x + b1) + b2).
+def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Row-wise y = f @ (w2 @ tanh(w1 @ x + b1) + b2) over a
+    (n_examples, dim) batch.
 
     The reconstruction before the filter layer is linear; the filter
     layer smooths away high-frequency artifacts of the tanh path.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("forward input contains NaN or Inf")
-    a = np.tanh(net.w1 @ x + net.b1)
-    z = net.w2 @ a + net.b2
-    y = net.f @ z
-    return y, ForwardCache(x, a, z)
-
-
-def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Row-wise forward over a (n_examples, dim) batch."""
     X = np.asarray(X, dtype=np.float64)
     A = np.tanh(X @ net.w1.T + net.b1)
     Z = A @ net.w2.T + net.b2
@@ -170,28 +154,15 @@ def mse_loss(y: np.ndarray, target: np.ndarray) -> LossReport:
     return LossReport(float(np.mean(per_example)), diff.shape[0])
 
 
-def backward(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> Gradients:
-    """Exact gradients of the loss through the forward graph.
-
-    grad_out is dL/dy (for the sum-of-squares loss, 2*(y - target)).
-    The filter gradient is always computed; the optimizer discards it
-    while the layer is frozen.
-    """
-    g = np.asarray(grad_out, dtype=np.float64)
-    df = np.outer(g, cache.z)
-    dz = net.f.T @ g
-    db2 = dz
-    dw2 = np.outer(dz, cache.a)
-    da = net.w2.T @ dz
-    du = da * (1.0 - cache.a * cache.a)
-    db1 = du
-    dw1 = np.outer(du, cache.x)
-    return Gradients(dw1, db1, dw2, db2, df)
-
-
 def backward_batch(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> Gradients:
-    """Batch form: gradients of sum_n <grad_out[n], y[n]>; pre-scale
-    grad_out by 1/n_examples for a batch-mean loss."""
+    """Exact gradients of sum_n <grad_out[n], y[n]> through the forward
+    graph.
+
+    grad_out is dL/dY (for the sum-of-squares loss, 2*(Y - target));
+    pre-scale it by 1/n_examples for a batch-mean loss. The filter
+    gradient is always computed; the optimizer discards it while the
+    layer is frozen.
+    """
     G = np.asarray(grad_out, dtype=np.float64)
     dF = G.T @ cache.z
     dZ = G @ net.f
@@ -256,13 +227,16 @@ def adam_step(
 
 def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
     """Full inference chain for one full-rate frame: decimate, scale,
-    forward, unscale, interpolate back to the original length."""
+    forward as a batch of one, unscale, interpolate back to the original
+    length."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.size != net.frame_len:
         raise DataError(f"frame length {frame.size} != {net.frame_len}")
-    x = decimate(frame, net.fs, net.decim_factor)
-    y, _ = forward(net, x / net.input_scale)
-    return interpolate(y * net.input_scale, net.fs, net.decim_factor)
+    x = decimate(frame, net.fs, net.decim_factor) / net.input_scale
+    if not np.all(np.isfinite(x)):
+        raise NumericError("network input contains NaN or Inf")
+    y, _ = forward_batch(net, x[np.newaxis])
+    return interpolate(y[0] * net.input_scale, net.fs, net.decim_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +258,7 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
         for arr in (net.w1, net.b1, net.w2, net.b2, net.f)
     )
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + body)
-    tmp.replace(path)
+    atomic_write(path, header + body)
 
 
 def load_checkpoint(path: str | Path) -> Network:

@@ -244,6 +244,15 @@ def gen_vehicle_noise(
     return NoiseRecord(wave, noise_id or f"noise-{seed}", rms(x))
 
 
+def atomic_write(path: str | Path, data: bytes | str) -> None:
+    """Write data to a temporary sibling, then rename it over path, so a
+    reader never sees a half-written file. Text is written as UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    tmp.replace(path)
+
+
 # ---------------------------------------------------------------------------
 # WAV container I/O (RIFF/WAVE, mono, PCM16 or IEEE float32, little-endian)
 # ---------------------------------------------------------------------------
@@ -289,9 +298,7 @@ def save_wav(
         b"data",
         struct.pack("<I", len(payload)),
     ])
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + payload)
-    tmp.replace(path)
+    atomic_write(path, header + payload)
     _save_sidecar(path, waveform, extra_meta or {})
 
 
@@ -354,9 +361,7 @@ def _save_sidecar(path: Path, waveform: Waveform, extra: dict[str, str]) -> None
         lines.append(f"annotation={label}:{onset}")
     for key, value in extra.items():
         lines.append(f"{key}={value}")
-    tmp = sidecar_path(path).with_suffix(".meta.tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(sidecar_path(path))
+    atomic_write(sidecar_path(path), "\n".join(lines) + "\n")
 
 
 def load_sidecar(path: str | Path) -> tuple[list[tuple[str, int]], dict[str, str]]:

@@ -24,18 +24,20 @@ def filter_spec_dec() -> dsp.FilterSpec:
 
 
 def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
-    """Central finite differences vs analytic backprop.
+    """Central finite differences vs analytic backprop on the batch of
+    one holding the frame x and target t.
 
     Returns one relative error per sampled parameter, sampled evenly
     across the five parameter groups.
     """
-    y, cache = net.forward(model, x)
-    grads = net.backward(model, cache, 2.0 * (y - t)).as_dict()
+    X, T = x[np.newaxis], t[np.newaxis]
+    Y, cache = net.forward_batch(model, X)
+    grads = net.backward_batch(model, cache, 2.0 * (Y - T)).as_dict()
     params = model.params()
 
     def loss():
-        yy, _ = net.forward(model, x)
-        return net.mse_loss(yy, t).mse
+        YY, _ = net.forward_batch(model, X)
+        return net.mse_loss(YY, T).mse
 
     errors = []
     for name, arr in params.items():

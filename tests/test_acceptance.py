@@ -98,7 +98,7 @@ def test_criterion_01_filter_matrix_oracle():
         for _ in range(100):
             x = rng.standard_normal(256)
             direct = np.convolve(x, kernel)[half: half + 256]
-            worst = max(worst, float(np.max(np.abs(mat.rows @ x - direct))))
+            worst = max(worst, float(np.max(np.abs(mat @ x - direct))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 1.0

@@ -65,7 +65,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", [
         "frame_len=1001", "hidden=0", "rotation=6", "seed=-1",
-        "filter_cutoff_mode=banana", "freeze_iters=500",
+        "filter_cutoff_mode=banana", "freeze_iters=500", "aa_kernel_len=63",
+        "decim_factor=0", "examples_per_cell=0", "sections_per_noise=0",
+        "lr=-1", "batch_size=-3",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):

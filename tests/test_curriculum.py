@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestMaterialize:
             assert ex.shot_id not in train_shots
             assert ex.noise_id not in train_noises
 
+    def test_validation_combo_alone_matches_full_rotation(self, corpus10, splits10):
+        shots, noises = corpus10
+        split = splits10[4]
+        full = materialize(corpus10, split, grid=(5.0, -10.0), per_cell=2, seed=7)
+        alone = curriculum.materialize_combo(
+            split, split.validation_combo, {s.shot_id: s for s in shots},
+            {n.noise_id: n for n in noises}, [5.0, -10.0], 2, 7)
+        assert len(alone) == len(full.validation)
+        for a, b in zip(alone, full.validation):
+            for f in fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
     def test_rejects_out_of_range_grid(self, corpus10, splits10):
         with pytest.raises(ConfigError):
             materialize(corpus10, splits10[0], grid=(20.0,))
@@ -153,8 +166,7 @@ class TestConvergenceLog:
         log.append(curriculum.LogRecord(0, 0, 1.5, 2.5, True, 10))
         log.append(curriculum.LogRecord(0, 1, 1.25, 2.25, False, 10))
         log.append(curriculum.LogRecord(1, 0, 3.0, 2.0, True, 20))
-        text = log.to_csv(header_comment="seed=1")
-        assert text.splitlines()[0] == "# seed=1"
+        text = "# seed=1\n" + log.to_csv()
         back = curriculum.ConvergenceLog.from_csv(text)
         assert back.records == log.records
 

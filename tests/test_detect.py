@@ -137,13 +137,16 @@ class TestCombined:
         rng = np.random.default_rng(1)
         masked = clean + 20.0 * rng.standard_normal(clean.size)
         tol = detect.default_tolerance(FS)
-        assert detect.combined_detect(masked, clean, onset, tol, FS, CFG)
+        flags = detect.detect_conditions(clean, masked, clean, onset, tol, FS, CFG)
+        assert flags == {"clean": True, "noisy": False, "denoised": True,
+                         "combined": True}
 
     def test_neither_matches(self):
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(8192)
-        assert not detect.combined_detect(noise, noise, 4000,
-                                          detect.default_tolerance(FS), FS, CFG)
+        flags = detect.detect_conditions(noise, noise, noise, 4000,
+                                         detect.default_tolerance(FS), FS, CFG)
+        assert not any(flags.values())
 
     def test_combined_at_least_each_rate(self):
         # Union of matched sets dominates each side, bin by bin.
@@ -155,7 +158,8 @@ class TestCombined:
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            detect.combined_detect(np.zeros(100), np.zeros(99), 0, 10, FS, CFG)
+            detect.detect_conditions(np.zeros(100), np.zeros(100), np.zeros(99),
+                                     0, 10, FS, CFG)
 
 
 def test_default_tolerance_is_ten_ms():

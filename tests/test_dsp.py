@@ -54,16 +54,6 @@ class TestDesignButterworth:
         with pytest.raises(DataError):
             dsp.design_butterworth(8, 100.0, FS, kernel_len=32)
 
-    def test_kernel_csv_export(self, filter_spec_dec):
-        text = dsp.kernel_to_csv(filter_spec_dec)
-        lines = text.strip().splitlines()
-        assert lines[0] == "tap,value"
-        assert len(lines) == 1 + filter_spec_dec.kernel_len
-        taps = [int(ln.split(",")[0]) for ln in lines[1:]]
-        assert taps[0] == -31 and taps[-1] == 31
-        values = [float(ln.split(",")[1]) for ln in lines[1:]]
-        assert values == list(filter_spec_dec.kernel)
-
 
 class TestDecimate:
     def test_constant_passes(self):
@@ -129,13 +119,13 @@ class TestInterpolate:
 class TestKernelToMatrix:
     def test_unit_impulse_is_identity(self):
         mat = dsp.kernel_to_matrix(np.array([1.0]), dim=256)
-        assert np.array_equal(mat.rows, np.eye(256))
+        assert np.array_equal(mat, np.eye(256))
 
     def test_moving_average(self):
         mat = dsp.kernel_to_matrix(np.array([0.5, 0.5, 0.0]), dim=8)
         x = np.arange(8.0)
         expected = np.convolve(x, [0.5, 0.5, 0.0])[1:9]
-        assert np.allclose(mat.rows @ x, expected, atol=1e-12)
+        assert np.allclose(mat @ x, expected, atol=1e-12)
 
     def test_matches_direct_convolution(self):
         # Direct convolution oracle over random kernels and vectors.
@@ -148,19 +138,19 @@ class TestKernelToMatrix:
             for _ in range(10):
                 x = rng.standard_normal(256)
                 direct = np.convolve(x, kernel)[half: half + 256]
-                assert np.max(np.abs(mat.rows @ x - direct)) < 1e-9
+                assert np.max(np.abs(mat @ x - direct)) < 1e-9
 
     def test_banded_structure(self, filter_spec_dec):
         mat = dsp.kernel_to_matrix(filter_spec_dec, dim=256)
         half = (filter_spec_dec.kernel_len - 1) // 2
-        n, m = np.indices(mat.rows.shape)
-        assert np.all(mat.rows[np.abs(n - m) > half] == 0.0)
+        n, m = np.indices(mat.shape)
+        assert np.all(mat[np.abs(n - m) > half] == 0.0)
 
     def test_rows_carry_kernel(self, filter_spec_dec):
         mat = dsp.kernel_to_matrix(filter_spec_dec, dim=256)
         k = filter_spec_dec.kernel
         half = (k.size - 1) // 2
-        assert np.allclose(mat.rows[128, 128 - half: 128 + half + 1], k[::-1],
+        assert np.allclose(mat[128, 128 - half: 128 + half + 1], k[::-1],
                            atol=1e-15)
 
     def test_rejects_oversized_kernel(self):
@@ -168,11 +158,6 @@ class TestKernelToMatrix:
             dsp.kernel_to_matrix(np.ones(2 * 16), dim=8)
         with pytest.raises(DataError):
             dsp.kernel_to_matrix(np.ones(17), dim=8)
-
-    def test_matrix_immutable(self):
-        mat = dsp.kernel_to_matrix(np.array([1.0]), dim=4)
-        with pytest.raises(ValueError):
-            mat.rows[0, 0] = 5.0
 
 
 class TestSnr:

@@ -81,8 +81,8 @@ class TestInit:
     @pytest.mark.parametrize("hidden", [32, 64, 128])
     def test_hidden_size_sweep(self, small_spec, hidden):
         model = net.init_network(hidden, 3, small_spec, dim=16, fs=FS)
-        y, _ = net.forward(model, np.linspace(-1, 1, 16))
-        assert y.shape == (16,) and np.all(np.isfinite(y))
+        Y, _ = net.forward_batch(model, np.linspace(-1, 1, 16)[np.newaxis])
+        assert Y.shape == (1, 16) and np.all(np.isfinite(Y))
 
 
 class TestForward:
@@ -90,8 +90,8 @@ class TestForward:
         n = small_net(spec=small_spec)
         n.w1[:] = 0.0
         n.w2[:] = 0.0
-        y, _ = net.forward(n, np.ones(16))
-        assert np.all(y == 0.0)
+        Y, _ = net.forward_batch(n, np.ones((1, 16)))
+        assert np.all(Y == 0.0)
 
     def test_unit_bias_isolates_filter_column(self, small_spec):
         n = small_net(spec=small_spec)
@@ -100,16 +100,16 @@ class TestForward:
         n.w2[:] = 0.0
         n.b2[:] = 0.0
         n.b2[3] = 1.0
-        y, _ = net.forward(n, np.zeros(16))
-        assert np.array_equal(y, n.f[:, 3])
+        Y, _ = net.forward_batch(n, np.zeros((1, 16)))
+        assert np.array_equal(Y[0], n.f[:, 3])
 
     def test_matches_straight_line_oracle(self, small_spec):
         rng = np.random.default_rng(5)
         n = small_net(hidden=7, seed=9, spec=small_spec)
         for _ in range(5):
             x = rng.standard_normal(16)
-            y, _ = net.forward(n, x)
-            assert np.max(np.abs(y - straight_line_forward(n, x))) < 1e-12
+            Y, _ = net.forward_batch(n, x[np.newaxis])
+            assert np.max(np.abs(Y[0] - straight_line_forward(n, x))) < 1e-12
 
     def test_batch_matches_single(self, small_spec):
         rng = np.random.default_rng(6)
@@ -117,13 +117,8 @@ class TestForward:
         X = rng.standard_normal((4, 16))
         Y, _ = net.forward_batch(n, X)
         for i in range(4):
-            y, _ = net.forward(n, X[i])
-            assert np.max(np.abs(Y[i] - y)) < 1e-12
-
-    def test_rejects_nonfinite(self, small_spec):
-        n = small_net(spec=small_spec)
-        with pytest.raises(NumericError):
-            net.forward(n, np.array([np.nan] * 16))
+            y, _ = net.forward_batch(n, X[i:i + 1])
+            assert np.max(np.abs(Y[i] - y[0])) < 1e-12
 
 
 class TestMseLoss:
@@ -159,8 +154,8 @@ class TestMseLoss:
 class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self, small_spec):
         n = small_net(spec=small_spec)
-        _, cache = net.forward(n, np.linspace(-1, 1, 16))
-        grads = net.backward(n, cache, np.zeros(16))
+        _, cache = net.forward_batch(n, np.linspace(-1, 1, 16)[np.newaxis])
+        grads = net.backward_batch(n, cache, np.zeros((1, 16)))
         for g in grads.as_dict().values():
             assert np.all(g == 0.0)
 
@@ -179,10 +174,9 @@ class TestBackward:
         n.w1[:] = 0.0
         n.w2[:] = 0.0
         n.b2[:] = np.linspace(0.5, 2.0, 16)
-        x = np.zeros(16)
-        y, cache = net.forward(n, x)
+        _, cache = net.forward_batch(n, np.zeros((1, 16)))
         grad_out = np.arange(16.0)
-        grads = net.backward(n, cache, grad_out)
+        grads = net.backward_batch(n, cache, grad_out[np.newaxis])
         assert np.max(np.abs(grads.f - np.outer(grad_out, n.b2))) < 1e-12
 
     def test_batch_matches_sum_of_singles(self, small_spec):
@@ -194,8 +188,8 @@ class TestBackward:
         batch = net.backward_batch(n, cacheb, G).as_dict()
         summed = {k: np.zeros_like(v) for k, v in batch.items()}
         for i in range(3):
-            _, cache = net.forward(n, X[i])
-            for k, g in net.backward(n, cache, G[i]).as_dict().items():
+            _, cache = net.forward_batch(n, X[i:i + 1])
+            for k, g in net.backward_batch(n, cache, G[i:i + 1]).as_dict().items():
                 summed[k] += g
         for k in batch:
             assert np.max(np.abs(batch[k] - summed[k])) < 1e-10
@@ -320,6 +314,14 @@ class TestDenoiseFrame:
         model = net.init_network(8, 0, spec, dim=256, fs=FS)
         with pytest.raises(DataError):
             net.denoise_frame(model, np.zeros(1000))
+
+    def test_rejects_nonfinite(self):
+        spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
+        model = net.init_network(8, 0, spec, dim=256, fs=FS)
+        frame = np.zeros(2048)
+        frame[100] = np.nan
+        with pytest.raises(NumericError):
+            net.denoise_frame(model, frame)
 
     def test_bounded_on_bounded_input(self):
         spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
