@@ -45,10 +45,12 @@ from .net import (
     adam_step,
     backward_batch,
     denoise_frame,
+    denoise_frames,
     forward_batch,
     init_network,
     load_checkpoint,
     mse_loss,
+    residual_loss,
     save_checkpoint,
 )
 from .signals import (

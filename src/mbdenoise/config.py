@@ -67,6 +67,9 @@ class RunConfig:
             )
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        if self.kernel_len < 1 or self.kernel_len % 2 != 1:
+            raise ConfigError(
+                f"kernel_len must be odd and positive, got {self.kernel_len}")
         if self.filter_cutoff_mode not in ("original", "decimated"):
             raise ConfigError(
                 f"filter_cutoff_mode must be original or decimated, "

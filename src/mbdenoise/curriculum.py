@@ -26,6 +26,7 @@ from .net import (
     backward_batch,
     forward_batch,
     mse_loss,
+    residual_loss,
 )
 from .signals import NoiseRecord, ShotRecord
 
@@ -180,7 +181,8 @@ def materialize_combo(
     Noise offsets are drawn deterministically per cell from the seed and
     the combination's index in split.combos, so the same seed
     regenerates identical examples whichever combinations are built.
-    Frames are decimated once here for network consumption; the
+    Frames are decimated once here for network consumption (each
+    shot's clean frame once per shot, shared by its examples); the
     full-rate originals stay for detection-rate evaluation.
     """
     for snr in snr_grid:
@@ -195,6 +197,7 @@ def materialize_combo(
         shot = shots_by_id[shot_id]
         frame_len = len(shot.waveform)
         fs = shot.waveform.fs
+        clean_dec = decimate(shot.waveform.samples, fs, decim_factor)
         for sec_idx, (start, stop) in enumerate(nsub.sections):
             if stop - start < frame_len:
                 raise DataError(
@@ -212,7 +215,7 @@ def materialize_combo(
                         noisy=mix.noisy.samples,
                         clean=mix.clean.samples,
                         noisy_dec=decimate(mix.noisy.samples, fs, decim_factor),
-                        clean_dec=decimate(mix.clean.samples, fs, decim_factor),
+                        clean_dec=clean_dec,
                         snr_db=mix.achieved_snr_db,
                         snr_bin=snr,
                         truth_onset=shot.onset,
@@ -368,10 +371,11 @@ def train_curriculum(
             else:
                 xb, tb = x_act, t_act
             y, cache = forward_batch(net, xb)
-            train_mse = mse_loss(y, tb).mse
+            resid = y - tb
+            train_mse = residual_loss(resid).mse
             if not np.isfinite(train_mse):
                 raise NumericError(f"phase {phase} iter {it}: non-finite training loss")
-            grads = backward_batch(net, cache, (2.0 / xb.shape[0]) * (y - tb))
+            grads = backward_batch(net, cache, (2.0 / xb.shape[0]) * resid)
             adam_step(net, grads, state, lr=opt.lr, f_lr_scale=opt.f_lr_scale)
             y_val, _ = forward_batch(net, x_val)
             val_mse = mse_loss(y_val, t_val).mse

@@ -21,6 +21,7 @@ AA_KERNEL_LEN = 127
 _DESIGN_GRID = 8192
 
 _design_cache: dict[tuple, "FilterSpec"] = {}
+_interp_cache: dict[tuple, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,11 @@ def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
 
 def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
     """Interpolation taps: the low-pass kernel scaled by the factor,
-    with each polyphase branch normalized to unit sum."""
+    with each polyphase branch normalized to unit sum. Built once per
+    (kernel, factor) and cached read-only."""
+    key = (spec.kernel.tobytes(), factor)
+    if key in _interp_cache:
+        return _interp_cache[key]
     kernel = spec.kernel * factor
     half = (kernel.size - 1) // 2
     for r in range(factor):
@@ -177,6 +182,8 @@ def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
         idx = np.arange(kernel.size)
         branch = (idx - half) % factor == r
         kernel[branch] /= np.sum(kernel[branch])
+    kernel.setflags(write=False)
+    _interp_cache[key] = kernel
     return kernel
 
 

@@ -5,7 +5,9 @@ tanh hidden activation, linear reconstruction) followed by a 256x256
 filter matrix that starts life as a low-pass filter and is itself
 trainable once released. Batch forward, sum-of-squares loss, exact
 analytic backprop, Adam updates honoring the filter-freeze flag, and a
-byte-stable checkpoint format; one frame is a batch of one.
+byte-stable checkpoint format. The filter layer is folded into the
+reconstruction weights once per forward call, and training,
+validation and inference share that one forward path.
 """
 
 from __future__ import annotations
@@ -120,25 +122,27 @@ def init_network(
 @dataclass(frozen=True)
 class ForwardCache:
     """Intermediates needed by backward: input, hidden activation, and
-    the pre-filter reconstruction."""
+    the folded reconstruction weights p = f @ w2."""
 
     x: np.ndarray
     a: np.ndarray
-    z: np.ndarray
+    p: np.ndarray
 
 
 def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Row-wise y = f @ (w2 @ tanh(w1 @ x + b1) + b2) over a
     (n_examples, dim) batch.
 
-    The reconstruction before the filter layer is linear; the filter
-    layer smooths away high-frequency artifacts of the tanh path.
+    The reconstruction and the filter layer are both linear, so the
+    filter is folded into them once per call: y = p @ a + c with
+    p = f @ w2 and c = f @ b2. No per-example product touches the
+    dim x dim filter matrix.
     """
     X = np.asarray(X, dtype=np.float64)
     A = np.tanh(X @ net.w1.T + net.b1)
-    Z = A @ net.w2.T + net.b2
-    Y = Z @ net.f.T
-    return Y, ForwardCache(X, A, Z)
+    P = net.f @ net.w2
+    Y = A @ P.T + net.f @ net.b2
+    return Y, ForwardCache(X, A, P)
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray) -> LossReport:
@@ -147,11 +151,15 @@ def mse_loss(y: np.ndarray, target: np.ndarray) -> LossReport:
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
         raise DataError(f"shape mismatch {y.shape} vs {target.shape}")
-    diff = y - target
-    if diff.ndim == 1:
-        return LossReport(float(np.dot(diff, diff)), 1)
-    per_example = np.sum(diff * diff, axis=1)
-    return LossReport(float(np.mean(per_example)), diff.shape[0])
+    return residual_loss(y - target)
+
+
+def residual_loss(diff: np.ndarray) -> LossReport:
+    """mse_loss of a precomputed residual y - target, as one flat dot
+    product over all samples divided by the number of examples."""
+    flat = np.ravel(diff)
+    n_examples = 1 if diff.ndim == 1 else diff.shape[0]
+    return LossReport(float(np.dot(flat, flat)) / n_examples, n_examples)
 
 
 def backward_batch(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> Gradients:
@@ -159,16 +167,19 @@ def backward_batch(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> G
     graph.
 
     grad_out is dL/dY (for the sum-of-squares loss, 2*(Y - target));
-    pre-scale it by 1/n_examples for a batch-mean loss. The filter
-    gradient is always computed; the optimizer discards it while the
-    layer is frozen.
+    pre-scale it by 1/n_examples for a batch-mean loss. Gradients flow
+    through the folded p = f @ w2 and c = f @ b2, so the only
+    per-example products are dim x hidden: dW2 = f.T @ dP,
+    db2 = f.T @ dc and dF = dP @ w2.T + dc b2.T. The filter gradient is
+    always computed; the optimizer discards it while the layer is frozen.
     """
     G = np.asarray(grad_out, dtype=np.float64)
-    dF = G.T @ cache.z
-    dZ = G @ net.f
-    db2 = dZ.sum(axis=0)
-    dW2 = dZ.T @ cache.a
-    dA = dZ @ net.w2
+    dP = G.T @ cache.a
+    dc = G.sum(axis=0)
+    dA = G @ cache.p
+    dW2 = net.f.T @ dP
+    db2 = net.f.T @ dc
+    dF = dP @ net.w2.T + np.outer(dc, net.b2)
     dU = dA * (1.0 - cache.a * cache.a)
     db1 = dU.sum(axis=0)
     dW1 = dU.T @ cache.x
@@ -225,18 +236,29 @@ def adam_step(
     return net
 
 
-def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
-    """Full inference chain for one full-rate frame: decimate, scale,
-    forward as a batch of one, unscale, interpolate back to the original
-    length."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size != net.frame_len:
-        raise DataError(f"frame length {frame.size} != {net.frame_len}")
-    x = decimate(frame, net.fs, net.decim_factor) / net.input_scale
-    if not np.all(np.isfinite(x)):
+def denoise_frames(net: Network, frames: np.ndarray) -> np.ndarray:
+    """Full inference chain for a (n_frames, frame_len) batch of
+    full-rate frames: decimate each, scale, one forward over the batch,
+    unscale, interpolate each back to the original length."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != net.frame_len:
+        raise DataError(f"frames of shape {frames.shape} are not rows of "
+                        f"{net.frame_len} samples")
+    X = np.empty((frames.shape[0], net.dim))
+    for row, frame in zip(X, frames):
+        row[:] = decimate(frame, net.fs, net.decim_factor) / net.input_scale
+    if not np.all(np.isfinite(X)):
         raise NumericError("network input contains NaN or Inf")
-    y, _ = forward_batch(net, x[np.newaxis])
-    return interpolate(y[0] * net.input_scale, net.fs, net.decim_factor)
+    Y, _ = forward_batch(net, X)
+    out = np.empty_like(frames)
+    for row, y in zip(out, Y):
+        row[:] = interpolate(y * net.input_scale, net.fs, net.decim_factor)
+    return out
+
+
+def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
+    """denoise_frames on one full-rate frame."""
+    return denoise_frames(net, np.reshape(frame, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +287,24 @@ def load_checkpoint(path: str | Path) -> Network:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    offset = 8 + struct.calcsize("<IIqIIBd")
+    if len(raw) < offset + 1 or len(raw) < offset + 1 + raw[offset]:
+        raise DataError(f"{path}: checkpoint header is truncated")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, seed, fs, decim_factor, f_frozen, input_scale = struct.unpack_from(
         "<IIqIIBd", raw, 8)
-    offset = 8 + struct.calcsize("<IIqIIBd")
-    (act_len,) = struct.unpack_from("<B", raw, offset)
+    act_len = raw[offset]
     offset += 1
     activation = raw[offset:offset + act_len].decode("ascii")
     offset += act_len
+    body_len = 8 * (2 * hidden * dim + hidden + dim + dim * dim)
+    if len(raw) - offset != body_len:
+        raise DataError(
+            f"{path}: checkpoint body is {len(raw) - offset} bytes, but dim {dim} "
+            f"and hidden {hidden} need {body_len}"
+        )
 
     def take(shape):
         nonlocal offset
@@ -288,7 +318,5 @@ def load_checkpoint(path: str | Path) -> Network:
     w2 = take((dim, hidden))
     b2 = take((dim,))
     f = take((dim, dim))
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing bytes in checkpoint")
     return Network(w1, b1, w2, b2, f, hidden, activation, bool(f_frozen),
                    input_scale, seed, fs, decim_factor)

@@ -67,7 +67,7 @@ class TestConfig:
         "frame_len=1001", "hidden=0", "rotation=6", "seed=-1",
         "filter_cutoff_mode=banana", "freeze_iters=500", "aa_kernel_len=63",
         "decim_factor=0", "examples_per_cell=0", "sections_per_noise=0",
-        "lr=-1", "batch_size=-3",
+        "lr=-1", "batch_size=-3", "kernel_len=4",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
@@ -196,6 +196,15 @@ class TestEvaluate:
             p, dp, n = float(r[2]), float(r[3]), int(r[4])
             assert dp == pytest.approx(np.sqrt(p * (1 - p) / n), abs=1e-12)
 
+    def test_no_held_out_caliber_shots(self, pipeline, tmp_path):
+        _, root, _ = pipeline
+        cfg = smoke_cfg(n_shots_b=0)
+        cli.cmd_gen_data(cfg, tmp_path / "corpus")
+        cli.cmd_evaluate(cfg, tmp_path / "corpus", root / "train", tmp_path / "eval")
+        assert read_csv(tmp_path / "eval" / "scores_test.csv")[1] == []
+        assert (read_csv(tmp_path / "eval" / "scores_validation.csv")
+                == read_csv(root / "eval" / "scores_validation.csv"))
+
     def test_missing_checkpoint_rejected(self, pipeline, tmp_path):
         cfg, root, _ = pipeline
         with pytest.raises(DataError):
@@ -237,6 +246,23 @@ class TestDenoiseCmd:
         denoised = signals.load_wav(out)
         assert len(denoised) == 5000
         assert np.all(np.isfinite(denoised.samples))
+
+    def test_batch_matches_frame_by_frame(self, pipeline, tmp_path):
+        cfg, root, _ = pipeline
+        ckpt = root / "train" / "rotation_0" / "checkpoint.bin"
+        x = np.random.default_rng(2).normal(0.0, 2.0, 5000)
+        wav_in = tmp_path / "in.wav"
+        signals.save_wav(wav_in, signals.Waveform(x, cfg.fs))
+        stats = cli.cmd_denoise(cfg, ckpt, wav_in, tmp_path / "out.wav")
+        assert stats["frames"] == 3.0 and "max_latency_s" not in stats
+        model = net.load_checkpoint(ckpt)
+        padded = np.zeros(3 * model.frame_len)
+        padded[:5000] = signals.load_wav(wav_in).samples
+        ref = np.concatenate([net.denoise_frame(model, frame)
+                              for frame in padded.reshape(3, -1)])[:5000]
+        out = signals.load_wav(tmp_path / "out.wav").samples
+        tol = 1e-9 + np.spacing(np.abs(ref).astype(np.float32))
+        assert np.all(np.abs(out - ref) <= tol)
 
     def test_fs_mismatch(self, pipeline, tmp_path):
         cfg, root, _ = pipeline
@@ -284,6 +310,24 @@ class TestMainEntry:
             "--in", str(src), "--out", str(out),
         ])
         assert code == 0 and out.exists()
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        ckpt = root / "train" / "rotation_0" / "checkpoint.bin"
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(ckpt.read_bytes()[:300])
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(cut), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_even_kernel_len_exits_1_before_loading(self, tmp_path, capsys):
+        code = cli.main(["train", "--set", "kernel_len=4",
+                         "--corpus", str(tmp_path / "absent"),
+                         "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "kernel_len" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -115,6 +115,18 @@ class TestInterpolate:
         rhs = 3.0 * dsp.interpolate(x, FS) + 0.5 * dsp.interpolate(y, FS)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
+    def test_interp_kernel_cached_read_only(self):
+        spec = dsp.anti_alias_spec(FS, 8)
+        kernel = dsp._interp_kernel(spec, 8)
+        assert dsp._interp_kernel(spec, 8) is kernel
+        assert not kernel.flags.writeable
+        half = (kernel.size - 1) // 2
+        phase = (np.arange(kernel.size) - half) % 8
+        for r in range(8):
+            assert float(np.sum(kernel[phase == r])) == pytest.approx(1.0, abs=1e-12)
+        y = np.random.default_rng(3).standard_normal(256)
+        assert np.array_equal(dsp.interpolate(y, FS), dsp.interpolate(y, FS))
+
 
 class TestKernelToMatrix:
     def test_unit_impulse_is_identity(self):

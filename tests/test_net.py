@@ -20,6 +20,18 @@ def small_net(hidden=5, seed=0, dim=16, spec=None):
     return net.init_network(hidden, seed, spec, dim=dim, fs=FS)
 
 
+def released_net(hidden=6, seed=4, dim=16, spec=None, rng_seed=17):
+    """A network as training leaves it: F released and dense (the banded
+    init plus small noise everywhere) and non-zero output bias b2."""
+    n = small_net(hidden=hidden, seed=seed, dim=dim, spec=spec)
+    rng = np.random.default_rng(rng_seed)
+    n.f = n.f + 0.01 * rng.standard_normal(n.f.shape)
+    n.b2 = 0.3 * rng.standard_normal(dim)
+    n.b1 = 0.1 * rng.standard_normal(hidden)
+    n.f_frozen = False
+    return n
+
+
 def straight_line_forward(n: net.Network, x):
     """Independent re-implementation with explicit loops."""
     hidden = len(n.b1)
@@ -111,6 +123,14 @@ class TestForward:
             Y, _ = net.forward_batch(n, x[np.newaxis])
             assert np.max(np.abs(Y[0] - straight_line_forward(n, x))) < 1e-12
 
+    def test_folded_matches_explicit_filter_product(self, small_spec):
+        rng = np.random.default_rng(8)
+        n = released_net(spec=small_spec)
+        X = rng.standard_normal((5, 16))
+        Y, _ = net.forward_batch(n, X)
+        explicit = (np.tanh(X @ n.w1.T + n.b1) @ n.w2.T + n.b2) @ n.f.T
+        assert np.max(np.abs(Y - explicit)) <= 1e-12 * np.max(np.abs(explicit))
+
     def test_batch_matches_single(self, small_spec):
         rng = np.random.default_rng(6)
         n = small_net(spec=small_spec)
@@ -159,13 +179,20 @@ class TestBackward:
         for g in grads.as_dict().values():
             assert np.all(g == 0.0)
 
-    def test_finite_difference_all_groups(self, small_spec):
+    @staticmethod
+    def max_fd_error(n: net.Network) -> float:
         rng = np.random.default_rng(11)
-        n = small_net(hidden=6, seed=4, spec=small_spec)
         x = rng.standard_normal(16)
         t = rng.standard_normal(16)
-        errors = gradient_errors(n, x, t, samples_per_group=40, rng=rng)
-        assert np.max(errors) < 1e-4
+        return float(np.max(gradient_errors(n, x, t, samples_per_group=40, rng=rng)))
+
+    def test_finite_difference_all_groups(self, small_spec):
+        assert self.max_fd_error(small_net(hidden=6, seed=4, spec=small_spec)) < 1e-4
+
+    def test_finite_difference_released_dense_filter(self, small_spec):
+        # A dense F and a non-zero b2 exercise the f.T @ dP and dc b2.T
+        # terms of the folded backward, which an init network hides.
+        assert self.max_fd_error(released_net(hidden=6, seed=4, spec=small_spec)) < 1e-4
 
     def test_linear_path_filter_gradient(self, small_spec):
         # Bypass the tanh path: w1 = 0 makes z = b2, so dL/df is the
@@ -300,6 +327,21 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("keep", [6, 20, 300, -8])
+    def test_rejects_truncated(self, tmp_path, small_spec, keep):
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, small_net(spec=small_spec))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataError):
+            net.load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path, small_spec):
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, small_net(spec=small_spec))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataError):
+            net.load_checkpoint(path)
+
 
 class TestDenoiseFrame:
     def test_output_length(self):
@@ -322,6 +364,24 @@ class TestDenoiseFrame:
         frame[100] = np.nan
         with pytest.raises(NumericError):
             net.denoise_frame(model, frame)
+
+    def test_batch_matches_single_frames(self):
+        spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
+        model = net.init_network(16, 1, spec, dim=256, fs=FS)
+        model.input_scale = 3.5
+        frames = np.random.default_rng(5).uniform(-2.0, 2.0, (4, 2048))
+        batch = net.denoise_frames(model, frames)
+        assert batch.shape == frames.shape
+        for frame, out in zip(frames, batch):
+            assert np.max(np.abs(net.denoise_frame(model, frame) - out)) < 1e-12
+
+    def test_batch_rejects_wrong_shape(self):
+        spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
+        model = net.init_network(8, 0, spec, dim=256, fs=FS)
+        with pytest.raises(DataError):
+            net.denoise_frames(model, np.zeros(2048))
+        with pytest.raises(DataError):
+            net.denoise_frames(model, np.zeros((2, 1000)))
 
     def test_bounded_on_bounded_input(self):
         spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
