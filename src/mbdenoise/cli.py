@@ -129,7 +129,10 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     for line in manifest.read_text().splitlines():
         if not line or line.startswith("#"):
             continue
-        checksum, rel, _ident = line.split()
+        fields = line.split()
+        if len(fields) != 3:
+            raise DataError(f"malformed manifest line in {manifest}: {line!r}")
+        checksum, rel, _ident = fields
         path = root / rel
         if not path.exists():
             raise DataError(f"manifest entry missing on disk: {rel}")

@@ -181,9 +181,10 @@ def materialize_combo(
     Noise offsets are drawn deterministically per cell from the seed and
     the combination's index in split.combos, so the same seed
     regenerates identical examples whichever combinations are built.
-    Frames are decimated once here for network consumption (each
-    shot's clean frame once per shot, shared by its examples); the
-    full-rate originals stay for detection-rate evaluation.
+    Frames are decimated here for network consumption in two calls per
+    combination, one over the shots' clean frames and one over all the
+    noisy frames; the full-rate originals stay for detection-rate
+    evaluation.
     """
     for snr in snr_grid:
         if not -25.0 <= snr <= 15.0:
@@ -192,12 +193,10 @@ def materialize_combo(
     shot_ids = split.shot_subsets[combo.shot_subset]
     nsub = split.noise_subsets[combo.noise_subset]
     noise = noises_by_id[nsub.noise_id]
-    out = []
+    cells = []
     for shot_pos, shot_id in enumerate(shot_ids):
         shot = shots_by_id[shot_id]
         frame_len = len(shot.waveform)
-        fs = shot.waveform.fs
-        clean_dec = decimate(shot.waveform.samples, fs, decim_factor)
         for sec_idx, (start, stop) in enumerate(nsub.sections):
             if stop - start < frame_len:
                 raise DataError(
@@ -210,21 +209,32 @@ def materialize_combo(
                         [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
                     )
                     offset = int(rng.integers(start, stop - frame_len + 1))
-                    mix = mix_at_snr(shot, noise, offset, snr)
-                    out.append(NoisyExample(
-                        noisy=mix.noisy.samples,
-                        clean=mix.clean.samples,
-                        noisy_dec=decimate(mix.noisy.samples, fs, decim_factor),
-                        clean_dec=clean_dec,
-                        snr_db=mix.achieved_snr_db,
-                        snr_bin=snr,
-                        truth_onset=shot.onset,
-                        shot_id=shot_id,
-                        noise_id=nsub.noise_id,
-                        section=sec_idx,
-                        combo=combo,
-                    ))
-    return out
+                    cells.append((shot_pos, sec_idx, snr,
+                                  mix_at_snr(shot, noise, offset, snr)))
+    if not cells:
+        return []
+    shots = [shots_by_id[shot_id] for shot_id in shot_ids]
+    fs = shots[0].waveform.fs
+    clean_dec = decimate(np.stack([shot.waveform.samples for shot in shots]),
+                         fs, decim_factor)
+    noisy_dec = decimate(np.stack([mix.noisy.samples for *_, mix in cells]),
+                         fs, decim_factor)
+    return [
+        NoisyExample(
+            noisy=mix.noisy.samples,
+            clean=mix.clean.samples,
+            noisy_dec=noisy_row,
+            clean_dec=clean_dec[shot_pos],
+            snr_db=mix.achieved_snr_db,
+            snr_bin=snr,
+            truth_onset=shots[shot_pos].onset,
+            shot_id=shot_ids[shot_pos],
+            noise_id=nsub.noise_id,
+            section=sec_idx,
+            combo=combo,
+        )
+        for (shot_pos, sec_idx, snr, mix), noisy_row in zip(cells, noisy_dec)
+    ]
 
 
 def materialize_examples(

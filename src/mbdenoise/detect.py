@@ -68,7 +68,9 @@ def detect_impulses(
     compared against the long-window RMS over the trailing (up to lta)
     samples; a ratio above the threshold triggers a detection at i (the
     first sample of the triggering short window) followed by a
-    refractory hold-off. Deterministic, sorted by onset.
+    refractory hold-off. The ratio is computed for every candidate at
+    once and only its threshold crossings are visited. Deterministic,
+    sorted by onset.
     """
     x = np.asarray(x, dtype=np.float64)
     n_sta = max(1, int(round(config.sta_ms * 1e-3 * fs)))
@@ -92,14 +94,14 @@ def detect_impulses(
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(floor > 0.0, sta / np.where(floor > 0.0, floor, 1.0), 0.0)
 
+    # Visit only the threshold crossings; a crossing inside the hold-off
+    # of the last detection is skipped.
     detections: list[Detection] = []
-    i = 0
-    while i < ratio.size:
-        if ratio[i] > config.threshold:
+    resume = 0
+    for i in np.flatnonzero(ratio > config.threshold):
+        if i >= resume:
             detections.append(Detection(int(idx[i]), float(ratio[i])))
-            i += n_hold
-        else:
-            i += 1
+            resume = i + n_hold
     return detections
 
 

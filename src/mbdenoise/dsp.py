@@ -108,24 +108,6 @@ def design_butterworth(
     return spec
 
 
-def convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Zero-phase filtering: centered convolution with zero-padded edges."""
-    x = np.asarray(x, dtype=np.float64)
-    full = np.convolve(x, kernel)
-    half = (kernel.size - 1) // 2
-    return full[half: half + x.size]
-
-
-def _filter_frame(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Zero-phase filtering with replicated edges, so constant frames
-    stay constant across the whole output."""
-    half = (kernel.size - 1) // 2
-    if half == 0:
-        return x * kernel[0]
-    padded = np.pad(x, half, mode="edge")
-    return np.convolve(padded, kernel, mode="valid")
-
-
 def anti_alias_spec(fs: float, factor: int) -> FilterSpec:
     """Order-8 low-pass at fs/(2*factor) with AA_KERNEL_LEN taps, used
     before decimation and after interpolation: the muzzle blast has no
@@ -135,37 +117,81 @@ def anti_alias_spec(fs: float, factor: int) -> FilterSpec:
 
 
 def decimate(x: np.ndarray, fs: float, factor: int = 8) -> np.ndarray:
-    """Low-pass filter then keep every factor-th sample.
+    """Low-pass filter then keep every factor-th sample, along the last
+    axis of a frame or a stack of frames of any leading shape.
 
-    Input length must divide by factor; a 2048-sample frame becomes the
+    The filter is zero-phase with replicated edges, so constant frames
+    stay constant across the whole output. It runs in polyphase form
+    and computes only the kept outputs: the edge-padded frame is folded
+    into rows of factor phases, and each output is one dot product of
+    a window of those rows with the kernel folded the same way. A row's
+    result does not depend on how many rows are stacked with it. The
+    last axis must divide by factor; a 2048-sample frame becomes the
     256-point representation the network consumes.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size % factor != 0:
-        raise DataError(f"length {x.size} not divisible by factor {factor}")
-    spec = anti_alias_spec(fs, factor)
-    return _filter_frame(x, spec.kernel)[::factor]
+    n = x.shape[-1]
+    if n % factor != 0:
+        raise DataError(f"length {n} not divisible by factor {factor}")
+    kernel = anti_alias_spec(fs, factor).kernel
+    half = (kernel.size - 1) // 2
+    taps = -(-kernel.size // factor)  # ceil: kernel rows of factor phases
+    n_out = n // factor
+    # Output i is sum_k padded[i*factor + k] * kernel[k] over the edge-padded
+    # frame, i.e. a window of `taps` phase rows against the folded kernel.
+    # (taps - 1) * factor <= 2 * half, so the last window stays inside
+    # the padding.
+    padded_len = (n_out + taps - 1) * factor
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+    rows = padded[..., :padded_len].reshape(*x.shape[:-1], n_out + taps - 1, factor)
+    folded = np.zeros(taps * factor)
+    folded[: kernel.size] = kernel
+    windows = np.lib.stride_tricks.sliding_window_view(rows, taps, axis=-2)
+    return np.einsum("...irq,qr->...i", windows, folded.reshape(taps, factor))
 
 
 def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
-    """Zero-stuff by factor and low-pass at the output rate (gain x factor).
+    """Zero-stuff by factor and low-pass at the output rate (gain x
+    factor), along the last axis of a frame or a stack of frames of any
+    leading shape.
 
     Inverse of decimate for signals band-limited below fs_out/(2*factor):
     interpolate(decimate(x)) reproduces such signals within 1% relative
     RMS away from the frame edges. The kernel's polyphase branches are
     DC-normalized (the order-8 law alone leaves its first spectral
-    image only 48 dB down, an ~0.8% ripple on constants).
+    image only 48 dB down, an ~0.8% ripple on constants). The stuffed
+    zeros are never multiplied: output phase r of input position i is a
+    window of edge-padded inputs times branch r, one product for all
+    phases and rows.
     """
     y = np.asarray(y, dtype=np.float64)
     spec = anti_alias_spec(fs_out, factor)
+    branches = _interp_branches(spec, factor)
+    pad = branches.shape[0] // 2
+    padded = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(pad, pad)], mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, branches.shape[0], axis=-1)
+    return (windows @ branches).reshape(*y.shape[:-1], y.shape[-1] * factor)
+
+
+def _interp_branches(spec: FilterSpec, factor: int) -> np.ndarray:
+    """The interpolation taps as a (2*pad + 1, factor) branch matrix:
+    entry (d, r) weighs input position i + d - pad in output sample
+    i*factor + r, where pad = ceil(half / factor) for the kernel
+    half-width half. Cached read-only with the kernel."""
+    key = ("branches", spec.kernel.tobytes(), factor)
+    if key in _interp_cache:
+        return _interp_cache[key]
     kernel = _interp_kernel(spec, factor)
     half = (kernel.size - 1) // 2
-    pad = -(-half // factor)  # ceil: replicated originals covering the kernel
-    y_padded = np.pad(y, pad, mode="edge")
-    stuffed = np.zeros(y_padded.size * factor, dtype=np.float64)
-    stuffed[::factor] = y_padded
-    out = convolve_same(stuffed, kernel)
-    return out[pad * factor: pad * factor + y.size * factor]
+    pad = -(-half // factor)
+    # Kernel tap that lands input position i + d - pad on output sample
+    # i*factor + r; taps outside the kernel are zero.
+    k = half + np.arange(factor) - (np.arange(2 * pad + 1)[:, None] - pad) * factor
+    inside = (k >= 0) & (k < kernel.size)
+    branches = np.where(inside, kernel[np.where(inside, k, 0)], 0.0)
+    branches.setflags(write=False)
+    _interp_cache[key] = branches
+    return branches
 
 
 def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:

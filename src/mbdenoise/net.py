@@ -238,22 +238,17 @@ def adam_step(
 
 def denoise_frames(net: Network, frames: np.ndarray) -> np.ndarray:
     """Full inference chain for a (n_frames, frame_len) batch of
-    full-rate frames: decimate each, scale, one forward over the batch,
-    unscale, interpolate each back to the original length."""
+    full-rate frames: one decimate call, scale, one forward over the
+    batch, unscale, one interpolate call back to the original length."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != net.frame_len:
         raise DataError(f"frames of shape {frames.shape} are not rows of "
                         f"{net.frame_len} samples")
-    X = np.empty((frames.shape[0], net.dim))
-    for row, frame in zip(X, frames):
-        row[:] = decimate(frame, net.fs, net.decim_factor) / net.input_scale
+    X = decimate(frames, net.fs, net.decim_factor) / net.input_scale
     if not np.all(np.isfinite(X)):
         raise NumericError("network input contains NaN or Inf")
     Y, _ = forward_batch(net, X)
-    out = np.empty_like(frames)
-    for row, y in zip(out, Y):
-        row[:] = interpolate(y * net.input_scale, net.fs, net.decim_factor)
-    return out
+    return interpolate(Y * net.input_scale, net.fs, net.decim_factor)
 
 
 def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
@@ -297,7 +292,10 @@ def load_checkpoint(path: str | Path) -> Network:
         "<IIqIIBd", raw, 8)
     act_len = raw[offset]
     offset += 1
-    activation = raw[offset:offset + act_len].decode("ascii")
+    try:
+        activation = raw[offset:offset + act_len].decode("ascii")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: checkpoint activation name is not ASCII") from None
     offset += act_len
     body_len = 8 * (2 * hidden * dim + hidden + dim + dim * dim)
     if len(raw) - offset != body_len:

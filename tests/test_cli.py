@@ -1,4 +1,6 @@
 import csv
+import shutil
+import struct
 import time
 
 import numpy as np
@@ -321,6 +323,31 @@ class TestMainEntry:
                          "--out", str(tmp_path / "den.wav")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_non_ascii_activation_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        raw = bytearray((root / "train" / "rotation_0" / "checkpoint.bin").read_bytes())
+        raw[8 + struct.calcsize("<IIqIIBd") + 1] = 0xFF  # first activation byte
+        bad = tmp_path / "bad_act.bin"
+        bad.write_bytes(bytes(raw))
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert "activation" in capsys.readouterr().err
+
+    def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = corpus / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        entry = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+        lines[entry] = " ".join(lines[entry].split()[:2])  # drop the id field
+        manifest.write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert "malformed manifest line" in capsys.readouterr().err
 
     def test_even_kernel_len_exits_1_before_loading(self, tmp_path, capsys):
         code = cli.main(["train", "--set", "kernel_len=4",

@@ -67,6 +67,78 @@ class TestDetectImpulses:
         assert len(dets) == 1
 
 
+def reference_scan(x, fs, config):
+    """detect_impulses by its definition: the same STA/LTA ratio,
+    stepped one candidate at a time, jumping the hold-off after each
+    trigger."""
+    n_sta = max(1, int(round(config.sta_ms * 1e-3 * fs)))
+    n_lta = max(n_sta + 1, int(round(config.lta_ms * 1e-3 * fs)))
+    n_warm = max(1, int(round(config.warmup_ms * 1e-3 * fs)))
+    n_hold = max(1, int(round(config.refractory_ms * 1e-3 * fs)))
+    energy = np.concatenate([[0.0], np.cumsum(x * x)])
+    idx = np.arange(n_warm, x.size - n_sta)
+    sta = np.sqrt((energy[idx + n_sta] - energy[idx]) / n_sta)
+    lta_start = np.maximum(idx - n_lta, 0)
+    lta = np.sqrt((energy[idx] - energy[lta_start]) / (idx - lta_start))
+    floor = np.maximum(lta, 1e-12 * sta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(floor > 0.0, sta / np.where(floor > 0.0, floor, 1.0), 0.0)
+    detections = []
+    i = 0
+    while i < ratio.size:
+        if ratio[i] > config.threshold:
+            detections.append(detect.Detection(int(idx[i]), float(ratio[i])))
+            i += n_hold
+        else:
+            i += 1
+    return detections
+
+
+class TestCrossingScan:
+    """At fs = 1000 the defaults give a 2-sample short window, 50-sample
+    long window, 10-sample warm-up and 20-sample hold-off, so a spike at
+    p makes candidates p-1 and p cross the threshold."""
+
+    FS_SMALL = 1000
+
+    def spikes(self, positions, n=400, seed=0):
+        x = 0.01 * np.random.default_rng(seed).standard_normal(n)
+        for k, p in enumerate(positions):
+            x[p] += 1.0 + 4.0 * k
+        return x
+
+    def check(self, x):
+        dets = detect.detect_impulses(x, self.FS_SMALL, CFG)
+        assert dets == reference_scan(x, self.FS_SMALL, CFG)
+        return [d.onset_sample for d in dets]
+
+    def test_crossing_inside_hold_off_skipped(self):
+        assert self.check(self.spikes([100, 110])) == [99]
+
+    def test_crossing_exactly_hold_off_apart(self):
+        assert self.check(self.spikes([100, 120])) == [99, 119]
+
+    def test_crossing_on_last_candidate(self):
+        # Candidates end at n - n_sta - 1 = 397; only its short window
+        # [397, 399) holds a spike at 398.
+        assert self.check(self.spikes([398])) == [397]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_spike_trains(self, seed):
+        rng = np.random.default_rng(seed)
+        gaps = rng.integers(5, 40, size=30)
+        positions = list(np.cumsum(gaps) + 60)
+        x = self.spikes([p for p in positions if p < 1400], n=1500, seed=seed)
+        self.check(x)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_blasts_at_full_rate(self, seed):
+        x = blast_in_silence(3000, n=16384, noise=0.8, seed=seed)
+        x += blast_in_silence(3000 + 600 + 100 * seed, n=16384)
+        dets = detect.detect_impulses(x, FS, CFG)
+        assert dets and dets == reference_scan(x, FS, CFG)
+
+
 class TestMatchDetections:
     def test_exact_hit(self):
         matched, fa = detect.match_detections([detect.Detection(100, 9.0)], [100], 32)

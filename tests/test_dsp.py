@@ -128,6 +128,65 @@ class TestInterpolate:
         assert np.array_equal(dsp.interpolate(y, FS), dsp.interpolate(y, FS))
 
 
+def decimate_oracle(x, factor):
+    """decimate by its definition: edge-padded zero-phase convolution,
+    then every factor-th sample."""
+    kernel = dsp.anti_alias_spec(FS, factor).kernel
+    half = (kernel.size - 1) // 2
+    return np.convolve(np.pad(x, half, mode="edge"), kernel, mode="valid")[::factor]
+
+
+def interpolate_oracle(y, factor):
+    """interpolate by its definition: edge-pad, zero-stuff, centered
+    convolution with the interpolation kernel, trim the padding."""
+    kernel = dsp._interp_kernel(dsp.anti_alias_spec(FS, factor), factor)
+    half = (kernel.size - 1) // 2
+    pad = -(-half // factor)
+    stuffed = np.zeros((y.size + 2 * pad) * factor)
+    stuffed[::factor] = np.pad(y, pad, mode="edge")
+    start = pad * factor + half
+    return np.convolve(stuffed, kernel)[start: start + y.size * factor]
+
+
+class TestPolyphase:
+    """The polyphase kernels against their convolution definitions, and
+    batch rows against single-frame calls."""
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_decimate_matches_convolution(self, factor, kind):
+        rng = np.random.default_rng(factor)
+        x = rng.standard_normal(2048) if kind == "random" else np.full(2048, -3.7)
+        out = dsp.decimate(x, FS, factor)
+        assert out.shape == (2048 // factor,)
+        assert np.max(np.abs(out - decimate_oracle(x, factor))) < 1e-13
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_interpolate_matches_convolution(self, factor, kind):
+        rng = np.random.default_rng(10 + factor)
+        y = rng.standard_normal(256) if kind == "random" else np.full(256, 2.25)
+        out = dsp.interpolate(y, FS, factor)
+        assert out.shape == (256 * factor,)
+        assert np.max(np.abs(out - interpolate_oracle(y, factor))) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_batch_rows_equal_single_frames(self, shape):
+        rng = np.random.default_rng(4)
+        frames = rng.standard_normal(shape + (2048,))
+        dec = dsp.decimate(frames, FS)
+        assert dec.shape == shape + (256,)
+        inter = dsp.interpolate(dec, FS)
+        assert inter.shape == shape + (2048,)
+        for index in np.ndindex(shape):
+            assert np.array_equal(dec[index], dsp.decimate(frames[index], FS))
+            assert np.array_equal(inter[index], dsp.interpolate(dec[index], FS))
+
+    def test_batch_length_must_divide(self):
+        with pytest.raises(DataError):
+            dsp.decimate(np.ones((3, 2047)), FS)
+
+
 class TestKernelToMatrix:
     def test_unit_impulse_is_identity(self):
         mat = dsp.kernel_to_matrix(np.array([1.0]), dim=256)

@@ -80,7 +80,8 @@ class TestInit:
         model = net.init_network(8, 0, spec, dim=256, fs=FS)
         t = np.arange(256) * 8.0 / FS
         x = np.sin(2 * np.pi * 100.0 * t)
-        direct = dsp.convolve_same(x, spec.kernel)
+        half = (spec.kernel.size - 1) // 2
+        direct = np.convolve(x, spec.kernel)[half: half + x.size]
         assert np.max(np.abs(model.f @ x - direct)) < 1e-12
 
     def test_starts_frozen(self, small_spec):
