@@ -48,6 +48,18 @@ def test_summary_medians_iqr_and_wins():
     assert rss["change_wins"] == "3/4"  # pair 2 is a loss, not a tie win
 
 
+def test_claim_void_when_change_fails_more_operations():
+    parent = [result(p["metrics"]["wall_s"]["value"], p["metrics"]["work_per_s"]["value"],
+                     p["metrics"]["peak_rss_mb"]["value"]) for p in PARENT]
+    change = CHANGE[:3] + [result(0.5, 1650.0, 148.0, failed=2)]
+    summary = bench_pairs.summarize(parent, change, BETTER)
+    assert summary["failed_ops"] == {"parent": 0, "change": 2}
+    work = summary["metrics"]["work_per_s"]
+    assert work["change_wins"] == "4/4" and not work["claim_holds"]
+    # One failed parent operation against none: the claim stands.
+    assert bench_pairs.summarize(PARENT, CHANGE, BETTER)["metrics"]["work_per_s"]["claim_holds"]
+
+
 def test_claim_needs_gain_beyond_parent_iqr():
     parent = [result(1.0, 100.0 + 10 * k, 1.0) for k in range(10)]
     change = [result(1.0, p["metrics"]["work_per_s"]["value"] + 1.0, 1.0) for p in parent]
@@ -67,3 +79,29 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("0-3") == [0, 1, 2, 3]
     assert bench_pairs.parse_seeds("0-2,7") == [0, 1, 2, 7]
     assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_run_once_reads_both_lines(tmp_path):
+    """run_once on a stand-in run.py that prints canned lines."""
+    (tmp_path / "mbbench").mkdir()
+    env_line = {"env": {"nproc": 2, "git_commit": "abc"},
+                "named": {"frame_latency_p50_ms": {"value": 0.4, "unit": "ms"},
+                          "wall_s": {"value": 9.0, "unit": "s"}}}
+    result_line = {"correct": True, "attempted": 3, "failed": 0,
+                   "metrics": {"wall_s": {"value": 1.5, "unit": "s"}}}
+    (tmp_path / "mbbench" / "run.py").write_text(
+        "import json\n"
+        f"print(json.dumps({env_line!r}))\n"
+        f"print(json.dumps({result_line!r}))\n")
+    env, res = bench_pairs.run_once(tmp_path, "stream", 0, 40, 0)
+    assert env == {"nproc": 2, "git_commit": "abc"}
+    assert res["metrics"]["frame_latency_p50_ms"]["value"] == 0.4
+    assert res["metrics"]["wall_s"]["value"] == 1.5  # the result line wins
+
+
+def test_directions_from_benchmark_and_latencies():
+    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower"}],
+                 "per_layer": [{"name": "detect.detections", "better": "lower"}]}
+    better = bench_pairs.metric_directions(benchmark)
+    assert better["wall_s"] == "lower" and better["detect.detections"] == "lower"
+    assert better["frame_latency_p99_ms"] == "lower"
