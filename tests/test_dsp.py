@@ -149,7 +149,7 @@ def interpolate_oracle(y, factor):
 
 
 class TestPolyphase:
-    """The polyphase kernels against their convolution definitions, and
+    """decimate and interpolate against their convolution definitions, and
     batch rows against single-frame calls."""
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
