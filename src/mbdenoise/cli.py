@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -164,16 +165,29 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
     )
 
 
-def _materialize_rotation(cfg: RunConfig, corpus: Corpus, rotation: int,
-                          ) -> curriculum.MaterializedSplit:
-    splits = curriculum.build_split(
+def _train_rotation(
+    cfg: RunConfig,
+    corpus: Corpus,
+    rotation: int,
+    on_iteration: Callable[[int, int, net.Network], None] | None = None,
+) -> tuple[net.Network, curriculum.ConvergenceLog]:
+    """Materialize one rotation's examples, initialize its network from
+    the rotation's child seed, and run the phased schedule on it."""
+    split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
-    )
-    return curriculum.materialize_examples(
-        splits[rotation], corpus.shots_by_id(), corpus.noises_by_id(),
+    )[rotation]
+    data = curriculum.materialize_examples(
+        split, corpus.shots_by_id(), corpus.noises_by_id(),
         list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-        decim_factor=cfg.decim_factor,
     )
+    model = net.init_network(
+        cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
+        dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
+    )
+    plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
+                                cfg.phase_iters)
+    opt = curriculum.OptimizerConfig(cfg.lr, cfg.f_lr_scale)
+    return curriculum.train_curriculum(model, data, plan, opt, on_iteration)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
@@ -181,18 +195,8 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
     checkpoint and a per-iteration convergence CSV."""
     corpus = load_corpus(corpus_dir)
     out = Path(out_dir)
-    plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
-                                cfg.phase_iters)
-    opt = curriculum.OptimizerConfig(cfg.lr, cfg.f_lr_scale, cfg.batch_size)
     for rotation in cfg.rotations():
-        data = _materialize_rotation(cfg, corpus, rotation)
-        scale = max(float(np.max(np.abs(ex.clean_dec))) for ex in data.train)
-        model = net.init_network(
-            cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
-            dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
-        )
-        model.input_scale = scale
-        model, log = curriculum.train_curriculum(model, data, plan, opt)
+        model, log = _train_rotation(cfg, corpus, rotation)
         rot_dir = out / f"rotation_{rotation}"
         rot_dir.mkdir(parents=True, exist_ok=True)
         net.save_checkpoint(rot_dir / "checkpoint.bin", model)
@@ -247,7 +251,6 @@ def _test_examples(cfg: RunConfig, corpus: Corpus, rotation: int,
             mix = dsp.mix_at_snr(shot, noise, offset, snr)
             out.append(curriculum.NoisyExample(
                 noisy=mix.noisy.samples, clean=mix.clean.samples,
-                noisy_dec=np.empty(0), clean_dec=np.empty(0),
                 snr_db=mix.achieved_snr_db, snr_bin=snr, truth_onset=shot.onset,
                 shot_id=shot.shot_id, noise_id=noise.noise_id,
                 section=0, combo=split.validation_combo,
@@ -302,7 +305,6 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
         validation = curriculum.materialize_combo(
             split, split.validation_combo, shots_by_id, noises_by_id,
             list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-            decim_factor=cfg.decim_factor,
         )
         _score_examples(model, validation, val_flags, det_cfg, tolerance, cfg.fs)
         _score_examples(model, _test_examples(cfg, corpus, rotation, split),

@@ -37,14 +37,12 @@ class RunConfig:
     # network
     hidden: int = 64
     kernel_len: int = 63
-    filter_cutoff_mode: str = "original"  # which rate the /41 divides
     # training plan
     phase_thresholds_db: tuple[float, ...] = (0.0, -5.0, -10.0, -15.0, -20.0)
     freeze_iters: int = 250
     phase_iters: int = 500
     lr: float = 1e-3
     f_lr_scale: float = 0.5
-    batch_size: int = 0
     rotation: int = -1  # -1 trains/evaluates all six rotations
     # detector
     sta_ms: float = 2.0
@@ -70,11 +68,6 @@ class RunConfig:
         if self.kernel_len < 1 or self.kernel_len % 2 != 1:
             raise ConfigError(
                 f"kernel_len must be odd and positive, got {self.kernel_len}")
-        if self.filter_cutoff_mode not in ("original", "decimated"):
-            raise ConfigError(
-                f"filter_cutoff_mode must be original or decimated, "
-                f"got {self.filter_cutoff_mode!r}"
-            )
         if not -1 <= self.rotation <= 5:
             raise ConfigError(f"rotation must be in [-1, 5], got {self.rotation}")
         if self.n_shots_a < 2:
@@ -87,9 +80,6 @@ class RunConfig:
                 f"examples_per_cell must be >= 1, got {self.examples_per_cell}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 0:
-            raise ConfigError(
-                f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if any(b >= a for a, b in zip(self.phase_thresholds_db,
                                       self.phase_thresholds_db[1:])):
             raise ConfigError("phase_thresholds_db must be strictly decreasing")
@@ -103,10 +93,9 @@ class RunConfig:
 
     @property
     def filter_cutoff_hz(self) -> float:
-        """Cutoff of the trainable filter layer: the sampling rate
-        divided by 41, at the original or the decimated rate."""
-        base = self.fs if self.filter_cutoff_mode == "original" else self.fs_decimated
-        return base / 41.0
+        """Cutoff of the trainable filter layer: the full sampling rate
+        divided by 41."""
+        return self.fs / 41.0
 
     def frame_dim(self) -> int:
         return self.frame_len // self.decim_factor

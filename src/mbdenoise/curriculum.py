@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -136,8 +137,10 @@ def build_split(
 
 @dataclass
 class NoisyExample:
-    """One training/evaluation unit: a noisy frame, its clean target,
-    both at full rate and decimated, plus provenance.
+    """One training/evaluation unit: a full-rate noisy frame, its clean
+    target, and provenance. The network's decimated, scaled inputs are
+    built from these by whoever holds the network (train_curriculum,
+    net.denoise_frames).
 
     snr_db is the achieved value recomputed from the mix; snr_bin is
     the grid value it was mixed for (equal within 1e-6 dB) and is what
@@ -146,8 +149,6 @@ class NoisyExample:
 
     noisy: np.ndarray
     clean: np.ndarray
-    noisy_dec: np.ndarray
-    clean_dec: np.ndarray
     snr_db: float
     snr_bin: float
     truth_onset: int
@@ -174,27 +175,22 @@ def materialize_combo(
     snr_grid: list[float],
     examples_per_cell: int,
     seed: int,
-    decim_factor: int = 8,
 ) -> list[NoisyExample]:
     """Mix every (shot, noise section, SNR) cell of one combination.
 
     Noise offsets are drawn deterministically per cell from the seed and
     the combination's index in split.combos, so the same seed
     regenerates identical examples whichever combinations are built.
-    Frames are decimated here for network consumption in two calls per
-    combination, one over the shots' clean frames and one over all the
-    noisy frames; the full-rate originals stay for detection-rate
-    evaluation.
+    Examples stay at full rate.
     """
     for snr in snr_grid:
         if not -25.0 <= snr <= 15.0:
             raise ConfigError(f"snr {snr} dB outside [-25, +15] grid range")
     combo_idx = split.combos.index(combo)
-    shot_ids = split.shot_subsets[combo.shot_subset]
     nsub = split.noise_subsets[combo.noise_subset]
     noise = noises_by_id[nsub.noise_id]
-    cells = []
-    for shot_pos, shot_id in enumerate(shot_ids):
+    examples = []
+    for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
         shot = shots_by_id[shot_id]
         frame_len = len(shot.waveform)
         for sec_idx, (start, stop) in enumerate(nsub.sections):
@@ -209,32 +205,19 @@ def materialize_combo(
                         [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
                     )
                     offset = int(rng.integers(start, stop - frame_len + 1))
-                    cells.append((shot_pos, sec_idx, snr,
-                                  mix_at_snr(shot, noise, offset, snr)))
-    if not cells:
-        return []
-    shots = [shots_by_id[shot_id] for shot_id in shot_ids]
-    fs = shots[0].waveform.fs
-    clean_dec = decimate(np.stack([shot.waveform.samples for shot in shots]),
-                         fs, decim_factor)
-    noisy_dec = decimate(np.stack([mix.noisy.samples for *_, mix in cells]),
-                         fs, decim_factor)
-    return [
-        NoisyExample(
-            noisy=mix.noisy.samples,
-            clean=mix.clean.samples,
-            noisy_dec=noisy_row,
-            clean_dec=clean_dec[shot_pos],
-            snr_db=mix.achieved_snr_db,
-            snr_bin=snr,
-            truth_onset=shots[shot_pos].onset,
-            shot_id=shot_ids[shot_pos],
-            noise_id=nsub.noise_id,
-            section=sec_idx,
-            combo=combo,
-        )
-        for (shot_pos, sec_idx, snr, mix), noisy_row in zip(cells, noisy_dec)
-    ]
+                    mix = mix_at_snr(shot, noise, offset, snr)
+                    examples.append(NoisyExample(
+                        noisy=mix.noisy.samples,
+                        clean=mix.clean.samples,
+                        snr_db=mix.achieved_snr_db,
+                        snr_bin=snr,
+                        truth_onset=shot.onset,
+                        shot_id=shot_id,
+                        noise_id=nsub.noise_id,
+                        section=sec_idx,
+                        combo=combo,
+                    ))
+    return examples
 
 
 def materialize_examples(
@@ -244,13 +227,12 @@ def materialize_examples(
     snr_grid: list[float],
     examples_per_cell: int,
     seed: int,
-    decim_factor: int = 8,
 ) -> MaterializedSplit:
     """Materialize the rotation's training and validation combinations."""
 
     def build(combo: Combo) -> list[NoisyExample]:
         return materialize_combo(split, combo, shots_by_id, noises_by_id, snr_grid,
-                                 examples_per_cell, seed, decim_factor)
+                                 examples_per_cell, seed)
 
     train = [ex for combo in split.train_combos for ex in build(combo)]
     return MaterializedSplit(train, build(split.validation_combo), split.rotation)
@@ -335,7 +317,27 @@ class ConvergenceLog:
 class OptimizerConfig:
     lr: float = 1e-3
     f_lr_scale: float = 0.5
-    batch_size: int = 0  # 0 = full batch over the active set
+
+
+def _network_frames(net: Network, examples: list[NoisyExample],
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The examples' noisy and clean frames decimated at the network's
+    rate, unscaled, one row per example in example order.
+
+    Noisy frames take one decimate call per consecutive run of one
+    combination; each shot's clean frame is decimated once, since all
+    examples of a shot share it.
+    """
+    noisy = np.concatenate([
+        decimate(np.stack([ex.noisy for ex in run]), net.fs, net.decim_factor)
+        for _, run in groupby(examples, key=lambda ex: ex.combo)
+    ])
+    shots: dict[str, np.ndarray] = {}
+    for ex in examples:
+        shots.setdefault(ex.shot_id, ex.clean)
+    clean_rows = dict(zip(shots, decimate(np.stack(list(shots.values())),
+                                          net.fs, net.decim_factor)))
+    return noisy, np.stack([clean_rows[ex.shot_id] for ex in examples])
 
 
 def train_curriculum(
@@ -347,19 +349,22 @@ def train_curriculum(
 ) -> tuple[Network, ConvergenceLog]:
     """Run the SNR-phased schedule and log every iteration.
 
-    Each phase warm-starts from the previous one, admits all training
-    examples at or above its SNR threshold, re-freezes the filter layer
-    at its start, and releases it after freeze_iters iterations. One
-    iteration is one optimizer step on the full active set (or one
-    minibatch when opt.batch_size > 0). Validation examples are only
-    ever used for the logged validation loss, never for gradients.
+    The network's inputs are the examples decimated with its own fs and
+    decim_factor and divided by its input_scale, which is set here to
+    the largest |decimated clean training sample|; validation examples
+    never touch the scale. Each phase warm-starts from the previous one,
+    admits all training examples at or above its SNR threshold,
+    re-freezes the filter layer at its start, and releases it after
+    freeze_iters iterations. One iteration is one optimizer step on the
+    full active set. Validation examples are only ever used for the
+    logged validation loss, never for gradients.
     """
-    scale = net.input_scale
-    x_train = np.stack([ex.noisy_dec for ex in data.train]) / scale
-    t_train = np.stack([ex.clean_dec for ex in data.train]) / scale
+    x_train, t_train = _network_frames(net, data.train)
+    net.input_scale = float(np.max(np.abs(t_train)))
+    x_val, t_val = _network_frames(net, data.validation)
+    for frames in (x_train, t_train, x_val, t_val):
+        frames /= net.input_scale
     snrs = np.array([ex.snr_db for ex in data.train])
-    x_val = np.stack([ex.noisy_dec for ex in data.validation]) / scale
-    t_val = np.stack([ex.clean_dec for ex in data.validation]) / scale
 
     state = AdamState()
     log = ConvergenceLog()
@@ -373,19 +378,12 @@ def train_curriculum(
         for it in range(plan.total_iters):
             if it == plan.freeze_iters:
                 net.f_frozen = False
-            if opt.batch_size > 0:
-                rng = np.random.default_rng([net.seed, phase, it])
-                pick = rng.choice(active.size, size=min(opt.batch_size, active.size),
-                                  replace=False)
-                xb, tb = x_act[pick], t_act[pick]
-            else:
-                xb, tb = x_act, t_act
-            y, cache = forward_batch(net, xb)
-            resid = y - tb
+            y, cache = forward_batch(net, x_act)
+            resid = y - t_act
             train_mse = residual_loss(resid).mse
             if not np.isfinite(train_mse):
                 raise NumericError(f"phase {phase} iter {it}: non-finite training loss")
-            grads = backward_batch(net, cache, (2.0 / xb.shape[0]) * resid)
+            grads = backward_batch(net, cache, (2.0 / x_act.shape[0]) * resid)
             adam_step(net, grads, state, lr=opt.lr, f_lr_scale=opt.f_lr_scale)
             y_val, _ = forward_batch(net, x_val)
             val_mse = mse_loss(y_val, t_val).mse
@@ -394,4 +392,3 @@ def train_curriculum(
             if on_iteration is not None:
                 on_iteration(phase, it, net)
     return net, log
-

@@ -62,12 +62,6 @@ class FilterSpec:
         return 20.0 * np.log10(np.maximum(amp, 1e-300))
 
 
-def butterworth_gain_db(f, cutoff_hz: float, order: int) -> np.ndarray:
-    """Analytic Butterworth magnitude in dB: -10*log10(1 + (f/fc)^(2n))."""
-    f = np.asarray(f, dtype=np.float64)
-    return -10.0 * np.log10(1.0 + (f / cutoff_hz) ** (2 * order))
-
-
 def design_butterworth(
     order: int,
     cutoff_hz: float,

@@ -32,9 +32,11 @@ class Network:
     """Parameters of the denoiser plus the filter-layer freeze flag.
 
     Shapes: w1 (hidden, dim), b1 (hidden,), w2 (dim, hidden), b2 (dim,),
-    f (dim, dim). input_scale is the corpus-level normalization applied
-    to frames before the tanh path and inverted on output; fs and
-    decim_factor document the full-rate signal chain the model serves.
+    f (dim, dim). fs and decim_factor define the full-rate signal chain
+    the model serves: frames are decimated with them, divided by
+    input_scale before the tanh path, and the output is rescaled and
+    interpolated back. train_curriculum sets input_scale from its
+    training examples.
     """
 
     w1: np.ndarray

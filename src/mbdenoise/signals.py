@@ -346,7 +346,7 @@ def load_wav(path: str | Path) -> Waveform:
         )
 
     annotations, meta = load_sidecar(path)
-    if "fs" in meta and int(meta["fs"]) != fs:
+    if "fs" in meta and _sidecar_int(path, f"fs={meta['fs']}", meta["fs"]) != fs:
         raise DataError(f"{path}: sidecar fs {meta['fs']} != WAV fs {fs}")
     return Waveform(samples, fs, annotations)
 
@@ -378,10 +378,19 @@ def load_sidecar(path: str | Path) -> tuple[list[tuple[str, int]], dict[str, str
         key, _, value = line.partition("=")
         if key == "annotation":
             label, _, onset = value.partition(":")
-            annotations.append((label, int(onset)))
+            annotations.append((label, _sidecar_int(path, line, onset)))
         else:
             meta[key] = value
     return annotations, meta
+
+
+def _sidecar_int(path: str | Path, line: str, text: str) -> int:
+    """The integer field text of a sidecar line, or a DataError naming
+    the sidecar and the line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{sidecar_path(path)}: malformed line {line!r}") from None
 
 
 def save_shot(path: str | Path, shot: ShotRecord, encoding: str = "float32") -> None:

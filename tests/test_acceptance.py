@@ -52,23 +52,15 @@ def desk_run(tmp_path_factory) -> DeskRun:
 
 @pytest.fixture(scope="session")
 def instrumented_run(desk_run):
-    """Rotation-0 training re-run at desk scale with a per-iteration
-    hash of the filter layer (the convergence CSVs cannot carry it)."""
-    cfg = desk_run.cfg
+    """Rotation-0 training re-run at desk scale through cmd_train's own
+    per-rotation recipe, with a per-iteration hash of the filter layer
+    (the convergence CSVs cannot carry it)."""
     corpus = cli.load_corpus(desk_run.corpus_dir)
-    data = cli._materialize_rotation(cfg, corpus, 0)
-    scale = max(float(np.max(np.abs(ex.clean_dec))) for ex in data.train)
-    model = net.init_network(
-        cfg.hidden, cli._child_seed(cfg.seed, 4, 0), cli._filter_spec(cfg),
-        dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor)
-    model.input_scale = scale
-    plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
-                                cfg.phase_iters)
     hashes: list[tuple[int, int, str]] = []
-    model, log = curriculum.train_curriculum(
-        model, data, plan,
+    model, log = cli._train_rotation(
+        desk_run.cfg, corpus, 0,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())))
-    return model, log, hashes, plan
+    return model, log, hashes
 
 
 def load_scores(path: Path):
@@ -143,19 +135,25 @@ def test_criterion_03_gradient_check():
               f"(median {np.median(errors):.2e})")
 
 
-def test_criterion_04_freeze_contract(instrumented_run):
-    _, _, hashes, plan = instrumented_run
-    n_phases = len(plan.thresholds_db)
+def test_criterion_04_freeze_contract(desk_run, instrumented_run):
+    model, _, hashes = instrumented_run
+    written = net.load_checkpoint(desk_run.train_dir / "rotation_0" / "checkpoint.bin")
+    assert model.input_scale == written.input_scale
+    assert all(np.array_equal(model.params()[k], written.params()[k])
+               for k in written.params()), "re-run differs from cmd_train's model"
+    cfg = desk_run.cfg
+    n_phases = len(cfg.phase_thresholds_db)
     for phase in range(n_phases):
-        frozen = [h for p, it, h in hashes if p == phase and it < plan.freeze_iters]
+        frozen = [h for p, it, h in hashes if p == phase and it < cfg.freeze_iters]
         assert len(set(frozen)) == 1, f"filter drifted while frozen in phase {phase}"
     final = n_phases - 1
-    release = plan.freeze_iters
+    release = cfg.freeze_iters
     at_release = [h for p, it, h in hashes if p == final and it == release - 1][0]
     after = [h for p, it, h in hashes if p == final and it == release + 9][0]
     assert at_release != after, "filter did not move within 10 iterations of release"
     report(4, f"filter hash constant over all {n_phases} frozen segments; "
-              f"changed within 10 iterations of release in the final phase")
+              f"changed within 10 iterations of release in the final phase; "
+              f"re-run equals the rotation-0 checkpoint cmd_train wrote")
 
 
 def test_criterion_05_snr_round_trip(shot_a, noise_rec):

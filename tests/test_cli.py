@@ -83,10 +83,10 @@ class TestConfig:
         assert again == cfg
 
     def test_cutoff_modes(self):
-        cfg = config.RunConfig().validate()
-        assert cfg.filter_cutoff_hz == pytest.approx(32768 / 41)
-        cfg = config.load_config(None, ["filter_cutoff_mode=decimated"])
-        assert cfg.filter_cutoff_hz == pytest.approx(4096 / 41)
+        # One cutoff, the full sampling rate over 41, and no key to change it.
+        assert config.RunConfig().validate().filter_cutoff_hz == 32768 / 41
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config.load_config(None, ["filter_cutoff_mode=decimated"])
 
 
 class TestGenData:
@@ -348,6 +348,21 @@ class TestMainEntry:
         code = cli.main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "t")])
         assert code == 2
         assert "malformed manifest line" in capsys.readouterr().err
+
+    def test_malformed_sidecar_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        shot = tmp_path / src.name
+        shutil.copy(src, shot)
+        meta = signals.sidecar_path(src).read_text()
+        signals.sidecar_path(shot).write_text(
+            "\n".join("annotation=MB:12x" if ln.startswith("annotation=") else ln
+                      for ln in meta.splitlines()) + "\n")
+        code = cli.main(["denoise",
+                         "--checkpoint", str(root / "train" / "rotation_0" / "checkpoint.bin"),
+                         "--in", str(shot), "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert "malformed line 'annotation=MB:12x'" in capsys.readouterr().err
 
     def test_even_kernel_len_exits_1_before_loading(self, tmp_path, capsys):
         code = cli.main(["train", "--set", "kernel_len=4",

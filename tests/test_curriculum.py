@@ -108,12 +108,6 @@ class TestMaterialize:
         for ex in data.validation:
             assert np.array_equal(ex.clean, by_id[ex.shot_id].waveform.samples)
 
-    def test_decimated_frames_consistent(self, corpus10, splits10):
-        data = materialize(corpus10, splits10[0])
-        ex = data.train[0]
-        assert np.array_equal(ex.noisy_dec, dsp.decimate(ex.noisy, FS, 8))
-        assert ex.noisy_dec.size == 256
-
     def test_deterministic(self, corpus10, splits10):
         a = materialize(corpus10, splits10[1], seed=3)
         b = materialize(corpus10, splits10[1], seed=3)
@@ -191,8 +185,6 @@ def trained(corpus10, splits10):
     data = materialize((corpus10[0], corpus10[1]), splits10[0],
                        grid=(5.0, 0.0, -5.0))
     model = tiny_net()
-    model.input_scale = max(float(np.max(np.abs(ex.clean_dec)))
-                            for ex in data.train)
     plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                 freeze_iters=6, total_iters=14)
     hashes = []
@@ -232,15 +224,34 @@ class TestTrainCurriculum:
     def test_warm_start_between_phases(self, trained):
         # Phase 1 must start from phase-0 weights: its first loss sits far
         # below an untrained network's loss on the wider active set.
-        data, _, log, _ = trained
+        data, model, log, _ = trained
         fresh = tiny_net()
-        fresh.input_scale = max(float(np.max(np.abs(ex.clean_dec)))
-                                for ex in data.train)
-        X = np.stack([ex.noisy_dec for ex in data.train]) / fresh.input_scale
-        T = np.stack([ex.clean_dec for ex in data.train]) / fresh.input_scale
-        Y, _ = net.forward_batch(fresh, X)
-        untrained = net.mse_loss(Y, T).mse
+        X = dsp.decimate(np.stack([ex.noisy for ex in data.train]), FS, 8)
+        T = dsp.decimate(np.stack([ex.clean for ex in data.train]), FS, 8)
+        Y, _ = net.forward_batch(fresh, X / model.input_scale)
+        untrained = net.mse_loss(Y, T / model.input_scale).mse
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
+
+    def test_inputs_decimated_and_scaled_by_the_model(self, corpus10, splits10):
+        # Training decimates each example with the network's own rate and
+        # scales by the largest decimated clean training sample, row for
+        # row in example order, even when combinations interleave.
+        data = materialize(corpus10, splits10[0], grid=(0.0,))
+        combos = data.train[0].combo, data.train[-1].combo
+        runs = [[ex for ex in data.train if ex.combo == c] for c in combos]
+        train = [ex for pair in zip(*runs) for ex in pair]
+        assert train[0].combo != train[1].combo
+        mixed = curriculum.MaterializedSplit(train, data.validation, 0)
+        plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
+        model, log = curriculum.train_curriculum(tiny_net(seed=4), mixed, plan)
+
+        scale = max(float(np.max(np.abs(dsp.decimate(ex.clean, FS, 8))))
+                    for ex in train)
+        assert model.input_scale == scale
+        X = np.stack([dsp.decimate(ex.noisy, FS, 8) for ex in train]) / scale
+        T = np.stack([dsp.decimate(ex.clean, FS, 8) for ex in train]) / scale
+        Y, _ = net.forward_batch(tiny_net(seed=4), X)
+        assert log.records[0].train_mse == net.mse_loss(Y, T).mse
 
     def test_validation_never_in_gradients(self, corpus10, splits10):
         # Corrupting every validation frame must not change the trained
@@ -249,10 +260,9 @@ class TestTrainCurriculum:
             data = materialize(corpus10, splits10[0], grid=(0.0,))
             if corrupt:
                 for ex in data.validation:
-                    ex.noisy_dec = ex.noisy_dec + 1e6
-                    ex.clean_dec = ex.clean_dec - 1e6
+                    ex.noisy = ex.noisy + 1e6
+                    ex.clean = ex.clean - 1e6
             model = tiny_net(seed=9)
-            model.input_scale = 10.0
             plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                         freeze_iters=3, total_iters=8)
             model, _ = curriculum.train_curriculum(model, data, plan)
@@ -276,7 +286,6 @@ class TestTrainCurriculum:
         single = curriculum.MaterializedSplit([data.train[0]],
                                               [data.validation[0]], 0)
         model = tiny_net(seed=2)
-        model.input_scale = float(np.max(np.abs(data.train[0].clean_dec)))
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)
         model, log = curriculum.train_curriculum(model, single, plan)
@@ -287,7 +296,6 @@ class TestTrainCurriculum:
         def run():
             data = materialize(corpus10, splits10[2], grid=(0.0, -5.0))
             model = tiny_net(seed=5)
-            model.input_scale = 12.0
             plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                         freeze_iters=4, total_iters=9)
             return curriculum.train_curriculum(model, data, plan)
@@ -296,13 +304,3 @@ class TestTrainCurriculum:
         for k in net_a.params():
             assert np.array_equal(net_a.params()[k], net_b.params()[k])
         assert log_a.records == log_b.records
-
-    def test_minibatch_mode_runs(self, corpus10, splits10):
-        data = materialize(corpus10, splits10[0], grid=(0.0,))
-        model = tiny_net(seed=3)
-        model.input_scale = 12.0
-        plan = curriculum.PhasePlan(thresholds_db=(0.0,),
-                                    freeze_iters=2, total_iters=6)
-        opt = curriculum.OptimizerConfig(batch_size=4)
-        model, log = curriculum.train_curriculum(model, data, plan, opt)
-        assert len(log.records) == 6

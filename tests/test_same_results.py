@@ -1,0 +1,71 @@
+"""The artefact comparison of tools/same_results.py on canned files; no
+pipeline is run."""
+
+import importlib.util
+from pathlib import Path
+
+from mbdenoise import dsp, net
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
+spec = importlib.util.spec_from_file_location("same_results", SCRIPT)
+same_results = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_results)
+
+
+def write(root: Path, rel: str, data: bytes | str) -> None:
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+
+
+def small_net() -> net.Network:
+    spec = dsp.design_butterworth(8, 100.0, 4096.0, kernel_len=7)
+    return net.init_network(4, 0, spec, dim=16)
+
+
+def test_compare_trees(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        write(root, "corpus/noise/N0.wav", b"RIFF\xff\x00")
+        net.save_checkpoint(root / "same.bin", small_net())
+    write(parent, "scores.csv", "# seed=0\n# batch_size=0\nsnr_db,p\n0,0.5\n")
+    write(change, "scores.csv", "# seed=0\n# hidden=64\nsnr_db,p\n0,0.5\n")
+    write(parent, "log.csv", "# seed=0\nphase,mse\n0,1.5\n")
+    write(change, "log.csv", "# seed=0\nphase,mse\n0,1.25\n")
+    write(parent, "d.wav", b"RIFF\xff\x01")
+    write(change, "d.wav", b"RIFF\xff\x02")
+    moved = small_net()
+    moved.w2[3, 1] += 2.5e-15
+    moved.b1[0] -= 1e-16
+    for root, model in ((parent, small_net()), (change, moved)):
+        (root / "rot").mkdir()
+        net.save_checkpoint(root / "rot" / "checkpoint.bin", model)
+    write(parent, "gone.txt", "x\n")
+    write(change, "new.txt", "x\n")
+
+    results = same_results.compare_trees(parent, change)
+    assert results == {
+        "corpus/noise/N0.wav": ["identical"],
+        "same.bin": ["identical"],
+        "scores.csv": ["differs only in # header lines",
+                       "- # batch_size=0", "+ # hidden=64"],
+        "log.csv": ["differs"],
+        "d.wav": ["differs"],
+        "rot/checkpoint.bin": [f"largest absolute parameter difference "
+                               f"{abs(moved.w2[3, 1] - small_net().w2[3, 1]):.3g} (w2)"],
+        "gone.txt": ["only in parent"],
+        "new.txt": ["only in change"],
+    }
+
+
+def test_checkpoint_shapes_and_unreadable(tmp_path):
+    wide = small_net()
+    narrow = net.init_network(3, 0, dsp.design_butterworth(8, 100.0, 4096.0, kernel_len=7),
+                              dim=16)
+    net.save_checkpoint(tmp_path / "a.bin", wide)
+    net.save_checkpoint(tmp_path / "b.bin", narrow)
+    (tmp_path / "c.bin").write_bytes(b"not a checkpoint")
+    assert same_results.compare_file(tmp_path / "a.bin", tmp_path / "b.bin") == [
+        "differs: parameter shapes"]
+    verdict = same_results.compare_file(tmp_path / "a.bin", tmp_path / "c.bin")
+    assert verdict[0].startswith("differs (") and "not a checkpoint" in verdict[0]

@@ -206,6 +206,19 @@ class TestWavRoundTrip:
         assert loaded.noise_id == noise_rec.noise_id
         assert loaded.rms_pa == pytest.approx(noise_rec.rms_pa, rel=1e-6)
 
+    @pytest.mark.parametrize("bad", ["annotation=MB:12x", "annotation=MB", "fs=32k"])
+    def test_malformed_sidecar_line_rejected(self, tmp_path, bad):
+        path = tmp_path / "shot.wav"
+        signals.save_wav(path, signals.Waveform(np.zeros(64), 32768, [("MB", 12)]))
+        key = bad.partition("=")[0]
+        meta = signals.sidecar_path(path)
+        lines = [bad if ln.startswith(key + "=") else ln
+                 for ln in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="malformed line") as info:
+            signals.load_wav(path)
+        assert str(meta) in str(info.value) and repr(bad) in str(info.value)
+
 
 class TestRecordInvariants:
     def test_shot_peak_validated(self, shot_a):
