@@ -11,7 +11,6 @@ from .curriculum import (
     DatasetSplit,
     MaterializedSplit,
     NoisyExample,
-    OptimizerConfig,
     PhasePlan,
     build_split,
     materialize_combo,
@@ -39,8 +38,6 @@ from .dsp import (
 )
 from .net import (
     AdamState,
-    Gradients,
-    LossReport,
     Network,
     adam_step,
     backward_batch,

@@ -109,9 +109,13 @@ def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
 
 @dataclass
 class Corpus:
+    """The loaded records and the sample rate and shot length they share."""
+
     shots_a: list[signals.ShotRecord]
     shots_b: list[signals.ShotRecord]
     noises: list[signals.NoiseRecord]
+    fs: int
+    frame_len: int
 
     def shots_by_id(self) -> dict[str, signals.ShotRecord]:
         return {s.shot_id: s for s in self.shots_a + self.shots_b}
@@ -121,7 +125,8 @@ class Corpus:
 
 
 def load_corpus(corpus_dir: str | Path) -> Corpus:
-    """Load a generated corpus, verifying every manifest checksum."""
+    """Load a generated corpus, verifying every manifest checksum and
+    that all records share one sample rate and all shots one length."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -142,16 +147,32 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
         if rel.endswith(".wav"):
             wav_paths.append((rel, path))
 
-    corpus = Corpus([], [], [])
+    shots_a, shots_b, noises = [], [], []
     for rel, path in wav_paths:
         if rel.startswith("shots_a/"):
-            corpus.shots_a.append(signals.load_shot(path))
+            shots_a.append(signals.load_shot(path))
         elif rel.startswith("shots_b/"):
-            corpus.shots_b.append(signals.load_shot(path))
+            shots_b.append(signals.load_shot(path))
         elif rel.startswith("noise/"):
-            corpus.noises.append(signals.load_noise(path))
-    if not corpus.shots_a or len(corpus.noises) != 3:
+            noises.append(signals.load_noise(path))
+    if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
+    rates = {rec.waveform.fs for rec in shots_a + shots_b + noises}
+    frame_lens = {len(shot.waveform) for shot in shots_a + shots_b}
+    if len(rates) != 1 or len(frame_lens) != 1:
+        raise DataError(f"records in {root} disagree: sample rates {sorted(rates)} Hz, "
+                        f"shot lengths {sorted(frame_lens)} samples")
+    return Corpus(shots_a, shots_b, noises, rates.pop(), frame_lens.pop())
+
+
+def _load_config_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
+    """load_corpus, rejecting a corpus not made at cfg's fs and frame_len."""
+    corpus = load_corpus(corpus_dir)
+    if (corpus.fs, corpus.frame_len) != (cfg.fs, cfg.frame_len):
+        raise DataError(
+            f"corpus {corpus_dir} has fs {corpus.fs} Hz and {corpus.frame_len}-sample "
+            f"shots, but the config has fs {cfg.fs} Hz and frame_len {cfg.frame_len}"
+        )
     return corpus
 
 
@@ -186,14 +207,14 @@ def _train_rotation(
     )
     plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
                                 cfg.phase_iters)
-    opt = curriculum.OptimizerConfig(cfg.lr, cfg.f_lr_scale)
-    return curriculum.train_curriculum(model, data, plan, opt, on_iteration)
+    return curriculum.train_curriculum(model, data, plan, cfg.lr, cfg.f_lr_scale,
+                                       on_iteration)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
     """Train one network per requested rotation; each rotation writes a
     checkpoint and a per-iteration convergence CSV."""
-    corpus = load_corpus(corpus_dir)
+    corpus = _load_config_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     for rotation in cfg.rotations():
         model, log = _train_rotation(cfg, corpus, rotation)
@@ -280,7 +301,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     """Score detection per SNR bin on clean, noisy, denoised, and
     combined signals, concatenated across rotations; the held-out
     caliber class is scored separately."""
-    corpus = load_corpus(corpus_dir)
+    corpus = _load_config_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     det_cfg = _detector_config(cfg)
@@ -349,45 +370,45 @@ def cmd_denoise(cfg: RunConfig, checkpoint: str | Path, wav_in: str | Path,
 # report
 # ---------------------------------------------------------------------------
 
+def _merge_tables(cfg: RunConfig, key: str, header: tuple[str, ...],
+                  tables: list[tuple[object, Path]]) -> str:
+    """One long-format CSV: the data rows of each (label, path) table,
+    whose header must be header, behind a leading key column holding
+    the table's label."""
+    buf = io.StringIO()
+    buf.write(cfg.comment_header())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow((key,) + header)
+    for label, path in tables:
+        if not path.exists():
+            raise DataError(f"missing table {path}")
+        reader = csv.reader(ln for ln in path.read_text().splitlines()
+                            if ln and not ln.startswith("#"))
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise DataError(f"unexpected header {found} in {path}")
+        for row in reader:
+            writer.writerow([label] + row)
+    return buf.getvalue()
+
+
 def cmd_report(cfg: RunConfig, eval_dir: str | Path, train_dir: str | Path | None,
                out_dir: str | Path) -> Path:
     """Merge evaluation scores (and convergence logs when available)
     into long-format plot-ready CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    buf = io.StringIO()
-    buf.write(cfg.comment_header())
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("dataset",) + SCORE_CSV_HEADER)
-    for dataset, name in (("validation", "scores_validation.csv"),
-                          ("test", "scores_test.csv")):
-        path = Path(eval_dir) / name
-        if not path.exists():
-            raise DataError(f"missing evaluation output {path}")
-        rows = [ln for ln in path.read_text().splitlines()
-                if ln and not ln.startswith("#")]
-        reader = csv.reader(rows)
-        next(reader)  # header
-        for row in reader:
-            writer.writerow([dataset] + row)
-    signals.atomic_write(out / "detection_rates.csv", buf.getvalue())
+    signals.atomic_write(out / "detection_rates.csv", _merge_tables(
+        cfg, "dataset", SCORE_CSV_HEADER,
+        [(dataset, Path(eval_dir) / f"scores_{dataset}.csv")
+         for dataset in ("validation", "test")]))
 
     if train_dir is not None:
-        buf = io.StringIO()
-        buf.write(cfg.comment_header())
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("rotation",) + curriculum.ConvergenceLog.CSV_HEADER)
-        for rotation in cfg.rotations():
-            path = Path(train_dir) / f"rotation_{rotation}" / "convergence.csv"
-            if not path.exists():
-                continue
-            log = curriculum.ConvergenceLog.from_csv(path.read_text())
-            for r in log.records:
-                writer.writerow([rotation, r.phase, r.iteration,
-                                 f"{r.train_mse:.12g}", f"{r.val_mse:.12g}",
-                                 int(r.f_frozen), r.n_active])
-        signals.atomic_write(out / "convergence_curves.csv", buf.getvalue())
+        logs = [(rotation, Path(train_dir) / f"rotation_{rotation}" / "convergence.csv")
+                for rotation in cfg.rotations()]
+        signals.atomic_write(out / "convergence_curves.csv", _merge_tables(
+            cfg, "rotation", curriculum.ConvergenceLog.CSV_HEADER,
+            [(rotation, path) for rotation, path in logs if path.exists()]))
     return out
 
 

@@ -12,6 +12,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# The SNRs, in dB, that examples can be mixed at; snr_grid values and
+# materialize_combo's cells must lie inside it.
+SNR_RANGE_DB = (-25.0, 15.0)
+
 
 @dataclass
 class RunConfig:
@@ -80,6 +84,14 @@ class RunConfig:
                 f"examples_per_cell must be >= 1, got {self.examples_per_cell}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        lo, hi = SNR_RANGE_DB
+        if not self.snr_grid:
+            raise ConfigError("snr_grid is empty")
+        if not all(lo <= snr <= hi for snr in self.snr_grid):
+            raise ConfigError(
+                f"snr_grid {self.snr_grid} leaves the [{lo:g}, {hi:+g}] dB range")
+        if not self.phase_thresholds_db:
+            raise ConfigError("phase_thresholds_db is empty")
         if any(b >= a for a, b in zip(self.phase_thresholds_db,
                                       self.phase_thresholds_db[1:])):
             raise ConfigError("phase_thresholds_db must be strictly decreasing")
@@ -135,8 +147,6 @@ def _parse_value(key: str, text: str):
             return int(text)
         if ftype == "float":
             return float(text)
-        if ftype == "str":
-            return text
         # tuple[float, ...]
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import SNR_RANGE_DB
 from .dsp import decimate, mix_at_snr
 from .errors import ConfigError, DataError, NumericError
 from .net import (
@@ -42,10 +43,6 @@ class Combo:
 
     shot_subset: int
     noise_subset: int
-
-    @property
-    def name(self) -> str:
-        return f"S{self.shot_subset}xN{self.noise_subset}"
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,6 @@ class MaterializedSplit:
 
     train: list[NoisyExample]
     validation: list[NoisyExample]
-    rotation: int
 
 
 def materialize_combo(
@@ -183,9 +179,10 @@ def materialize_combo(
     regenerates identical examples whichever combinations are built.
     Examples stay at full rate.
     """
+    lo, hi = SNR_RANGE_DB
     for snr in snr_grid:
-        if not -25.0 <= snr <= 15.0:
-            raise ConfigError(f"snr {snr} dB outside [-25, +15] grid range")
+        if not lo <= snr <= hi:
+            raise ConfigError(f"snr {snr} dB outside [{lo:g}, {hi:+g}] grid range")
     combo_idx = split.combos.index(combo)
     nsub = split.noise_subsets[combo.noise_subset]
     noise = noises_by_id[nsub.noise_id]
@@ -235,7 +232,7 @@ def materialize_examples(
                                  examples_per_cell, seed)
 
     train = [ex for combo in split.train_combos for ex in build(combo)]
-    return MaterializedSplit(train, build(split.validation_combo), split.rotation)
+    return MaterializedSplit(train, build(split.validation_combo))
 
 
 @dataclass(frozen=True)
@@ -313,12 +310,6 @@ class ConvergenceLog:
         return log
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    lr: float = 1e-3
-    f_lr_scale: float = 0.5
-
-
 def _network_frames(net: Network, examples: list[NoisyExample],
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The examples' noisy and clean frames decimated at the network's
@@ -344,7 +335,8 @@ def train_curriculum(
     net: Network,
     data: MaterializedSplit,
     plan: PhasePlan = PhasePlan(),
-    opt: OptimizerConfig = OptimizerConfig(),
+    lr: float = 1e-3,
+    f_lr_scale: float = 0.5,
     on_iteration: Callable[[int, int, Network], None] | None = None,
 ) -> tuple[Network, ConvergenceLog]:
     """Run the SNR-phased schedule and log every iteration.
@@ -356,7 +348,8 @@ def train_curriculum(
     admits all training examples at or above its SNR threshold,
     re-freezes the filter layer at its start, and releases it after
     freeze_iters iterations. One iteration is one optimizer step on the
-    full active set. Validation examples are only ever used for the
+    full active set, an Adam step at lr (lr * f_lr_scale for the
+    filter layer). Validation examples are only ever used for the
     logged validation loss, never for gradients.
     """
     x_train, t_train = _network_frames(net, data.train)
@@ -380,13 +373,13 @@ def train_curriculum(
                 net.f_frozen = False
             y, cache = forward_batch(net, x_act)
             resid = y - t_act
-            train_mse = residual_loss(resid).mse
+            train_mse = residual_loss(resid)
             if not np.isfinite(train_mse):
                 raise NumericError(f"phase {phase} iter {it}: non-finite training loss")
             grads = backward_batch(net, cache, (2.0 / x_act.shape[0]) * resid)
-            adam_step(net, grads, state, lr=opt.lr, f_lr_scale=opt.f_lr_scale)
+            adam_step(net, grads, state, lr=lr, f_lr_scale=f_lr_scale)
             y_val, _ = forward_batch(net, x_val)
-            val_mse = mse_loss(y_val, t_val).mse
+            val_mse = mse_loss(y_val, t_val)
             log.append(LogRecord(phase, it, train_mse, val_mse, net.f_frozen,
                                  int(active.size)))
             if on_iteration is not None:

@@ -237,7 +237,6 @@ class MixResult:
     noisy: Waveform
     clean: Waveform
     achieved_snr_db: float
-    noise_scale: float
 
 
 def mix_at_snr(
@@ -271,4 +270,4 @@ def mix_at_snr(
         list(shot.waveform.annotations),
     )
     achieved = snr_db(shot, scale * segment)
-    return MixResult(noisy, shot.waveform, achieved, scale)
+    return MixResult(noisy, shot.waveform, achieved)

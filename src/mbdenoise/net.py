@@ -13,6 +13,7 @@ validation and inference share that one forward path.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,18 +26,31 @@ from .signals import atomic_write
 
 CHECKPOINT_MAGIC = b"MBDN"
 CHECKPOINT_VERSION = 1
+# The one hidden activation forward computes; checkpoints name it.
+ACTIVATION = b"tanh"
+
+# Adam's moment decay rates and denominator guard, the fixed values of
+# Kingma & Ba (arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def _layout(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The network's parameter names and shapes, in the one order that
+    params(), gradients, Adam and the checkpoint body share."""
+    return {"w1": (hidden, dim), "b1": (hidden,), "w2": (dim, hidden),
+            "b2": (dim,), "f": (dim, dim)}
 
 
 @dataclass
 class Network:
-    """Parameters of the denoiser plus the filter-layer freeze flag.
-
-    Shapes: w1 (hidden, dim), b1 (hidden,), w2 (dim, hidden), b2 (dim,),
-    f (dim, dim). fs and decim_factor define the full-rate signal chain
-    the model serves: frames are decimated with them, divided by
-    input_scale before the tanh path, and the output is rescaled and
-    interpolated back. train_curriculum sets input_scale from its
-    training examples.
+    """The denoiser's parameters, named and shaped by _layout, plus the
+    filter-layer freeze flag. fs and decim_factor define the full-rate
+    signal chain the model serves: frames are decimated with them,
+    divided by input_scale before the tanh path, and the output is
+    rescaled and interpolated back. train_curriculum sets input_scale
+    from its training examples.
     """
 
     w1: np.ndarray
@@ -44,8 +58,6 @@ class Network:
     w2: np.ndarray
     b2: np.ndarray
     f: np.ndarray
-    hidden: int
-    activation: str = "tanh"
     f_frozen: bool = True
     input_scale: float = 1.0
     seed: int = 0
@@ -57,40 +69,19 @@ class Network:
         return self.b2.size
 
     @property
+    def hidden(self) -> int:
+        return self.w1.shape[0]
+
+    @property
     def frame_len(self) -> int:
         return self.dim * self.decim_factor
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "f": self.f}
+        return {name: getattr(self, name) for name in _layout(self.dim, self.hidden)}
 
     def f_hash(self) -> str:
         """Hash of the filter-matrix bytes; constant over frozen segments."""
         return hashlib.sha256(self.f.tobytes()).hexdigest()
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Sum of squared errors per example; batches report the mean of
-    per-example sums so the learning rate is batch-size independent."""
-
-    mse: float
-    n_examples: int
-
-    def __post_init__(self):
-        if self.mse < 0:
-            raise NumericError(f"negative loss {self.mse}")
-
-
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    f: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "f": self.f}
 
 
 def init_network(
@@ -117,7 +108,7 @@ def init_network(
     f = kernel_to_matrix(filter_spec, dim)
     return Network(
         w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(dim), f=f,
-        hidden=hidden, f_frozen=True, seed=seed, fs=fs, decim_factor=decim_factor,
+        f_frozen=True, seed=seed, fs=fs, decim_factor=decim_factor,
     )
 
 
@@ -147,8 +138,9 @@ def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache
     return Y, ForwardCache(X, A, P)
 
 
-def mse_loss(y: np.ndarray, target: np.ndarray) -> LossReport:
-    """Sum of squared per-sample errors; 2-D inputs average row sums."""
+def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
+    """Sum of squared per-sample errors; 2-D inputs average the row sums,
+    so the learning rate is batch-size independent."""
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
@@ -156,17 +148,18 @@ def mse_loss(y: np.ndarray, target: np.ndarray) -> LossReport:
     return residual_loss(y - target)
 
 
-def residual_loss(diff: np.ndarray) -> LossReport:
+def residual_loss(diff: np.ndarray) -> float:
     """mse_loss of a precomputed residual y - target, as one flat dot
     product over all samples divided by the number of examples."""
     flat = np.ravel(diff)
     n_examples = 1 if diff.ndim == 1 else diff.shape[0]
-    return LossReport(float(np.dot(flat, flat)) / n_examples, n_examples)
+    return float(np.dot(flat, flat)) / n_examples
 
 
-def backward_batch(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> Gradients:
+def backward_batch(net: Network, cache: ForwardCache,
+                   grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of sum_n <grad_out[n], y[n]> through the forward
-    graph.
+    graph, keyed like net.params().
 
     grad_out is dL/dY (for the sum-of-squares loss, 2*(Y - target));
     pre-scale it by 1/n_examples for a batch-mean loss. Gradients flow
@@ -185,7 +178,7 @@ def backward_batch(net: Network, cache: ForwardCache, grad_out: np.ndarray) -> G
     dU = dA * (1.0 - cache.a * cache.a)
     db1 = dU.sum(axis=0)
     dW1 = dU.T @ cache.x
-    return Gradients(dW1, db1, dW2, db2, dF)
+    return {"w1": dW1, "b1": db1, "w2": dW2, "b2": db2, "f": dF}
 
 
 @dataclass
@@ -194,9 +187,6 @@ class AdamState:
     parameter is actually updated, so the filter layer starts its own
     bias-correction clock at release."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
@@ -204,7 +194,7 @@ class AdamState:
 
 def adam_step(
     net: Network,
-    grads: Gradients,
+    grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
     f_lr_scale: float = 0.5,
@@ -216,7 +206,7 @@ def adam_step(
     since it starts near a good solution.
     """
     params = net.params()
-    for name, grad in grads.as_dict().items():
+    for name, grad in grads.items():
         if name == "f" and net.f_frozen:
             continue
         if not np.all(np.isfinite(grad)):
@@ -229,12 +219,12 @@ def adam_step(
         t = state.t[name]
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - state.beta1) * (grad - m)
-        v += (1.0 - state.beta2) * (grad * grad - v)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
+        m += (1.0 - ADAM_BETA1) * (grad - m)
+        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
         step = lr * f_lr_scale if name == "f" else lr
-        params[name] -= step * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[name] -= step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return net
 
 
@@ -264,19 +254,16 @@ def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str | Path, net: Network) -> None:
-    act = net.activation.encode("ascii")
     header = b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<IIqIIBd", net.dim, net.hidden, net.seed, net.fs,
                     net.decim_factor, int(net.f_frozen), net.input_scale),
-        struct.pack("<B", len(act)),
-        act,
+        struct.pack("<B", len(ACTIVATION)),
+        ACTIVATION,
     ])
-    body = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (net.w1, net.b1, net.w2, net.b2, net.f)
-    )
+    body = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                    for arr in net.params().values())
     atomic_write(path, header + body)
 
 
@@ -292,31 +279,22 @@ def load_checkpoint(path: str | Path) -> Network:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, seed, fs, decim_factor, f_frozen, input_scale = struct.unpack_from(
         "<IIqIIBd", raw, 8)
-    act_len = raw[offset]
-    offset += 1
-    try:
-        activation = raw[offset:offset + act_len].decode("ascii")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: checkpoint activation name is not ASCII") from None
-    offset += act_len
-    body_len = 8 * (2 * hidden * dim + hidden + dim + dim * dim)
+    activation = raw[offset + 1:offset + 1 + raw[offset]]
+    if activation != ACTIVATION:
+        name = activation.decode("ascii", "backslashreplace")
+        raise DataError(f"{path}: checkpoint activation {name!r} is not 'tanh'")
+    offset += 1 + len(activation)
+    layout = _layout(dim, hidden)
+    body_len = 8 * sum(math.prod(shape) for shape in layout.values())
     if len(raw) - offset != body_len:
         raise DataError(
             f"{path}: checkpoint body is {len(raw) - offset} bytes, but dim {dim} "
             f"and hidden {hidden} need {body_len}"
         )
-
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.reshape(shape).astype(np.float64)
-
-    w1 = take((hidden, dim))
-    b1 = take((hidden,))
-    w2 = take((dim, hidden))
-    b2 = take((dim,))
-    f = take((dim, dim))
-    return Network(w1, b1, w2, b2, f, hidden, activation, bool(f_frozen),
-                   input_scale, seed, fs, decim_factor)
+    params = {}
+    for name, shape in layout.items():
+        count = math.prod(shape)
+        params[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(float)
+        offset += 8 * count
+    return Network(**params, f_frozen=bool(f_frozen), input_scale=input_scale,
+                   seed=seed, fs=fs, decim_factor=decim_factor)

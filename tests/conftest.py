@@ -32,12 +32,12 @@ def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
     """
     X, T = x[np.newaxis], t[np.newaxis]
     Y, cache = net.forward_batch(model, X)
-    grads = net.backward_batch(model, cache, 2.0 * (Y - T)).as_dict()
+    grads = net.backward_batch(model, cache, 2.0 * (Y - T))
     params = model.params()
 
     def loss():
         YY, _ = net.forward_batch(model, X)
-        return net.mse_loss(YY, T).mse
+        return net.mse_loss(YY, T)
 
     errors = []
     for name, arr in params.items():

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import shutil
 import struct
 import time
 
 import numpy as np
 import pytest
+
+from pathlib import Path
 
 from mbdenoise import cli, config, net, signals
 from mbdenoise.errors import ConfigError, DataError
@@ -33,6 +36,16 @@ def pipeline(tmp_path_factory):
     train_seconds = time.perf_counter() - start
     cli.cmd_evaluate(cfg, root / "corpus", root / "train", root / "eval")
     return cfg, root, train_seconds
+
+
+@pytest.fixture(scope="module")
+def odd_corpora(tmp_path_factory):
+    """Small corpora generated at 16384 Hz and with 4096-sample shots."""
+    root = tmp_path_factory.mktemp("odd")
+    for name, override in (("fs16k", "fs=16384"), ("long", "frame_len=4096")):
+        cli.cmd_gen_data(config.load_config(None, [
+            "n_shots_a=2", "n_shots_b=1", "noise_duration=1.0", override]), root / name)
+    return root
 
 
 def read_csv(path):
@@ -70,6 +83,7 @@ class TestConfig:
         "filter_cutoff_mode=banana", "freeze_iters=500", "aa_kernel_len=63",
         "decim_factor=0", "examples_per_cell=0", "sections_per_noise=0",
         "lr=-1", "batch_size=-3", "kernel_len=4",
+        "snr_grid=", "phase_thresholds_db=", "snr_grid=20,0",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
@@ -123,6 +137,22 @@ class TestGenData:
         victim.write_bytes(bytes(raw))
         with pytest.raises(DataError):
             cli.load_corpus(tmp_path / "t")
+
+    def test_records_that_disagree_rejected(self, pipeline, odd_corpora, tmp_path):
+        _, root, _ = pipeline
+        corpus = tmp_path / "mixed"
+        shutil.copytree(root / "corpus", corpus)
+        victim = sorted((corpus / "shots_a").glob("*.wav"))[0]
+        stranger = sorted((odd_corpora / "fs16k" / "shots_a").glob("*.wav"))[0]
+        manifest = (corpus / "manifest.txt").read_text()
+        for suffix in ("", ".meta"):
+            old = hashlib.sha256(Path(str(victim) + suffix).read_bytes()).hexdigest()
+            shutil.copy(str(stranger) + suffix, str(victim) + suffix)
+            new = hashlib.sha256(Path(str(victim) + suffix).read_bytes()).hexdigest()
+            manifest = manifest.replace(old, new)
+        (corpus / "manifest.txt").write_text(manifest)
+        with pytest.raises(DataError, match=r"disagree: sample rates \[16384, 32768\]"):
+            cli.load_corpus(corpus)
 
     def test_caliber_families_differ(self, pipeline):
         _, root, _ = pipeline
@@ -276,6 +306,18 @@ class TestDenoiseCmd:
 
 
 class TestReport:
+    def test_unexpected_convergence_header_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        train = tmp_path / "train"
+        shutil.copytree(root / "train", train)
+        log = train / "rotation_0" / "convergence.csv"
+        log.write_text(log.read_text().replace("train_mse,val_mse", "val_mse,train_mse"))
+        code = cli.main(["report", "--set", "rotation=0", "--eval-dir", str(root / "eval"),
+                         "--train-dir", str(train), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unexpected" in err and "header" in err
+
     def test_long_format(self, pipeline, tmp_path):
         cfg, root, _ = pipeline
         cli.cmd_report(cfg, root / "eval", root / "train", tmp_path / "rep")
@@ -335,6 +377,56 @@ class TestMainEntry:
                          "--out", str(tmp_path / "den.wav")])
         assert code == 2
         assert "activation" in capsys.readouterr().err
+
+    def test_other_activation_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        raw = (root / "train" / "rotation_0" / "checkpoint.bin").read_bytes()
+        name_at = 8 + struct.calcsize("<IIqIIBd") + 1
+        bad = tmp_path / "relu.bin"
+        bad.write_bytes(raw[:name_at] + b"relu" + raw[name_at + 4:])
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert "activation 'relu'" in capsys.readouterr().err
+        assert not (tmp_path / "den.wav").exists()
+
+    def test_corpus_fs_mismatch_exits_2(self, pipeline, odd_corpora, tmp_path, capsys):
+        cfg, root, _ = pipeline
+        cfg_file = tmp_path / "smoke.cfg"
+        cfg_file.write_text(cfg.resolved_text())
+        corpus = str(odd_corpora / "fs16k")
+        assert cli.main(["train", "--config", str(cfg_file), "--corpus", corpus,
+                         "--out", str(tmp_path / "t")]) == 2
+        assert "fs 16384 Hz" in capsys.readouterr().err
+        assert cli.main(["evaluate", "--config", str(cfg_file), "--corpus", corpus,
+                         "--train-dir", str(root / "train"),
+                         "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "fs 16384 Hz" in err and "fs 32768 Hz" in err
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+
+    def test_corpus_frame_len_mismatch_exits_2(self, pipeline, odd_corpora, tmp_path,
+                                               capsys):
+        cfg, _, _ = pipeline
+        cfg_file = tmp_path / "smoke.cfg"
+        cfg_file.write_text(cfg.resolved_text())
+        code = cli.main(["train", "--config", str(cfg_file),
+                         "--corpus", str(odd_corpora / "long"), "--out", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "4096-sample shots" in err and "frame_len 2048" in err
+
+    def test_empty_phase_list_exits_1_before_training(self, pipeline, tmp_path, capsys):
+        cfg, root, _ = pipeline
+        cfg_file = tmp_path / "smoke.cfg"
+        cfg_file.write_text(cfg.resolved_text())
+        code = cli.main(["train", "--config", str(cfg_file),
+                         "--set", "phase_thresholds_db=",
+                         "--corpus", str(root / "corpus"), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "phase_thresholds_db is empty" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys):
         _, root, _ = pipeline

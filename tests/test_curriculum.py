@@ -229,7 +229,7 @@ class TestTrainCurriculum:
         X = dsp.decimate(np.stack([ex.noisy for ex in data.train]), FS, 8)
         T = dsp.decimate(np.stack([ex.clean for ex in data.train]), FS, 8)
         Y, _ = net.forward_batch(fresh, X / model.input_scale)
-        untrained = net.mse_loss(Y, T / model.input_scale).mse
+        untrained = net.mse_loss(Y, T / model.input_scale)
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
 
     def test_inputs_decimated_and_scaled_by_the_model(self, corpus10, splits10):
@@ -241,7 +241,7 @@ class TestTrainCurriculum:
         runs = [[ex for ex in data.train if ex.combo == c] for c in combos]
         train = [ex for pair in zip(*runs) for ex in pair]
         assert train[0].combo != train[1].combo
-        mixed = curriculum.MaterializedSplit(train, data.validation, 0)
+        mixed = curriculum.MaterializedSplit(train, data.validation)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
         model, log = curriculum.train_curriculum(tiny_net(seed=4), mixed, plan)
 
@@ -251,7 +251,7 @@ class TestTrainCurriculum:
         X = np.stack([dsp.decimate(ex.noisy, FS, 8) for ex in train]) / scale
         T = np.stack([dsp.decimate(ex.clean, FS, 8) for ex in train]) / scale
         Y, _ = net.forward_batch(tiny_net(seed=4), X)
-        assert log.records[0].train_mse == net.mse_loss(Y, T).mse
+        assert log.records[0].train_mse == net.mse_loss(Y, T)
 
     def test_validation_never_in_gradients(self, corpus10, splits10):
         # Corrupting every validation frame must not change the trained
@@ -283,8 +283,7 @@ class TestTrainCurriculum:
 
     def test_overfits_single_example(self, corpus10, splits10):
         data = materialize(corpus10, splits10[0], grid=(0.0,))
-        single = curriculum.MaterializedSplit([data.train[0]],
-                                              [data.validation[0]], 0)
+        single = curriculum.MaterializedSplit([data.train[0]], [data.validation[0]])
         model = tiny_net(seed=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -145,27 +147,25 @@ class TestForward:
 class TestMseLoss:
     def test_identical_is_zero(self):
         y = np.arange(5.0)
-        assert net.mse_loss(y, y).mse == 0.0
+        assert net.mse_loss(y, y) == 0.0
 
     def test_simple_sum(self):
         y = np.zeros(8)
         t = np.zeros(8)
         y[0], y[1] = 1.0, -1.0
-        assert net.mse_loss(y, t).mse == 2.0
+        assert net.mse_loss(y, t) == 2.0
 
     def test_random_matches_independent_sum(self):
         rng = np.random.default_rng(2)
         y, t = rng.standard_normal(64), rng.standard_normal(64)
         expected = sum((float(a) - float(b)) ** 2 for a, b in zip(y, t))
-        assert net.mse_loss(y, t).mse == pytest.approx(expected, abs=1e-12)
+        assert net.mse_loss(y, t) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_is_mean_of_per_example_sums(self):
         rng = np.random.default_rng(3)
         Y, T = rng.standard_normal((3, 10)), rng.standard_normal((3, 10))
-        per = [net.mse_loss(Y[i], T[i]).mse for i in range(3)]
-        report = net.mse_loss(Y, T)
-        assert report.mse == pytest.approx(np.mean(per), abs=1e-12)
-        assert report.n_examples == 3
+        per = [net.mse_loss(Y[i], T[i]) for i in range(3)]
+        assert net.mse_loss(Y, T) == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
@@ -177,7 +177,8 @@ class TestBackward:
         n = small_net(spec=small_spec)
         _, cache = net.forward_batch(n, np.linspace(-1, 1, 16)[np.newaxis])
         grads = net.backward_batch(n, cache, np.zeros((1, 16)))
-        for g in grads.as_dict().values():
+        assert grads.keys() == n.params().keys()
+        for g in grads.values():
             assert np.all(g == 0.0)
 
     @staticmethod
@@ -205,7 +206,7 @@ class TestBackward:
         _, cache = net.forward_batch(n, np.zeros((1, 16)))
         grad_out = np.arange(16.0)
         grads = net.backward_batch(n, cache, grad_out[np.newaxis])
-        assert np.max(np.abs(grads.f - np.outer(grad_out, n.b2))) < 1e-12
+        assert np.max(np.abs(grads["f"] - np.outer(grad_out, n.b2))) < 1e-12
 
     def test_batch_matches_sum_of_singles(self, small_spec):
         rng = np.random.default_rng(12)
@@ -213,11 +214,11 @@ class TestBackward:
         X = rng.standard_normal((3, 16))
         G = rng.standard_normal((3, 16))
         Yb, cacheb = net.forward_batch(n, X)
-        batch = net.backward_batch(n, cacheb, G).as_dict()
+        batch = net.backward_batch(n, cacheb, G)
         summed = {k: np.zeros_like(v) for k, v in batch.items()}
         for i in range(3):
             _, cache = net.forward_batch(n, X[i:i + 1])
-            for k, g in net.backward_batch(n, cache, G[i:i + 1]).as_dict().items():
+            for k, g in net.backward_batch(n, cache, G[i:i + 1]).items():
                 summed[k] += g
         for k in batch:
             assert np.max(np.abs(batch[k] - summed[k])) < 1e-10
@@ -228,9 +229,7 @@ class TestAdam:
         n = small_net(spec=small_spec)
         before = n.f.copy()
         state = net.AdamState()
-        grads = net.Gradients(np.ones_like(n.w1), np.ones_like(n.b1),
-                              np.ones_like(n.w2), np.ones_like(n.b2),
-                              np.ones_like(n.f))
+        grads = {k: np.ones_like(v) for k, v in n.params().items()}
         for _ in range(5):
             net.adam_step(n, grads, state)
         assert np.array_equal(n.f, before)
@@ -240,8 +239,7 @@ class TestAdam:
         n = small_net(spec=small_spec)
         n.f_frozen = False
         snapshot = {k: v.copy() for k, v in n.params().items()}
-        zeros = net.Gradients(*(np.zeros_like(v) for v in
-                                (n.w1, n.b1, n.w2, n.b2, n.f)))
+        zeros = {k: np.zeros_like(v) for k, v in n.params().items()}
         net.adam_step(n, zeros, net.AdamState())
         for k, v in n.params().items():
             assert np.array_equal(v, snapshot[k])
@@ -253,9 +251,8 @@ class TestAdam:
         n = small_net(spec=small_spec)
         n.w1[:] = 0.0
         n.w1[0, 0] = 1.0
-        grads = net.Gradients(*(np.zeros_like(v) for v in
-                                (n.w1, n.b1, n.w2, n.b2, n.f)))
-        grads.w1[0, 0] = 0.5
+        grads = {k: np.zeros_like(v) for k, v in n.params().items()}
+        grads["w1"][0, 0] = 0.5
         net.adam_step(n, grads, net.AdamState(), lr=0.1)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert n.w1[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -263,8 +260,7 @@ class TestAdam:
     def test_release_starts_fresh_clock(self, small_spec):
         n = small_net(spec=small_spec)
         state = net.AdamState()
-        grads = net.Gradients(*(np.ones_like(v) * 0.1 for v in
-                                (n.w1, n.b1, n.w2, n.b2, n.f)))
+        grads = {k: np.ones_like(v) * 0.1 for k, v in n.params().items()}
         net.adam_step(n, grads, state)
         net.adam_step(n, grads, state)
         n.f_frozen = False
@@ -273,9 +269,8 @@ class TestAdam:
 
     def test_nonfinite_gradients_rejected(self, small_spec):
         n = small_net(spec=small_spec)
-        grads = net.Gradients(*(np.zeros_like(v) for v in
-                                (n.w1, n.b1, n.w2, n.b2, n.f)))
-        grads.w2[0, 0] = np.inf
+        grads = {k: np.zeros_like(v) for k, v in n.params().items()}
+        grads["w2"][0, 0] = np.inf
         with pytest.raises(NumericError):
             net.adam_step(n, grads, net.AdamState())
 
@@ -312,7 +307,6 @@ class TestCheckpoint:
         assert loaded.hidden == 6 and loaded.seed == 8
         assert loaded.input_scale == 17.25
         assert loaded.f_frozen is False
-        assert loaded.activation == "tanh"
         assert loaded.fs == FS
 
     def test_byte_stable_resave(self, tmp_path, small_spec):
@@ -334,6 +328,18 @@ class TestCheckpoint:
         net.save_checkpoint(path, small_net(spec=small_spec))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DataError):
+            net.load_checkpoint(path)
+
+    def test_rejects_other_activation(self, tmp_path, small_spec):
+        # The network only computes tanh; a checkpoint naming another
+        # activation must not load and silently run tanh.
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, small_net(spec=small_spec))
+        raw = path.read_bytes()
+        name_at = 8 + struct.calcsize("<IIqIIBd") + 1
+        assert raw[name_at:name_at + 4] == b"tanh"
+        path.write_bytes(raw[:name_at] + b"relu" + raw[name_at + 4:])
+        with pytest.raises(DataError, match="activation 'relu'"):
             net.load_checkpoint(path)
 
     def test_rejects_trailing_bytes(self, tmp_path, small_spec):

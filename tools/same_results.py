@@ -3,13 +3,14 @@
     python3 tools/same_results.py --parent ../parent --change .
 
 Runs the benchmark config (mbbench's ``rotation=0 phase_iters=40
-freeze_iters=20``, seed 0) through ``gen-data``, ``train``, ``evaluate``
-and ``denoise`` of ``noise/N0.wav`` in each checkout, with that
-checkout's own ``src`` on the path, into a temporary directory. Then it
-prints one line per artefact (every corpus WAV, sidecar and manifest,
-the checkpoint, the convergence and score CSVs, the denoised WAV and
-its sidecar) with one of these results; identical files are counted
-per directory instead:
+freeze_iters=20``, seed 0) through every command: ``gen-data``,
+``train``, ``evaluate``, ``denoise`` of ``noise/N0.wav`` and ``report``,
+in each checkout, with that checkout's own ``src`` on the path, into a
+temporary directory. Then it prints one line per artefact (every corpus
+WAV, sidecar and manifest, the checkpoint, the convergence and score
+CSVs, the denoised WAV and its sidecar, and the report's
+``detection_rates.csv`` and ``convergence_curves.csv``) with one of
+these results; identical files are counted per directory instead:
 
 - ``identical``: the bytes are equal;
 - ``differs only in # header lines``, followed by the header lines only
@@ -46,7 +47,8 @@ HEADER_ONLY = "differs only in # header lines"
 
 
 def run_pipeline(checkout: Path, out: Path) -> None:
-    """gen-data, train, evaluate and denoise with the checkout's sources."""
+    """gen-data, train, evaluate, denoise and report with the checkout's
+    sources."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     checkpoint = out / "train" / "rotation_0" / "checkpoint.bin"
     for args in (
@@ -56,6 +58,8 @@ def run_pipeline(checkout: Path, out: Path) -> None:
          "--out", out / "eval"),
         ("denoise", "--checkpoint", checkpoint, "--in", out / "corpus" / "noise" / "N0.wav",
          "--out", out / "denoised.wav"),
+        ("report", "--eval-dir", out / "eval", "--train-dir", out / "train",
+         "--out", out / "report"),
     ):
         cmd = [sys.executable, "-m", "mbdenoise.cli", *map(str, args), *SETTINGS]
         proc = subprocess.run(cmd, env=env, cwd=out, capture_output=True, text=True)
