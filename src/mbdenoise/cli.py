@@ -230,11 +230,6 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _detector_config(cfg: RunConfig) -> detect.DetectorConfig:
-    return detect.DetectorConfig(cfg.sta_ms, cfg.lta_ms, cfg.threshold,
-                                 cfg.refractory_ms, cfg.warmup_ms)
-
-
 def _score_examples(
     model: net.Network,
     examples: list[curriculum.NoisyExample],
@@ -245,13 +240,16 @@ def _score_examples(
 ) -> None:
     """Denoise the examples in one batch and append each one's detection
     outcome under all four conditions to flags, keyed by (SNR bin,
-    condition)."""
+    condition); each distinct shot's clean frame is scanned once."""
     if not examples:
         return
-    denoised = net.denoise_frames(model, np.stack([ex.noisy for ex in examples]))
-    for example, frame in zip(examples, denoised):
-        outcome = detect.detect_conditions(example.clean, example.noisy, frame,
-                                           example.truth_onset, tolerance, fs, det_cfg)
+    noisy = np.stack([ex.noisy for ex in examples])
+    clean = {ex.shot_id: ex.clean for ex in examples}
+    outcomes = detect.detect_conditions(
+        clean, noisy, net.denoise_frames(model, noisy),
+        [ex.shot_id for ex in examples], [ex.truth_onset for ex in examples],
+        tolerance, fs, det_cfg)
+    for example, outcome in zip(examples, outcomes):
         for condition, matched in outcome.items():
             flags.setdefault((example.snr_bin, condition), []).append(matched)
 
@@ -304,7 +302,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     corpus = _load_config_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    det_cfg = _detector_config(cfg)
+    det_cfg = cfg.detector()
     tolerance = detect.default_tolerance(cfg.fs)
 
     splits = curriculum.build_split(

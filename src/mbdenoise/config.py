@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .detect import DetectorConfig
 from .errors import ConfigError
 
 # The SNRs, in dB, that examples can be mixed at; snr_grid values and
@@ -95,9 +96,31 @@ class RunConfig:
         if any(b >= a for a, b in zip(self.phase_thresholds_db,
                                       self.phase_thresholds_db[1:])):
             raise ConfigError("phase_thresholds_db must be strictly decreasing")
+        if self.phase_thresholds_db[0] > max(self.snr_grid):
+            raise ConfigError(
+                f"phase_thresholds_db starts at {self.phase_thresholds_db[0]:g} dB, "
+                f"above every snr_grid value (max {max(self.snr_grid):g} dB)")
         if not 0 < self.freeze_iters < self.phase_iters:
             raise ConfigError("need 0 < freeze_iters < phase_iters")
+        if not self.threshold > 1.0:
+            raise ConfigError(
+                f"threshold must exceed 1 (a stationary signal's STA/LTA ratio), "
+                f"got {self.threshold}")
+        # The detector scans frame_len-sample frames at fs.
+        windows = self.detector().windows(self.fs)
+        if windows.lta >= self.frame_len:
+            raise ConfigError(
+                f"lta_ms {self.lta_ms:g} is {windows.lta} samples, not shorter than "
+                f"a {self.frame_len}-sample frame")
+        if windows.warm >= self.frame_len - windows.sta:
+            raise ConfigError(
+                f"warmup_ms {self.warmup_ms:g} leaves no candidate onset in a "
+                f"{self.frame_len}-sample frame")
         return self
+
+    def detector(self) -> DetectorConfig:
+        return DetectorConfig(self.sta_ms, self.lta_ms, self.threshold,
+                              self.refractory_ms, self.warmup_ms)
 
     @property
     def fs_decimated(self) -> float:

@@ -302,8 +302,9 @@ def save_wav(
     _save_sidecar(path, waveform, extra_meta or {})
 
 
-def load_wav(path: str | Path) -> Waveform:
-    """Read a mono PCM16 / float32 WAV and its sidecar annotations."""
+def load_wav(path: str | Path, meta: dict[str, str] | None = None) -> Waveform:
+    """Read a mono PCM16 / float32 WAV and its sidecar annotations; the
+    sidecar's other key=value pairs are added to meta when it is given."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -345,9 +346,11 @@ def load_wav(path: str | Path) -> Waveform:
             f"{path}: format tag {fmt_tag} with {bits} bits not supported"
         )
 
-    annotations, meta = load_sidecar(path)
-    if "fs" in meta and _sidecar_int(path, f"fs={meta['fs']}", meta["fs"]) != fs:
-        raise DataError(f"{path}: sidecar fs {meta['fs']} != WAV fs {fs}")
+    annotations, sidecar = load_sidecar(path)
+    if "fs" in sidecar and _sidecar_int(path, f"fs={sidecar['fs']}", sidecar["fs"]) != fs:
+        raise DataError(f"{path}: sidecar fs {sidecar['fs']} != WAV fs {fs}")
+    if meta is not None:
+        meta.update(sidecar)
     return Waveform(samples, fs, annotations)
 
 
@@ -399,8 +402,8 @@ def save_shot(path: str | Path, shot: ShotRecord, encoding: str = "float32") -> 
 
 
 def load_shot(path: str | Path) -> ShotRecord:
-    waveform = load_wav(path)
-    _, meta = load_sidecar(path)
+    meta: dict[str, str] = {}
+    waveform = load_wav(path, meta)
     if "shot_id" not in meta or "caliber_class" not in meta:
         raise DataError(f"{path}: sidecar lacks shot_id/caliber_class")
     return ShotRecord.from_waveform(waveform, meta["caliber_class"], meta["shot_id"])
@@ -411,8 +414,8 @@ def save_noise(path: str | Path, noise: NoiseRecord, encoding: str = "float32") 
 
 
 def load_noise(path: str | Path) -> NoiseRecord:
-    waveform = load_wav(path)
-    _, meta = load_sidecar(path)
+    meta: dict[str, str] = {}
+    waveform = load_wav(path, meta)
     if "noise_id" not in meta:
         raise DataError(f"{path}: sidecar lacks noise_id")
     return NoiseRecord.from_waveform(waveform, meta["noise_id"])

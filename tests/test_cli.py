@@ -84,6 +84,7 @@ class TestConfig:
         "decim_factor=0", "examples_per_cell=0", "sections_per_noise=0",
         "lr=-1", "batch_size=-3", "kernel_len=4",
         "snr_grid=", "phase_thresholds_db=", "snr_grid=20,0",
+        "lta_ms=100", "warmup_ms=70", "threshold=-1", "phase_thresholds_db=12,0",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
@@ -462,6 +463,21 @@ class TestMainEntry:
                          "--out", str(tmp_path / "t")])
         assert code == 1
         assert "kernel_len" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("lta_ms=100", "lta_ms 100 is 3277 samples"),
+        ("warmup_ms=70", "leaves no candidate onset"),
+        ("threshold=-1", "threshold must exceed 1"),
+    ])
+    def test_detector_config_exits_1_before_loading(self, tmp_path, capsys, override,
+                                                    message):
+        # The corpus does not exist: reading it would exit 2.
+        code = cli.main(["evaluate", "--set", override,
+                         "--corpus", str(tmp_path / "absent"),
+                         "--train-dir", str(tmp_path / "t"), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestDeterminism:

@@ -131,6 +131,31 @@ class TestCrossingScan:
         x = self.spikes([p for p in positions if p < 1400], n=1500, seed=seed)
         self.check(x)
 
+    @pytest.mark.parametrize("n_rows", [
+        1, detect.SCAN_BLOCK_ROWS - 1, detect.SCAN_BLOCK_ROWS,
+        detect.SCAN_BLOCK_ROWS + 1, 2 * detect.SCAN_BLOCK_ROWS + 1])
+    def test_stacked_rows_equal_reference(self, n_rows):
+        # Spike trains between silent rows and noise rows that never
+        # cross, so blocks start and end on every kind of row.
+        rng = np.random.default_rng(n_rows)
+        rows = []
+        for k in range(n_rows):
+            kind = k % 3
+            if kind == 0:
+                gaps = rng.integers(5, 40, size=12)
+                rows.append(self.spikes(list(np.cumsum(gaps) + 60), n=600, seed=k))
+            elif kind == 1:
+                rows.append(np.zeros(600))
+            else:
+                rows.append(0.01 * rng.standard_normal(600))
+        stack = np.stack(rows)
+        found = detect._scan_frames(stack, self.FS_SMALL, CFG)
+        assert len(found) == n_rows
+        for k, x in enumerate(rows):
+            assert found[k] == reference_scan(x, self.FS_SMALL, CFG)
+            assert found[k] == detect.detect_impulses(x, self.FS_SMALL, CFG)
+            assert (found[k] == []) == (k % 3 != 0)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_noisy_blasts_at_full_rate(self, seed):
         x = blast_in_silence(3000, n=16384, noise=0.8, seed=seed)
@@ -203,22 +228,67 @@ class TestScores:
 
 
 class TestCombined:
+    TOL = detect.default_tolerance(FS)
+
     def test_denoised_only_still_matches(self):
         onset = 4000
         clean = blast_in_silence(onset, noise=0.01)
         rng = np.random.default_rng(1)
         masked = clean + 20.0 * rng.standard_normal(clean.size)
-        tol = detect.default_tolerance(FS)
-        flags = detect.detect_conditions(clean, masked, clean, onset, tol, FS, CFG)
+        [flags] = detect.detect_conditions({"s": clean}, masked[np.newaxis],
+                                           clean[np.newaxis], ["s"], [onset],
+                                           self.TOL, FS, CFG)
         assert flags == {"clean": True, "noisy": False, "denoised": True,
                          "combined": True}
 
     def test_neither_matches(self):
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(8192)
-        flags = detect.detect_conditions(noise, noise, noise, 4000,
-                                         detect.default_tolerance(FS), FS, CFG)
+        [flags] = detect.detect_conditions({"s": noise}, noise[np.newaxis],
+                                           noise[np.newaxis], ["s"], [4000],
+                                           self.TOL, FS, CFG)
         assert not any(flags.values())
+
+    def test_interleaved_shots_keep_their_clean_flags(self):
+        # Shot "hit" is a blast at its onset; shot "miss" is noise with no
+        # blast. Their examples interleave, so a clean flag taken from the
+        # wrong shot, or from the wrong row, changes the outcome.
+        rng = np.random.default_rng(4)
+        clean = {"miss": rng.standard_normal(8192), "hit": blast_in_silence(4000)}
+        shot_ids = ["hit", "miss", "miss", "hit", "miss"]
+        onsets = [4000, 4000, 4000, 4000, 4000]
+        noisy = np.stack([clean[s] for s in shot_ids])
+        silent = np.zeros_like(noisy)
+        outcomes = detect.detect_conditions(clean, noisy, silent, shot_ids, onsets,
+                                            self.TOL, FS, CFG)
+        assert [o["clean"] for o in outcomes] == [s == "hit" for s in shot_ids]
+        assert [o["noisy"] for o in outcomes] == [s == "hit" for s in shot_ids]
+        assert not any(o["denoised"] for o in outcomes)
+        assert [o["combined"] for o in outcomes] == [s == "hit" for s in shot_ids]
+
+    def test_matches_one_row_calls(self):
+        # Each example's flags equal matching detect_impulses of its own
+        # rows, across more examples than one scan block.
+        n = detect.SCAN_BLOCK_ROWS + 3
+        shots = {f"s{k}": blast_in_silence(3000 + 50 * k, noise=0.05, seed=k)
+                 for k in range(4)}
+        shot_ids = [f"s{k % 4}" for k in range(n)]
+        onsets = [3000 + 50 * (k % 4) for k in range(n)]
+        rng = np.random.default_rng(5)
+        noisy = np.stack([shots[s] + rng.uniform(0.5, 8.0) * rng.standard_normal(8192)
+                          for s in shot_ids])
+        denoised = 0.5 * (noisy + np.stack([shots[s] for s in shot_ids]))
+        outcomes = detect.detect_conditions(shots, noisy, denoised, shot_ids, onsets,
+                                            self.TOL, FS, CFG)
+        for k, outcome in enumerate(outcomes):
+            expected = {}
+            for condition, x in (("clean", shots[shot_ids[k]]), ("noisy", noisy[k]),
+                                 ("denoised", denoised[k])):
+                dets = detect.detect_impulses(x, FS, CFG)
+                expected[condition] = detect.match_detections(dets, [onsets[k]],
+                                                              self.TOL)[0][0]
+            expected["combined"] = expected["noisy"] or expected["denoised"]
+            assert outcome == expected
 
     def test_combined_at_least_each_rate(self):
         # Union of matched sets dominates each side, bin by bin.
@@ -230,8 +300,21 @@ class TestCombined:
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            detect.detect_conditions(np.zeros(100), np.zeros(100), np.zeros(99),
-                                     0, 10, FS, CFG)
+            detect.detect_conditions({"s": np.zeros(100)}, np.zeros((1, 100)),
+                                     np.zeros((1, 99)), ["s"], [0], 10, FS, CFG)
+
+    @pytest.mark.parametrize("clean_len, noisy_rows, denoised_rows, n_ids, n_onsets", [
+        (99, 1, 1, 1, 1),   # clean frame shorter than the rows
+        (100, 1, 2, 1, 1),  # denoised has a row too many
+        (100, 2, 2, 1, 1),  # two rows, one shot id
+        (100, 1, 1, 1, 2),  # one row, two onsets
+    ])
+    def test_count_mismatch(self, clean_len, noisy_rows, denoised_rows, n_ids, n_onsets):
+        with pytest.raises(DataError):
+            detect.detect_conditions(
+                {"s": np.zeros(clean_len)}, np.zeros((noisy_rows, 100)),
+                np.zeros((denoised_rows, 100)), ["s"] * n_ids, [0] * n_onsets,
+                10, FS, CFG)
 
 
 def test_default_tolerance_is_ten_ms():

@@ -219,6 +219,33 @@ class TestWavRoundTrip:
             signals.load_wav(path)
         assert str(meta) in str(info.value) and repr(bad) in str(info.value)
 
+    def test_record_sidecar_parsed_once(self, tmp_path, shot_a, noise_rec, monkeypatch):
+        signals.save_shot(tmp_path / "shot.wav", shot_a)
+        signals.save_noise(tmp_path / "noise.wav", noise_rec)
+        parsed = []
+        parse = signals.load_sidecar
+        monkeypatch.setattr(signals, "load_sidecar",
+                            lambda path: parsed.append(path) or parse(path))
+        signals.load_shot(tmp_path / "shot.wav")
+        signals.load_noise(tmp_path / "noise.wav")
+        assert parsed == [tmp_path / "shot.wav", tmp_path / "noise.wav"]
+
+    @pytest.mark.parametrize("kind, dropped", [
+        ("shot", "shot_id"), ("shot", "caliber_class"), ("noise", "noise_id")])
+    def test_record_sidecar_lacking_id_rejected(self, tmp_path, shot_a, noise_rec,
+                                                kind, dropped):
+        path = tmp_path / f"{kind}.wav"
+        if kind == "shot":
+            signals.save_shot(path, shot_a)
+        else:
+            signals.save_noise(path, noise_rec)
+        meta = signals.sidecar_path(path)
+        meta.write_text("".join(ln + "\n" for ln in meta.read_text().splitlines()
+                                if not ln.startswith(dropped + "=")))
+        load = signals.load_shot if kind == "shot" else signals.load_noise
+        with pytest.raises(DataError, match="sidecar lacks"):
+            load(path)
+
 
 class TestRecordInvariants:
     def test_shot_peak_validated(self, shot_a):
