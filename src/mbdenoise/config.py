@@ -17,6 +17,12 @@ from .errors import ConfigError
 # materialize_combo's cells must lie inside it.
 SNR_RANGE_DB = (-25.0, 15.0)
 
+# Rates, amplitudes, durations and step sizes: zero or a negative value
+# has no meaning for any of them.
+_POSITIVE = ("fs", "shot_peak_pa", "shot_t_plus", "noise_duration", "noise_rms_pa",
+             "burst_rate", "lr", "f_lr_scale", "sta_ms", "lta_ms", "refractory_ms",
+             "warmup_ms")
+
 
 @dataclass
 class RunConfig:
@@ -57,8 +63,9 @@ class RunConfig:
     warmup_ms: float = 10.0
 
     def validate(self) -> "RunConfig":
-        if self.fs <= 0:
-            raise ConfigError(f"fs must be positive, got {self.fs}")
+        for key in _POSITIVE:
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.decim_factor < 1:
@@ -77,14 +84,19 @@ class RunConfig:
             raise ConfigError(f"rotation must be in [-1, 5], got {self.rotation}")
         if self.n_shots_a < 2:
             raise ConfigError("n_shots_a must be >= 2")
+        if self.n_shots_b < 0:
+            raise ConfigError(f"n_shots_b must be >= 0, got {self.n_shots_b}")
+        # Jitter scales a value by 1 + jitter * u, u uniform in [-1, 1],
+        # so a jitter of 1 or more can zero or flip the blast.
+        for key in ("peak_jitter", "t_plus_jitter"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         if self.sections_per_noise < 1:
             raise ConfigError(
                 f"sections_per_noise must be >= 1, got {self.sections_per_noise}")
         if self.examples_per_cell < 1:
             raise ConfigError(
                 f"examples_per_cell must be >= 1, got {self.examples_per_cell}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
         lo, hi = SNR_RANGE_DB
         if not self.snr_grid:
             raise ConfigError("snr_grid is empty")

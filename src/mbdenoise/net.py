@@ -132,9 +132,12 @@ def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache
     dim x dim filter matrix.
     """
     X = np.asarray(X, dtype=np.float64)
-    A = np.tanh(X @ net.w1.T + net.b1)
+    A = X @ net.w1.T
+    A += net.b1
+    np.tanh(A, out=A)
     P = net.f @ net.w2
-    Y = A @ P.T + net.f @ net.b2
+    Y = A @ P.T
+    Y += net.f @ net.b2
     return Y, ForwardCache(X, A, P)
 
 
@@ -171,11 +174,14 @@ def backward_batch(net: Network, cache: ForwardCache,
     G = np.asarray(grad_out, dtype=np.float64)
     dP = G.T @ cache.a
     dc = G.sum(axis=0)
-    dA = G @ cache.p
     dW2 = net.f.T @ dP
     db2 = net.f.T @ dc
-    dF = dP @ net.w2.T + np.outer(dc, net.b2)
-    dU = dA * (1.0 - cache.a * cache.a)
+    dF = dP @ net.w2.T
+    dF += np.outer(dc, net.b2)
+    dU = G @ cache.p  # dA, scaled in place by tanh' = 1 - a^2
+    slope = cache.a * cache.a
+    np.subtract(1.0, slope, out=slope)
+    dU *= slope
     db1 = dU.sum(axis=0)
     dW1 = dU.T @ cache.x
     return {"w1": dW1, "b1": db1, "w2": dW2, "b2": db2, "f": dF}
@@ -183,13 +189,15 @@ def backward_batch(net: Network, cache: ForwardCache,
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments; step counts advance only when a
-    parameter is actually updated, so the filter layer starts its own
-    bias-correction clock at release."""
+    """Per-parameter Adam moments and two scratch arrays of the same
+    shape; step counts advance only when a parameter is actually
+    updated, so the filter layer starts its own bias-correction clock at
+    release."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def adam_step(
@@ -203,7 +211,14 @@ def adam_step(
 
     The frozen filter matrix is left untouched bit for bit (no moment
     accumulation either). f_lr_scale shrinks the filter learning rate
-    since it starts near a good solution.
+    since it starts near a good solution. Every intermediate is written
+    into the parameter's scratch arrays in state, in the textbook
+    order, so the update equals
+
+        m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
+        p -= (step * m_hat) / (sqrt(v_hat) + eps)
+
+    bit for bit without allocating.
     """
     params = net.params()
     for name, grad in grads.items():
@@ -215,16 +230,26 @@ def adam_step(
             state.m[name] = np.zeros_like(grad)
             state.v[name] = np.zeros_like(grad)
             state.t[name] = 0
+            state.scratch[name] = (np.empty_like(grad), np.empty_like(grad))
         state.t[name] += 1
         t = state.t[name]
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - ADAM_BETA1) * (grad - m)
-        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        step = lr * f_lr_scale if name == "f" else lr
-        params[name] -= step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        update, denom = state.scratch[name]
+        np.subtract(grad, m, out=update)
+        update *= 1.0 - ADAM_BETA1
+        m += update
+        np.multiply(grad, grad, out=update)
+        update -= v
+        update *= 1.0 - ADAM_BETA2
+        v += update
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
+        update *= lr * f_lr_scale if name == "f" else lr
+        update /= denom
+        params[name] -= update
     return net
 
 

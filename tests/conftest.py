@@ -57,6 +57,25 @@ def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
     return np.array(errors)
 
 
+def textbook_adam_step(model, grads, moments, lr=1e-3, f_lr_scale=0.5):
+    """Allocating Adam, written out as in Kingma & Ba: the reference the
+    in-place net.adam_step must equal bit for bit. moments maps a
+    parameter name to its (m, v, t); a frozen filter gets none."""
+    b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
+    for name, g in grads.items():
+        if name == "f" and model.f_frozen:
+            continue
+        m, v, t = moments.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+        m = m + (1.0 - b1) * (g - m)
+        v = v + (1.0 - b2) * (g * g - v)
+        t += 1
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        step = lr * f_lr_scale if name == "f" else lr
+        setattr(model, name, getattr(model, name) - step * m_hat / (np.sqrt(v_hat) + eps))
+        moments[name] = (m, v, t)
+
+
 def make_corpus(n_shots: int, seed: int, fs: int = FS, frame_len: int = 2048,
                 noise_seconds: float = 3.0):
     """Small deterministic corpus for split/training tests."""

@@ -85,6 +85,9 @@ class TestConfig:
         "lr=-1", "batch_size=-3", "kernel_len=4",
         "snr_grid=", "phase_thresholds_db=", "snr_grid=20,0",
         "lta_ms=100", "warmup_ms=70", "threshold=-1", "phase_thresholds_db=12,0",
+        "sta_ms=-5", "lta_ms=0", "refractory_ms=-20", "warmup_ms=-1",
+        "burst_rate=-1", "n_shots_b=-4", "shot_peak_pa=-3", "noise_rms_pa=0",
+        "shot_t_plus=0", "peak_jitter=1.5", "t_plus_jitter=1.2", "f_lr_scale=-1",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
@@ -355,6 +358,12 @@ class TestMainEntry:
             "--in", str(src), "--out", str(out),
         ])
         assert code == 0 and out.exists()
+
+    def test_bad_detector_time_exits_1_before_reading_the_corpus(self, tmp_path, capsys):
+        assert cli.main(["train", "--corpus", str(tmp_path / "absent"),
+                         "--out", str(tmp_path / "t"), "--set", "sta_ms=-5"]) == 1
+        assert "sta_ms must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
         _, root, _ = pipeline

@@ -8,7 +8,7 @@ import pytest
 from mbdenoise import curriculum, dsp, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
-from conftest import make_corpus
+from conftest import make_corpus, textbook_adam_step
 
 FS = 32768
 
@@ -175,9 +175,9 @@ class TestConvergenceLog:
             log.append(curriculum.LogRecord(0, 3, 1.0, 1.0, True, 1))
 
 
-def tiny_net(seed=0):
+def tiny_net(seed=0, hidden=16):
     spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
-    return net.init_network(16, seed, spec, dim=256, fs=FS)
+    return net.init_network(hidden, seed, spec, dim=256, fs=FS)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +272,56 @@ class TestTrainCurriculum:
         for k in clean_run.params():
             assert np.array_equal(clean_run.params()[k],
                                   corrupted_run.params()[k])
+
+    def test_matches_two_forward_reference_loop(self, corpus10, splits10):
+        # The textbook loop: per iteration a training forward on the
+        # active rows, mse_loss, backward, allocating Adam, then a
+        # separate validation forward. train_curriculum's one stacked
+        # forward per parameter state must give the same bits. The model
+        # is full width: OpenBLAS rounds products of a few rows (under
+        # 19 at hidden 64) with a kernel of their own, so a row's bits
+        # depend on the batch only below that size; 30 validation and
+        # 40 or 60 training rows stay above it.
+        data = materialize(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
+        assert (len(data.validation), len(data.train)) == (30, 60)
+        plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
+                                    freeze_iters=4, total_iters=9)
+        lr, f_lr_scale = 2e-3, 0.7
+        model, log = curriculum.train_curriculum(tiny_net(seed=6, hidden=64), data,
+                                                 plan, lr, f_lr_scale)
+
+        def frames(examples, attr):
+            return np.stack([dsp.decimate(getattr(ex, attr), FS, 8) for ex in examples])
+
+        ref = tiny_net(seed=6, hidden=64)
+        t_train = frames(data.train, "clean")
+        scale = float(np.max(np.abs(t_train)))
+        x_train, t_train = frames(data.train, "noisy") / scale, t_train / scale
+        x_val = frames(data.validation, "noisy") / scale
+        t_val = frames(data.validation, "clean") / scale
+        snrs = np.array([ex.snr_db for ex in data.train])
+        moments, records = {}, []
+        for phase, threshold in enumerate(plan.thresholds_db):
+            active = snrs >= threshold - 1e-9
+            x, t = x_train[active], t_train[active]
+            ref.f_frozen = True
+            for it in range(plan.total_iters):
+                if it == plan.freeze_iters:
+                    ref.f_frozen = False
+                y, cache = net.forward_batch(ref, x)
+                train_mse = net.mse_loss(y, t)
+                grads = net.backward_batch(ref, cache, (2.0 / len(x)) * (y - t))
+                textbook_adam_step(ref, grads, moments, lr, f_lr_scale)
+                y_val, _ = net.forward_batch(ref, x_val)
+                records.append(curriculum.LogRecord(
+                    phase, it, train_mse, net.mse_loss(y_val, t_val), ref.f_frozen,
+                    int(active.sum())))
+
+        assert model.input_scale == scale
+        assert moments["f"][2] == 2 * (plan.total_iters - plan.freeze_iters)
+        for k, v in ref.params().items():
+            assert np.array_equal(model.params()[k], v), k
+        assert log.records == records
 
     def test_empty_active_set_aborts(self, corpus10, splits10):
         data = materialize(corpus10, splits10[0], grid=(-5.0,))

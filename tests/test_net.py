@@ -6,7 +6,7 @@ import pytest
 from mbdenoise import dsp, net
 from mbdenoise.errors import DataError, NumericError
 
-from conftest import gradient_errors
+from conftest import gradient_errors, textbook_adam_step
 
 FS = 32768
 
@@ -266,6 +266,26 @@ class TestAdam:
         n.f_frozen = False
         net.adam_step(n, grads, state)
         assert state.t["w1"] == 3 and state.t["f"] == 1
+
+    def test_in_place_step_matches_allocating_formula(self, small_spec):
+        # Dense random gradients over seven steps; the filter is released
+        # after the third, so its own clock starts at 1 there.
+        rng = np.random.default_rng(14)
+        n, ref = released_net(spec=small_spec), released_net(spec=small_spec)
+        n.f_frozen = ref.f_frozen = True
+        state, moments = net.AdamState(), {}
+        for step in range(7):
+            if step == 3:
+                n.f_frozen = ref.f_frozen = False
+            grads = {k: rng.standard_normal(v.shape) for k, v in n.params().items()}
+            net.adam_step(n, grads, state, lr=0.01, f_lr_scale=0.3)
+            textbook_adam_step(ref, grads, moments, lr=0.01, f_lr_scale=0.3)
+            for k, v in ref.params().items():
+                assert np.array_equal(n.params()[k], v), (step, k)
+            for k, (m, v, t) in moments.items():
+                assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+                assert state.t[k] == t
+        assert state.t == {"w1": 7, "b1": 7, "w2": 7, "b2": 7, "f": 4}
 
     def test_nonfinite_gradients_rejected(self, small_spec):
         n = small_net(spec=small_spec)
