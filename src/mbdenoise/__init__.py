@@ -9,12 +9,11 @@ from .config import RunConfig, load_config
 from .curriculum import (
     ConvergenceLog,
     DatasetSplit,
-    MaterializedSplit,
-    NoisyExample,
+    Mixes,
     PhasePlan,
     build_split,
-    materialize_combo,
-    materialize_examples,
+    combo_cells,
+    mix_cells,
     train_curriculum,
 )
 from .detect import (

@@ -14,6 +14,7 @@ import hashlib
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -157,6 +158,13 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             noises.append(signals.load_noise(path))
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
+    # Records are looked up by id, so a repeated id would hand one
+    # record's data to another's role (a held-out shot into training).
+    for kind, ids in (("shot", [s.shot_id for s in shots_a + shots_b]),
+                      ("noise", [n.noise_id for n in noises])):
+        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if repeated:
+            raise DataError(f"duplicate {kind} ids in {root}: {', '.join(repeated)}")
     rates = {rec.waveform.fs for rec in shots_a + shots_b + noises}
     frame_lens = {len(shot.waveform) for shot in shots_a + shots_b}
     if len(rates) != 1 or len(frame_lens) != 1:
@@ -186,29 +194,37 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
     )
 
 
+def _combo_mixes(cfg: RunConfig, corpus: Corpus, split: curriculum.DatasetSplit,
+                 combos: tuple[curriculum.Combo, ...]) -> curriculum.Mixes:
+    """The mixes of every cell of the split's given combinations."""
+    return curriculum.mix_cells(curriculum.combo_cells(
+        split, combos, corpus.shots_by_id(), corpus.noises_by_id(),
+        list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
+    ))
+
+
 def _train_rotation(
     cfg: RunConfig,
     corpus: Corpus,
     rotation: int,
     on_iteration: Callable[[int, int, net.Network], None] | None = None,
 ) -> tuple[net.Network, curriculum.ConvergenceLog]:
-    """Materialize one rotation's examples, initialize its network from
-    the rotation's child seed, and run the phased schedule on it."""
+    """Mix one rotation's training and validation combinations,
+    initialize its network from the rotation's child seed, and run the
+    phased schedule on it."""
     split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )[rotation]
-    data = curriculum.materialize_examples(
-        split, corpus.shots_by_id(), corpus.noises_by_id(),
-        list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-    )
+    train = _combo_mixes(cfg, corpus, split, split.train_combos)
+    validation = _combo_mixes(cfg, corpus, split, (split.validation_combo,))
     model = net.init_network(
         cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
     )
     plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
                                 cfg.phase_iters)
-    return curriculum.train_curriculum(model, data, plan, cfg.lr, cfg.f_lr_scale,
-                                       on_iteration)
+    return curriculum.train_curriculum(model, train, validation, plan, cfg.lr,
+                                       cfg.f_lr_scale, on_iteration)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
@@ -230,51 +246,39 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _score_examples(
+def _score_mixes(
     model: net.Network,
-    examples: list[curriculum.NoisyExample],
+    mixes: curriculum.Mixes,
     flags: dict[tuple[float, str], list[bool]],
     det_cfg: detect.DetectorConfig,
     tolerance: int,
     fs: int,
 ) -> None:
-    """Denoise the examples in one batch and append each one's detection
+    """Denoise the mixes in one batch and append each row's detection
     outcome under all four conditions to flags, keyed by (SNR bin,
     condition); each distinct shot's clean frame is scanned once."""
-    if not examples:
-        return
-    noisy = np.stack([ex.noisy for ex in examples])
-    clean = {ex.shot_id: ex.clean for ex in examples}
     outcomes = detect.detect_conditions(
-        clean, noisy, net.denoise_frames(model, noisy),
-        [ex.shot_id for ex in examples], [ex.truth_onset for ex in examples],
-        tolerance, fs, det_cfg)
-    for example, outcome in zip(examples, outcomes):
+        mixes.clean, mixes.noisy, net.denoise_frames(model, mixes.noisy),
+        mixes.shot_ids, mixes.onsets, tolerance, fs, det_cfg)
+    for snr, outcome in zip(mixes.snr_bins, outcomes):
         for condition, matched in outcome.items():
-            flags.setdefault((example.snr_bin, condition), []).append(matched)
+            flags.setdefault((snr, condition), []).append(matched)
 
 
-def _test_examples(cfg: RunConfig, corpus: Corpus, rotation: int,
-                   split: curriculum.DatasetSplit) -> list[curriculum.NoisyExample]:
-    """Cross-caliber examples: held-out caliber shots mixed with the
+def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
+                split: curriculum.DatasetSplit) -> list[curriculum.Cell]:
+    """Cross-caliber cells: held-out caliber shots mixed with the
     rotation's validation noise (scoring only, never trained on)."""
     nsub = split.noise_subsets[split.validation_combo.noise_subset]
     noise = corpus.noises_by_id()[nsub.noise_id]
-    out = []
+    cells = []
     for i, shot in enumerate(corpus.shots_b):
-        frame_len = len(shot.waveform)
         for snr_idx, snr in enumerate(cfg.snr_grid):
             rng = np.random.default_rng([cfg.seed, 5, rotation, i, snr_idx])
             start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
-            offset = int(rng.integers(start, stop - frame_len + 1))
-            mix = dsp.mix_at_snr(shot, noise, offset, snr)
-            out.append(curriculum.NoisyExample(
-                noisy=mix.noisy.samples, clean=mix.clean.samples,
-                snr_db=mix.achieved_snr_db, snr_bin=snr, truth_onset=shot.onset,
-                shot_id=shot.shot_id, noise_id=noise.noise_id,
-                section=0, combo=split.validation_combo,
-            ))
-    return out
+            offset = int(rng.integers(start, stop - corpus.frame_len + 1))
+            cells.append((shot, noise, offset, snr))
+    return cells
 
 
 def _score_csv(flags: dict[tuple[float, str], list[bool]], cfg: RunConfig) -> str:
@@ -308,7 +312,6 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     splits = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )
-    shots_by_id, noises_by_id = corpus.shots_by_id(), corpus.noises_by_id()
     val_flags: dict[tuple[float, str], list[bool]] = {}
     test_flags: dict[tuple[float, str], list[bool]] = {}
     for rotation in cfg.rotations():
@@ -321,13 +324,12 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
         split = splits[rotation]
-        validation = curriculum.materialize_combo(
-            split, split.validation_combo, shots_by_id, noises_by_id,
-            list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-        )
-        _score_examples(model, validation, val_flags, det_cfg, tolerance, cfg.fs)
-        _score_examples(model, _test_examples(cfg, corpus, rotation, split),
-                        test_flags, det_cfg, tolerance, cfg.fs)
+        _score_mixes(model, _combo_mixes(cfg, corpus, split, (split.validation_combo,)),
+                     val_flags, det_cfg, tolerance, cfg.fs)
+        test_cells = _test_cells(cfg, corpus, rotation, split)
+        if test_cells:
+            _score_mixes(model, curriculum.mix_cells(test_cells), test_flags, det_cfg,
+                         tolerance, cfg.fs)
 
     signals.atomic_write(out / "scores_validation.csv", _score_csv(val_flags, cfg))
     signals.atomic_write(out / "scores_test.csv", _score_csv(test_flags, cfg))

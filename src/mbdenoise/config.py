@@ -13,8 +13,8 @@ from pathlib import Path
 from .detect import DetectorConfig
 from .errors import ConfigError
 
-# The SNRs, in dB, that examples can be mixed at; snr_grid values and
-# materialize_combo's cells must lie inside it.
+# The SNRs, in dB, that frames can be mixed at; snr_grid values and
+# curriculum.combo_cells' cells must lie inside it.
 SNR_RANGE_DB = (-25.0, 15.0)
 
 # Rates, amplitudes, durations and step sizes: zero or a negative value
@@ -94,6 +94,14 @@ class RunConfig:
         if self.sections_per_noise < 1:
             raise ConfigError(
                 f"sections_per_noise must be >= 1, got {self.sections_per_noise}")
+        # The shortest of the equal noise sections the split cuts; every
+        # mix takes one frame from inside a section.
+        section = int(round(self.noise_duration * self.fs)) // self.sections_per_noise
+        if section < self.frame_len:
+            raise ConfigError(
+                f"noise_duration {self.noise_duration:g} s in {self.sections_per_noise} "
+                f"sections gives {section}-sample sections, shorter than the "
+                f"{self.frame_len}-sample frame")
         if self.examples_per_cell < 1:
             raise ConfigError(
                 f"examples_per_cell must be >= 1, got {self.examples_per_cell}")

@@ -1,11 +1,17 @@
-"""Dataset splitting, SNR-graded example materialization, and the
-SNR-phased training loop with filter-layer freeze and release.
+"""Dataset splitting, SNR-graded mixing, and the SNR-phased training
+loop with filter-layer freeze and release.
 
 Shots are halved into two subsets and each of the three noise records
 forms its own subset (subdivided into sections), giving six noised
 combinations. Every rotation holds one combination out for validation
 and trains on the other shot half noised by the two remaining noises,
 so validation shots and validation noise never touch training.
+
+A combination is walked into cells, one (shot, noise, offset, SNR) mix
+each, and mix_cells turns any list of cells into one Mixes record: a
+stack of full-rate noisy frames with each row's shot id, onset and grid
+SNR, and each shot's clean frame once. Training, validation and
+scoring all read that record.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -31,11 +36,6 @@ from .net import (
     residual_loss,
 )
 from .signals import NoiseRecord, ShotRecord
-
-# Examples whose SNR sits exactly on a phase threshold belong to that
-# phase; the tolerance absorbs mixing round-off.
-_SNR_EDGE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Combo:
@@ -132,114 +132,92 @@ def build_split(
     return splits
 
 
-@dataclass
-class NoisyExample:
-    """One training/evaluation unit: a full-rate noisy frame, its clean
-    target, and provenance. The network's decimated, scaled inputs are
-    built from these by whoever holds the network (train_curriculum,
-    net.denoise_frames).
+# One mix: a shot, a noise record, the segment's start in it, and the
+# grid SNR in dB the segment is scaled to.
+Cell = tuple[ShotRecord, NoiseRecord, int, float]
 
-    snr_db is the achieved value recomputed from the mix; snr_bin is
-    the grid value it was mixed for (equal within 1e-6 dB) and is what
-    evaluation groups by.
+
+@dataclass
+class Mixes:
+    """Noisy frames mixed from cells, one full-rate row per cell.
+
+    Row k mixes shot shot_ids[k], whose blast starts at onsets[k], at
+    the grid SNR snr_bins[k]; clean holds each shot's clean frame once,
+    keyed by shot id. The network's decimated, scaled inputs are built
+    from these by whoever holds the network (train_curriculum,
+    net.denoise_frames).
     """
 
     noisy: np.ndarray
-    clean: np.ndarray
-    snr_db: float
-    snr_bin: float
-    truth_onset: int
-    shot_id: str
-    noise_id: str
-    section: int
-    combo: Combo
+    shot_ids: list[str]
+    onsets: list[int]
+    snr_bins: list[float]
+    clean: dict[str, np.ndarray]
 
 
-@dataclass
-class MaterializedSplit:
-    """Mixed examples for one rotation, separated by role."""
+def mix_cells(cells: list[Cell]) -> Mixes:
+    """Mix each cell with dsp.mix_at_snr into one preallocated stack of
+    noisy frames. cells must be non-empty and share one shot length."""
+    if not cells:
+        raise DataError("no cells to mix")
+    noisy = np.empty((len(cells), len(cells[0][0].waveform)))
+    for row, (shot, noise, offset, snr) in zip(noisy, cells):
+        row[:] = mix_at_snr(shot, noise, offset, snr).noisy.samples
+    shots = [cell[0] for cell in cells]
+    return Mixes(noisy, [s.shot_id for s in shots], [s.onset for s in shots],
+                 [cell[3] for cell in cells],
+                 {s.shot_id: s.waveform.samples for s in shots})
 
-    train: list[NoisyExample]
-    validation: list[NoisyExample]
 
-
-def materialize_combo(
+def combo_cells(
     split: DatasetSplit,
-    combo: Combo,
+    combos: tuple[Combo, ...],
     shots_by_id: dict[str, ShotRecord],
     noises_by_id: dict[str, NoiseRecord],
     snr_grid: list[float],
     examples_per_cell: int,
     seed: int,
-) -> list[NoisyExample]:
-    """Mix every (shot, noise section, SNR) cell of one combination.
+) -> list[Cell]:
+    """Every (shot, noise section, SNR, repeat) cell of the combinations,
+    in order.
 
     Noise offsets are drawn deterministically per cell from the seed and
-    the combination's index in split.combos, so the same seed
-    regenerates identical examples whichever combinations are built.
-    Examples stay at full rate.
+    the combination's index in split.combos, so the same seed gives
+    identical cells whichever combinations are walked.
     """
     lo, hi = SNR_RANGE_DB
     for snr in snr_grid:
         if not lo <= snr <= hi:
             raise ConfigError(f"snr {snr} dB outside [{lo:g}, {hi:+g}] grid range")
-    combo_idx = split.combos.index(combo)
-    nsub = split.noise_subsets[combo.noise_subset]
-    noise = noises_by_id[nsub.noise_id]
-    examples = []
-    for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
-        shot = shots_by_id[shot_id]
-        frame_len = len(shot.waveform)
-        for sec_idx, (start, stop) in enumerate(nsub.sections):
-            if stop - start < frame_len:
-                raise DataError(
-                    f"noise section {sec_idx} of {nsub.noise_id} shorter "
-                    f"than the {frame_len}-sample frame"
-                )
-            for snr_idx, snr in enumerate(snr_grid):
-                for rep in range(examples_per_cell):
-                    rng = np.random.default_rng(
-                        [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
+    cells = []
+    for combo in combos:
+        combo_idx = split.combos.index(combo)
+        nsub = split.noise_subsets[combo.noise_subset]
+        noise = noises_by_id[nsub.noise_id]
+        for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
+            shot = shots_by_id[shot_id]
+            frame_len = len(shot.waveform)
+            for sec_idx, (start, stop) in enumerate(nsub.sections):
+                if stop - start < frame_len:
+                    raise DataError(
+                        f"noise section {sec_idx} of {nsub.noise_id} shorter "
+                        f"than the {frame_len}-sample frame"
                     )
-                    offset = int(rng.integers(start, stop - frame_len + 1))
-                    mix = mix_at_snr(shot, noise, offset, snr)
-                    examples.append(NoisyExample(
-                        noisy=mix.noisy.samples,
-                        clean=mix.clean.samples,
-                        snr_db=mix.achieved_snr_db,
-                        snr_bin=snr,
-                        truth_onset=shot.onset,
-                        shot_id=shot_id,
-                        noise_id=nsub.noise_id,
-                        section=sec_idx,
-                        combo=combo,
-                    ))
-    return examples
-
-
-def materialize_examples(
-    split: DatasetSplit,
-    shots_by_id: dict[str, ShotRecord],
-    noises_by_id: dict[str, NoiseRecord],
-    snr_grid: list[float],
-    examples_per_cell: int,
-    seed: int,
-) -> MaterializedSplit:
-    """Materialize the rotation's training and validation combinations."""
-
-    def build(combo: Combo) -> list[NoisyExample]:
-        return materialize_combo(split, combo, shots_by_id, noises_by_id, snr_grid,
-                                 examples_per_cell, seed)
-
-    train = [ex for combo in split.train_combos for ex in build(combo)]
-    return MaterializedSplit(train, build(split.validation_combo))
+                for snr_idx, snr in enumerate(snr_grid):
+                    for rep in range(examples_per_cell):
+                        rng = np.random.default_rng(
+                            [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
+                        )
+                        offset = int(rng.integers(start, stop - frame_len + 1))
+                        cells.append((shot, noise, offset, snr))
+    return cells
 
 
 @dataclass(frozen=True)
 class PhasePlan:
     """SNR thresholds and per-phase iteration budget.
 
-    Phase k trains on all examples at or above thresholds_db[k]; the
+    Phase k trains on all mixes at or above thresholds_db[k]; the
     filter layer is frozen for the first freeze_iters iterations of
     every phase and released for the rest.
     """
@@ -310,30 +288,20 @@ class ConvergenceLog:
         return log
 
 
-def _network_frames(net: Network, examples: list[NoisyExample],
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The examples' noisy and clean frames decimated at the network's
-    rate, unscaled, one row per example in example order.
-
-    Noisy frames take one decimate call per consecutive run of one
-    combination; each shot's clean frame is decimated once, since all
-    examples of a shot share it.
-    """
-    noisy = np.concatenate([
-        decimate(np.stack([ex.noisy for ex in run]), net.fs, net.decim_factor)
-        for _, run in groupby(examples, key=lambda ex: ex.combo)
-    ])
-    shots: dict[str, np.ndarray] = {}
-    for ex in examples:
-        shots.setdefault(ex.shot_id, ex.clean)
-    clean_rows = dict(zip(shots, decimate(np.stack(list(shots.values())),
-                                          net.fs, net.decim_factor)))
-    return noisy, np.stack([clean_rows[ex.shot_id] for ex in examples])
+def _network_frames(net: Network, mixes: Mixes) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy and clean frames of the mixes decimated at the network's
+    rate, unscaled, one row per mix; each shot's clean frame is
+    decimated once."""
+    shot_row = {shot_id: k for k, shot_id in enumerate(mixes.clean)}
+    clean = decimate(np.stack(list(mixes.clean.values())), net.fs, net.decim_factor)
+    return (decimate(mixes.noisy, net.fs, net.decim_factor),
+            clean[[shot_row[shot_id] for shot_id in mixes.shot_ids]])
 
 
 def train_curriculum(
     net: Network,
-    data: MaterializedSplit,
+    train: Mixes,
+    validation: Mixes,
     plan: PhasePlan = PhasePlan(),
     lr: float = 1e-3,
     f_lr_scale: float = 0.5,
@@ -341,15 +309,15 @@ def train_curriculum(
 ) -> tuple[Network, ConvergenceLog]:
     """Run the SNR-phased schedule and log every iteration.
 
-    The network's inputs are the examples decimated with its own fs and
+    The network's inputs are the mixes decimated with its own fs and
     decim_factor and divided by its input_scale, which is set here to
-    the largest |decimated clean training sample|; validation examples
+    the largest |decimated clean training sample|; validation mixes
     never touch the scale. Each phase warm-starts from the previous one,
-    admits all training examples at or above its SNR threshold,
+    admits all training rows whose grid SNR is at or above its threshold,
     re-freezes the filter layer at its start, and releases it after
     freeze_iters iterations. One iteration is one optimizer step on the
     full active set, an Adam step at lr (lr * f_lr_scale for the
-    filter layer). Validation examples are only ever used for the
+    filter layer). Validation rows are only ever used for the
     logged validation loss, never for gradients.
 
     The network runs one forward per parameter state. The inputs live
@@ -364,9 +332,9 @@ def train_curriculum(
     beside it; the one exception is OpenBLAS's kernel for products of a
     few rows (under 19 at hidden 64), whose rounding differs.
     """
-    x_train, t_train = _network_frames(net, data.train)
+    x_train, t_train = _network_frames(net, train)
     net.input_scale = float(np.max(np.abs(t_train)))
-    x_val, t_val = _network_frames(net, data.validation)
+    x_val, t_val = _network_frames(net, validation)
     n_val = x_val.shape[0]
     block = np.empty((n_val + x_train.shape[0], x_train.shape[1]))
     block[:n_val] = x_val
@@ -374,15 +342,15 @@ def train_curriculum(
     for frames in (x_train, t_train, block[:n_val], t_val):
         frames /= net.input_scale
     t_act = np.empty_like(t_train)
-    snrs = np.array([ex.snr_db for ex in data.train])
+    snrs = np.array(train.snr_bins)
 
     state = AdamState()
     log = ConvergenceLog()
     for phase, threshold in enumerate(plan.thresholds_db):
-        active = np.flatnonzero(snrs >= threshold - _SNR_EDGE_TOL)
+        active = np.flatnonzero(snrs >= threshold)
         n_act = active.size
         if n_act == 0:
-            raise DataError(f"phase {phase}: no examples at SNR >= {threshold} dB")
+            raise DataError(f"phase {phase}: no training mixes at SNR >= {threshold} dB")
         x = block[:n_val + n_act]
         np.take(x_train, active, axis=0, out=x[n_val:])
         np.take(t_train, active, axis=0, out=t_act[:n_act])

@@ -304,6 +304,11 @@ def load_checkpoint(path: str | Path) -> Network:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, seed, fs, decim_factor, f_frozen, input_scale = struct.unpack_from(
         "<IIqIIBd", raw, 8)
+    if fs < 1 or decim_factor < 1 or not 0 < input_scale < math.inf:
+        raise DataError(
+            f"{path}: checkpoint header needs fs >= 1, decim_factor >= 1 and a "
+            f"finite input_scale > 0, got {fs}, {decim_factor} and {input_scale}"
+        )
     activation = raw[offset + 1:offset + 1 + raw[offset]]
     if activation != ACTIVATION:
         name = activation.decode("ascii", "backslashreplace")

@@ -56,6 +56,17 @@ def read_csv(path):
     return header, list(reader)
 
 
+def rewrite_sidecar(corpus: Path, rel: str, old: str, new: str) -> None:
+    """Replace text in a corpus record's sidecar and re-hash it in the
+    manifest, so the corpus still loads."""
+    meta = corpus / (rel + ".meta")
+    manifest = corpus / "manifest.txt"
+    before = hashlib.sha256(meta.read_bytes()).hexdigest()
+    meta.write_text(meta.read_text().replace(old, new))
+    after = hashlib.sha256(meta.read_bytes()).hexdigest()
+    manifest.write_text(manifest.read_text().replace(before, after))
+
+
 class TestConfig:
     def test_defaults_valid(self):
         config.RunConfig().validate()
@@ -88,10 +99,18 @@ class TestConfig:
         "sta_ms=-5", "lta_ms=0", "refractory_ms=-20", "warmup_ms=-1",
         "burst_rate=-1", "n_shots_b=-4", "shot_peak_pa=-3", "noise_rms_pa=0",
         "shot_t_plus=0", "peak_jitter=1.5", "t_plus_jitter=1.2", "f_lr_scale=-1",
+        "noise_duration=0.05", "sections_per_noise=257",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
             config.load_config(None, [override])
+
+    def test_noise_sections_at_least_a_frame(self):
+        # 16 s at 32768 Hz is 524288 samples: 256 sections of 2048 fit,
+        # 257 sections of 2040 do not.
+        config.load_config(None, ["sections_per_noise=256"])
+        with pytest.raises(ConfigError, match="2040-sample sections"):
+            config.load_config(None, ["sections_per_noise=257"])
 
     def test_resolved_text_round_trips(self, tmp_path):
         cfg = smoke_cfg(hidden=48)
@@ -438,6 +457,43 @@ class TestMainEntry:
         assert "phase_thresholds_db is empty" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("rel, old, new", [
+        # A held-out caliber shot claiming a training shot's id would be
+        # trained on in its place.
+        ("shots_b/B0000.wav", "shot_id=B0000", "shot_id=A0000"),
+        # Rotation 0's validation noise would also be a training noise.
+        ("noise/N2.wav", "noise_id=N2", "noise_id=N0"),
+    ], ids=["held_out_shot", "validation_noise"])
+    def test_duplicate_record_id_exits_2(self, pipeline, tmp_path, capsys, rel, old, new):
+        cfg, root, _ = pipeline
+        cfg_file = tmp_path / "smoke.cfg"
+        cfg_file.write_text(cfg.resolved_text())
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        rewrite_sidecar(corpus, rel, old, new)
+        code = cli.main(["train", "--config", str(cfg_file), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "t")])
+        assert code == 2
+        kind, ident = new.split("_id=")
+        assert f"duplicate {kind} ids in {corpus}: {ident}" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("field, value", [("decim_factor", 0), ("input_scale", 0.0),
+                                              ("input_scale", float("nan"))])
+    def test_bad_checkpoint_header_exits_2(self, pipeline, tmp_path, capsys, field,
+                                           value):
+        _, root, _ = pipeline
+        model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
+        setattr(model, field, value)
+        bad = tmp_path / "bad.bin"
+        net.save_checkpoint(bad, model)
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert "checkpoint header needs" in capsys.readouterr().err
+        assert not (tmp_path / "den.wav").exists()
+
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys):
         _, root, _ = pipeline
         corpus = tmp_path / "corpus"
@@ -465,6 +521,15 @@ class TestMainEntry:
                          "--in", str(shot), "--out", str(tmp_path / "den.wav")])
         assert code == 2
         assert "malformed line 'annotation=MB:12x'" in capsys.readouterr().err
+
+    def test_short_noise_sections_exit_1_before_loading(self, tmp_path, capsys):
+        # The corpus does not exist: reading it would exit 2.
+        code = cli.main(["train", "--set", "noise_duration=2",
+                         "--set", "sections_per_noise=100",
+                         "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "655-sample sections" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_even_kernel_len_exits_1_before_loading(self, tmp_path, capsys):
         code = cli.main(["train", "--set", "kernel_len=4",

@@ -1,6 +1,4 @@
-import hashlib
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,12 +22,36 @@ def splits10(corpus10):
     return curriculum.build_split(shots, noises, seed=0, sections_per_noise=2)
 
 
-def materialize(corpus, split, grid=(0.0,), per_cell=1, seed=0):
+def mixes(corpus, split, combos, grid=(0.0,), per_cell=1, seed=0):
     shots, noises = corpus
-    return curriculum.materialize_examples(
-        split, {s.shot_id: s for s in shots}, {n.noise_id: n for n in noises},
+    return curriculum.mix_cells(curriculum.combo_cells(
+        split, combos, {s.shot_id: s for s in shots}, {n.noise_id: n for n in noises},
         list(grid), per_cell, seed,
-    )
+    ))
+
+
+def materialize(corpus, split, **kwargs):
+    """The split's training and validation mixes."""
+    return (mixes(corpus, split, split.train_combos, **kwargs),
+            mixes(corpus, split, (split.validation_combo,), **kwargs))
+
+
+def take(m, rows):
+    """The mixes of the given rows, in that order."""
+    ids = [m.shot_ids[k] for k in rows]
+    return curriculum.Mixes(m.noisy[rows], ids, [m.onsets[k] for k in rows],
+                            [m.snr_bins[k] for k in rows], {s: m.clean[s] for s in ids})
+
+
+def best_match(residual, record):
+    """The largest normalised correlation of residual with any segment of
+    record."""
+    n, size = residual.size, 1 << (residual.size + record.size).bit_length()
+    corr = np.fft.irfft(np.fft.rfft(record, size) * np.conj(np.fft.rfft(residual, size)),
+                        size)[: record.size - n + 1]
+    energy = np.concatenate([[0.0], np.cumsum(record ** 2)])
+    return float(np.max(corr / (np.sqrt(energy[n:] - energy[:-n])
+                                * np.linalg.norm(residual))))
 
 
 class TestBuildSplit:
@@ -85,54 +107,95 @@ class TestBuildSplit:
 
 class TestMaterialize:
     def test_counts(self, corpus10, splits10):
+        train, val = materialize(corpus10, splits10[0])
         # Validation cells: 5 shots x 2 sections x 1 SNR x 1 per cell.
-        data = materialize(corpus10, splits10[0])
-        assert len(data.validation) == 10
         # Training: other shot half x 2 noises x 2 sections each.
-        assert len(data.train) == 20
+        for m, n in ((val, 10), (train, 20)):
+            assert m.noisy.shape == (n, 2048)
+            assert len(m.shot_ids) == len(m.onsets) == len(m.snr_bins) == n
+            assert len(m.clean) == 5
+
+    def test_rows_are_mix_at_snr(self, corpus10, splits10):
+        shots, noises = corpus10
+        cells = [(shots[3], noises[1], 500, -5.0), (shots[0], noises[2], 9000, 10.0),
+                 (shots[3], noises[0], 17, 0.0)]
+        m = curriculum.mix_cells(cells)
+        for row, cell in zip(m.noisy, cells):
+            assert np.array_equal(row, dsp.mix_at_snr(*cell).noisy.samples)
+        assert m.shot_ids == [shots[3].shot_id, shots[0].shot_id, shots[3].shot_id]
+        assert m.onsets == [shots[3].onset, shots[0].onset, shots[3].onset]
+        assert m.snr_bins == [-5.0, 10.0, 0.0]
+        assert list(m.clean) == [shots[3].shot_id, shots[0].shot_id]
+
+    def test_empty_cell_list_rejected(self):
+        with pytest.raises(DataError):
+            curriculum.mix_cells([])
 
     def test_snr_recompute_oracle(self, corpus10, splits10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        data = materialize(corpus10, splits10[0], grid=(5.0, -10.0))
-        for ex in data.train + data.validation:
-            residual = ex.noisy - ex.clean
-            snr = 20 * math.log10(by_id[ex.shot_id].peak_pa / signals.rms(residual))
-            assert snr == pytest.approx(ex.snr_bin, abs=1e-6)
-            assert ex.snr_db == pytest.approx(ex.snr_bin, abs=1e-6)
+        for m in materialize(corpus10, splits10[0], grid=(5.0, -10.0)):
+            assert set(m.snr_bins) == {5.0, -10.0}
+            for row, shot_id, snr_bin in zip(m.noisy, m.shot_ids, m.snr_bins):
+                residual = row - m.clean[shot_id]
+                snr = 20 * math.log10(by_id[shot_id].peak_pa / signals.rms(residual))
+                assert snr == pytest.approx(snr_bin, abs=1e-6)
 
     def test_clean_frame_is_source_shot(self, corpus10, splits10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        data = materialize(corpus10, splits10[0])
-        for ex in data.validation:
-            assert np.array_equal(ex.clean, by_id[ex.shot_id].waveform.samples)
+        _, val = materialize(corpus10, splits10[0])
+        assert set(val.clean) == set(val.shot_ids)
+        for shot_id, frame in val.clean.items():
+            assert np.array_equal(frame, by_id[shot_id].waveform.samples)
+        assert val.onsets == [by_id[shot_id].onset for shot_id in val.shot_ids]
 
     def test_deterministic(self, corpus10, splits10):
-        a = materialize(corpus10, splits10[1], seed=3)
-        b = materialize(corpus10, splits10[1], seed=3)
-        assert all(np.array_equal(x.noisy, y.noisy)
-                   for x, y in zip(a.train, b.train))
+        (a, _), (b, _) = (materialize(corpus10, splits10[1], seed=3) for _ in range(2))
+        assert np.array_equal(a.noisy, b.noisy)
+        assert (a.shot_ids, a.onsets, a.snr_bins) == (b.shot_ids, b.onsets, b.snr_bins)
 
     def test_validation_provenance_isolated(self, corpus10, splits10):
-        data = materialize(corpus10, splits10[0])
-        train_shots = {ex.shot_id for ex in data.train}
-        train_noises = {ex.noise_id for ex in data.train}
-        for ex in data.validation:
-            assert ex.shot_id not in train_shots
-            assert ex.noise_id not in train_noises
+        # Each validation row is its shot plus a scaled segment of the
+        # validation noise record at the offset the cell's seed draws;
+        # no training row holds a segment of that record anywhere.
+        _, noises = corpus10
+        split = splits10[0]
+        train, val = materialize(corpus10, split)
+        combo = split.validation_combo
+        nsub = split.noise_subsets[combo.noise_subset]
+        record = next(n for n in noises if n.noise_id == nsub.noise_id).waveform.samples
+        row = 0
+        for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
+            for sec_idx, (start, stop) in enumerate(nsub.sections):
+                rng = np.random.default_rng(
+                    [0, split.combos.index(combo), shot_pos, sec_idx, 0, 0])
+                offset = int(rng.integers(start, stop - 2048 + 1))
+                segment = record[offset:offset + 2048]
+                residual = val.noisy[row] - val.clean[shot_id]
+                scale = residual @ segment / (segment @ segment)
+                assert val.shot_ids[row] == shot_id and scale > 0
+                assert np.allclose(residual, scale * segment, rtol=0, atol=1e-12)
+                assert best_match(residual, record) > 1 - 1e-9
+                row += 1
+        assert row == len(val.shot_ids)
+        assert not set(train.shot_ids) & set(val.shot_ids)
+        for noisy, shot_id in zip(train.noisy, train.shot_ids):
+            assert best_match(noisy - train.clean[shot_id], record) < 0.5
 
     def test_validation_combo_alone_matches_full_rotation(self, corpus10, splits10):
-        shots, noises = corpus10
         split = splits10[4]
-        full = materialize(corpus10, split, grid=(5.0, -10.0), per_cell=2, seed=7)
-        alone = curriculum.materialize_combo(
-            split, split.validation_combo, {s.shot_id: s for s in shots},
-            {n.noise_id: n for n in noises}, [5.0, -10.0], 2, 7)
-        assert len(alone) == len(full.validation)
-        for a, b in zip(alone, full.validation):
-            for f in fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        kwargs = dict(grid=(5.0, -10.0), per_cell=2, seed=7)
+        full = mixes(corpus10, split, split.train_combos + (split.validation_combo,),
+                     **kwargs)
+        alone = mixes(corpus10, split, (split.validation_combo,), **kwargs)
+        n = len(alone.shot_ids)
+        assert len(full.shot_ids) == 3 * n
+        assert np.array_equal(alone.noisy, full.noisy[-n:])
+        assert alone.shot_ids == full.shot_ids[-n:]
+        assert alone.onsets == full.onsets[-n:]
+        assert alone.snr_bins == full.snr_bins[-n:]
+        assert all(np.array_equal(frame, full.clean[s]) for s, frame in alone.clean.items())
 
     def test_rejects_out_of_range_grid(self, corpus10, splits10):
         with pytest.raises(ConfigError):
@@ -182,17 +245,16 @@ def tiny_net(seed=0, hidden=16):
 
 @pytest.fixture(scope="module")
 def trained(corpus10, splits10):
-    data = materialize((corpus10[0], corpus10[1]), splits10[0],
-                       grid=(5.0, 0.0, -5.0))
+    train, val = materialize(corpus10, splits10[0], grid=(5.0, 0.0, -5.0))
     model = tiny_net()
     plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                 freeze_iters=6, total_iters=14)
     hashes = []
     model, log = curriculum.train_curriculum(
-        model, data, plan,
+        model, train, val, plan,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())),
     )
-    return data, model, log, hashes
+    return train, model, log, hashes
 
 
 class TestTrainCurriculum:
@@ -202,8 +264,8 @@ class TestTrainCurriculum:
         assert sizes[0] < sizes[1]
 
     def test_phase_zero_excludes_low_snr(self, trained):
-        data, _, log, _ = trained
-        n_at_or_above_zero = sum(1 for ex in data.train if ex.snr_db >= -1e-9)
+        train, _, log, _ = trained
+        n_at_or_above_zero = sum(1 for snr in train.snr_bins if snr >= 0.0)
         assert log.phase_records(0)[0].n_active == n_at_or_above_zero
 
     def test_filter_frozen_then_released(self, trained):
@@ -224,32 +286,31 @@ class TestTrainCurriculum:
     def test_warm_start_between_phases(self, trained):
         # Phase 1 must start from phase-0 weights: its first loss sits far
         # below an untrained network's loss on the wider active set.
-        data, model, log, _ = trained
+        train, model, log, _ = trained
         fresh = tiny_net()
-        X = dsp.decimate(np.stack([ex.noisy for ex in data.train]), FS, 8)
-        T = dsp.decimate(np.stack([ex.clean for ex in data.train]), FS, 8)
+        X = dsp.decimate(train.noisy, FS, 8)
+        T = dsp.decimate(np.stack([train.clean[s] for s in train.shot_ids]), FS, 8)
         Y, _ = net.forward_batch(fresh, X / model.input_scale)
         untrained = net.mse_loss(Y, T / model.input_scale)
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
 
     def test_inputs_decimated_and_scaled_by_the_model(self, corpus10, splits10):
-        # Training decimates each example with the network's own rate and
+        # Training decimates each row with the network's own rate and
         # scales by the largest decimated clean training sample, row for
-        # row in example order, even when combinations interleave.
-        data = materialize(corpus10, splits10[0], grid=(0.0,))
-        combos = data.train[0].combo, data.train[-1].combo
-        runs = [[ex for ex in data.train if ex.combo == c] for c in combos]
-        train = [ex for pair in zip(*runs) for ex in pair]
-        assert train[0].combo != train[1].combo
-        mixed = curriculum.MaterializedSplit(train, data.validation)
+        # row in stack order, here with the two combinations interleaved.
+        train, val = materialize(corpus10, splits10[0], grid=(0.0,))
+        half = len(train.shot_ids) // 2
+        mixed = take(train, [k for pair in zip(range(half), range(half, 2 * half))
+                             for k in pair])
+        assert np.array_equal(mixed.noisy[1], train.noisy[half])
         plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
-        model, log = curriculum.train_curriculum(tiny_net(seed=4), mixed, plan)
+        model, log = curriculum.train_curriculum(tiny_net(seed=4), mixed, val, plan)
 
-        scale = max(float(np.max(np.abs(dsp.decimate(ex.clean, FS, 8))))
-                    for ex in train)
+        scale = max(float(np.max(np.abs(dsp.decimate(mixed.clean[s], FS, 8))))
+                    for s in mixed.shot_ids)
         assert model.input_scale == scale
-        X = np.stack([dsp.decimate(ex.noisy, FS, 8) for ex in train]) / scale
-        T = np.stack([dsp.decimate(ex.clean, FS, 8) for ex in train]) / scale
+        X = np.stack([dsp.decimate(row, FS, 8) for row in mixed.noisy]) / scale
+        T = np.stack([dsp.decimate(mixed.clean[s], FS, 8) for s in mixed.shot_ids]) / scale
         Y, _ = net.forward_batch(tiny_net(seed=4), X)
         assert log.records[0].train_mse == net.mse_loss(Y, T)
 
@@ -257,15 +318,14 @@ class TestTrainCurriculum:
         # Corrupting every validation frame must not change the trained
         # weights by a single bit.
         def run(corrupt):
-            data = materialize(corpus10, splits10[0], grid=(0.0,))
+            train, val = materialize(corpus10, splits10[0], grid=(0.0,))
             if corrupt:
-                for ex in data.validation:
-                    ex.noisy = ex.noisy + 1e6
-                    ex.clean = ex.clean - 1e6
+                val.noisy += 1e6
+                val.clean = {s: frame - 1e6 for s, frame in val.clean.items()}
             model = tiny_net(seed=9)
             plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                         freeze_iters=3, total_iters=8)
-            model, _ = curriculum.train_curriculum(model, data, plan)
+            model, _ = curriculum.train_curriculum(model, train, val, plan)
             return model
 
         clean_run, corrupted_run = run(False), run(True)
@@ -282,27 +342,27 @@ class TestTrainCurriculum:
         # 19 at hidden 64) with a kernel of their own, so a row's bits
         # depend on the batch only below that size; 30 validation and
         # 40 or 60 training rows stay above it.
-        data = materialize(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
-        assert (len(data.validation), len(data.train)) == (30, 60)
+        train, val = materialize(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
+        assert (len(val.shot_ids), len(train.shot_ids)) == (30, 60)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=4, total_iters=9)
         lr, f_lr_scale = 2e-3, 0.7
-        model, log = curriculum.train_curriculum(tiny_net(seed=6, hidden=64), data,
+        model, log = curriculum.train_curriculum(tiny_net(seed=6, hidden=64), train, val,
                                                  plan, lr, f_lr_scale)
 
-        def frames(examples, attr):
-            return np.stack([dsp.decimate(getattr(ex, attr), FS, 8) for ex in examples])
+        def frames(m):
+            return (np.stack([dsp.decimate(row, FS, 8) for row in m.noisy]),
+                    np.stack([dsp.decimate(m.clean[s], FS, 8) for s in m.shot_ids]))
 
         ref = tiny_net(seed=6, hidden=64)
-        t_train = frames(data.train, "clean")
+        x_train, t_train = frames(train)
         scale = float(np.max(np.abs(t_train)))
-        x_train, t_train = frames(data.train, "noisy") / scale, t_train / scale
-        x_val = frames(data.validation, "noisy") / scale
-        t_val = frames(data.validation, "clean") / scale
-        snrs = np.array([ex.snr_db for ex in data.train])
+        x_train, t_train = x_train / scale, t_train / scale
+        x_val, t_val = (f / scale for f in frames(val))
+        snrs = np.array(train.snr_bins)
         moments, records = {}, []
         for phase, threshold in enumerate(plan.thresholds_db):
-            active = snrs >= threshold - 1e-9
+            active = snrs >= threshold
             x, t = x_train[active], t_train[active]
             ref.f_frozen = True
             for it in range(plan.total_iters):
@@ -324,30 +384,30 @@ class TestTrainCurriculum:
         assert log.records == records
 
     def test_empty_active_set_aborts(self, corpus10, splits10):
-        data = materialize(corpus10, splits10[0], grid=(-5.0,))
+        train, val = materialize(corpus10, splits10[0], grid=(-5.0,))
         model = tiny_net()
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=2, total_iters=5)
         with pytest.raises(DataError):
-            curriculum.train_curriculum(model, data, plan)
+            curriculum.train_curriculum(model, train, val, plan)
 
     def test_overfits_single_example(self, corpus10, splits10):
-        data = materialize(corpus10, splits10[0], grid=(0.0,))
-        single = curriculum.MaterializedSplit([data.train[0]], [data.validation[0]])
+        train, val = materialize(corpus10, splits10[0], grid=(0.0,))
         model = tiny_net(seed=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)
-        model, log = curriculum.train_curriculum(model, single, plan)
+        model, log = curriculum.train_curriculum(model, take(train, [0]), take(val, [0]),
+                                                 plan)
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
     def test_determinism_bitwise(self, corpus10, splits10):
         def run():
-            data = materialize(corpus10, splits10[2], grid=(0.0, -5.0))
+            train, val = materialize(corpus10, splits10[2], grid=(0.0, -5.0))
             model = tiny_net(seed=5)
             plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                         freeze_iters=4, total_iters=9)
-            return curriculum.train_curriculum(model, data, plan)
+            return curriculum.train_curriculum(model, train, val, plan)
 
         (net_a, log_a), (net_b, log_b) = run(), run()
         for k in net_a.params():

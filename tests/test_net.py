@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -348,6 +349,18 @@ class TestCheckpoint:
         net.save_checkpoint(path, small_net(spec=small_spec))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DataError):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fs", 0), ("decim_factor", 0), ("input_scale", 0.0), ("input_scale", -2.0),
+        ("input_scale", math.nan), ("input_scale", math.inf),
+    ])
+    def test_rejects_bad_header_value(self, tmp_path, small_spec, field, value):
+        model = small_net(spec=small_spec)
+        setattr(model, field, value)
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, model)
+        with pytest.raises(DataError, match="checkpoint header needs"):
             net.load_checkpoint(path)
 
     def test_rejects_other_activation(self, tmp_path, small_spec):
