@@ -33,6 +33,7 @@ from .dsp import (
     interpolate,
     kernel_to_matrix,
     mix_at_snr,
+    mix_stack,
     snr_db,
 )
 from .net import (

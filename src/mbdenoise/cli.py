@@ -110,13 +110,15 @@ def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
 
 @dataclass
 class Corpus:
-    """The loaded records and the sample rate and shot length they share."""
+    """The loaded records, the sample rate they share, and the length
+    all shots share and the length all noise records share."""
 
     shots_a: list[signals.ShotRecord]
     shots_b: list[signals.ShotRecord]
     noises: list[signals.NoiseRecord]
     fs: int
     frame_len: int
+    noise_len: int
 
     def shots_by_id(self) -> dict[str, signals.ShotRecord]:
         return {s.shot_id: s for s in self.shots_a + self.shots_b}
@@ -126,8 +128,9 @@ class Corpus:
 
 
 def load_corpus(corpus_dir: str | Path) -> Corpus:
-    """Load a generated corpus, verifying every manifest checksum and
-    that all records share one sample rate and all shots one length."""
+    """Load a generated corpus, verifying every manifest checksum, that
+    all records share one sample rate, all shots one length and all
+    noise records one length."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -167,19 +170,29 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             raise DataError(f"duplicate {kind} ids in {root}: {', '.join(repeated)}")
     rates = {rec.waveform.fs for rec in shots_a + shots_b + noises}
     frame_lens = {len(shot.waveform) for shot in shots_a + shots_b}
-    if len(rates) != 1 or len(frame_lens) != 1:
+    noise_lens = {len(noise.waveform) for noise in noises}
+    if len(rates) != 1 or len(frame_lens) != 1 or len(noise_lens) != 1:
         raise DataError(f"records in {root} disagree: sample rates {sorted(rates)} Hz, "
-                        f"shot lengths {sorted(frame_lens)} samples")
-    return Corpus(shots_a, shots_b, noises, rates.pop(), frame_lens.pop())
+                        f"shot lengths {sorted(frame_lens)} samples, "
+                        f"noise lengths {sorted(noise_lens)} samples")
+    return Corpus(shots_a, shots_b, noises, rates.pop(), frame_lens.pop(),
+                  noise_lens.pop())
 
 
 def _load_config_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
-    """load_corpus, rejecting a corpus not made at cfg's fs and frame_len."""
+    """load_corpus, rejecting a corpus not made at cfg's fs, frame_len
+    and noise_duration."""
     corpus = load_corpus(corpus_dir)
     if (corpus.fs, corpus.frame_len) != (cfg.fs, cfg.frame_len):
         raise DataError(
             f"corpus {corpus_dir} has fs {corpus.fs} Hz and {corpus.frame_len}-sample "
             f"shots, but the config has fs {cfg.fs} Hz and frame_len {cfg.frame_len}"
+        )
+    noise_len = int(round(cfg.noise_duration * cfg.fs))
+    if corpus.noise_len != noise_len:
+        raise DataError(
+            f"corpus {corpus_dir} has {corpus.noise_len}-sample noise records, but the "
+            f"config's noise_duration {cfg.noise_duration:g} s gives {noise_len} samples"
         )
     return corpus
 

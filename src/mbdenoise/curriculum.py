@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .config import SNR_RANGE_DB
-from .dsp import decimate, mix_at_snr
+from .dsp import decimate, mix_stack
 from .errors import ConfigError, DataError, NumericError
 from .net import (
     AdamState,
@@ -156,14 +156,17 @@ class Mixes:
 
 
 def mix_cells(cells: list[Cell]) -> Mixes:
-    """Mix each cell with dsp.mix_at_snr into one preallocated stack of
-    noisy frames. cells must be non-empty and share one shot length."""
+    """Cut each cell's noise segment into one preallocated stack and mix
+    the whole stack with dsp.mix_stack. cells must be non-empty and
+    share one shot length."""
     if not cells:
         raise DataError("no cells to mix")
-    noisy = np.empty((len(cells), len(cells[0][0].waveform)))
-    for row, (shot, noise, offset, snr) in zip(noisy, cells):
-        row[:] = mix_at_snr(shot, noise, offset, snr).noisy.samples
+    frame_len = len(cells[0][0].waveform)
+    noisy = np.empty((len(cells), frame_len))
+    for row, (_, noise, offset, _) in zip(noisy, cells):
+        row[:] = noise.segment(offset, frame_len)
     shots = [cell[0] for cell in cells]
+    mix_stack(noisy, shots, [cell[3] for cell in cells])
     return Mixes(noisy, [s.shot_id for s in shots], [s.onset for s in shots],
                  [cell[3] for cell in cells],
                  {s.shot_id: s.waveform.samples for s in shots})

@@ -2,7 +2,9 @@
 
 A short-over-long RMS ratio (STA/LTA) trigger stands in for the
 production pulse detector: it targets exactly the sharp transient rise
-a muzzle blast produces and is scale invariant. Detections are matched
+a muzzle blast produces and is scale invariant. The scan screens whole
+blocks of frames on squared window energies and computes the ratio only
+where a detection can start. Detections are matched
 to ground-truth onsets within a tolerance of fs/100 samples (10 ms),
 and rates per SNR bin carry the binomial margin sqrt(p(1-p)/n).
 """
@@ -18,10 +20,22 @@ import numpy as np
 from .errors import DataError
 
 _LTA_FLOOR_REL = 1e-12
-# Rows of a frame stack scanned per block. On 2048-sample frames 16 rows
-# keep each temporary near 256 kB. A 1120-row stack scanned whole took
-# about twice as long as in blocks of 8 to 32 rows, and one row at a
-# time about 1.6 times as long (2-core x86-64, numpy 2.4).
+# The candidate screen lowers the threshold by this relative slack. It
+# compares window energies, skipping the ratio's square roots and
+# divides, whose rounding moves the ratio by a few ulps (about 1e-15);
+# the slack keeps every crossing a candidate and admits only samples
+# whose ratio lies within 1e-6 below the threshold.
+_SCREEN_SLACK = 1e-6
+# Below this cumulative energy (2^-900) window energies can be subnormal,
+# where a product rounds by more than the slack; such prefixes of a row
+# (zeros, or samples below about 1e-135) are screened by short-window
+# energy alone.
+_TINY_ENERGY = 2.0 ** -900
+# Rows of a frame stack scanned per block; at 16 rows of 2048 samples
+# each buffer holds about 256 kB. The 2400 rows of 2048 samples that one
+# benchmark evaluate op scans took about 60 ms in blocks of 8 to 64 rows,
+# 72 ms in blocks of 4, 108 ms as whole 700-row stacks and 120 ms one row
+# at a time (median of 5, 2-core x86-64 Xeon, numpy 2.4.6).
 SCAN_BLOCK_ROWS = 16
 
 
@@ -102,47 +116,88 @@ def _scan_frames(
     compared against the long-window RMS over the trailing (up to lta)
     samples; a ratio above the threshold triggers a detection at i (the
     first sample of the triggering short window) followed by a
-    refractory hold-off. The ratio is computed for a block of rows at
-    once and only its threshold crossings are visited. A row's result
-    does not depend on the other rows. Deterministic, sorted by onset.
+    refractory hold-off. A row's result does not depend on the other
+    rows. Deterministic, sorted by onset.
+
+    A block of rows is screened at once on window energies: a sample is
+    a candidate when its short-window energy exceeds its long-window
+    energy times (threshold * (1 - _SCREEN_SLACK))^2 * sta / lta_len,
+    which holds at every sample whose ratio crosses the threshold. The
+    ratio itself (_onset_ratio) is computed only at the first candidate
+    of a row past the hold-off; after a detection the walk jumps to the
+    first candidate at or past i + hold.
     """
     n_rows, length = frames.shape
     w = config.windows(fs)
     if length <= w.lta:
         raise DataError(f"signal of {length} samples shorter than long window {w.lta}")
     first, last = w.warm, length - w.sta  # candidate onsets idx = [first, last)
-    idx = np.arange(first, last)
-    lta_start = np.maximum(idx - w.lta, 0)
-    lta_len = idx - lta_start
+    n_idx = last - first
+    lta_len = np.minimum(np.arange(first, last), w.lta)
+    gain = (config.threshold * (1.0 - _SCREEN_SLACK)) ** 2 * w.sta / lta_len
+    # Candidates up to lta have a long window from the row start, whose
+    # cumulative energy is 0.
+    grown = min(max(w.lta + 1 - first, 0), n_idx)
 
+    rows_max = min(n_rows, SCAN_BLOCK_ROWS)
+    squares = np.empty((rows_max, length))
+    energy = np.zeros((rows_max, length + 1))
+    short = np.empty((rows_max, n_idx))
+    long = np.empty((rows_max, n_idx))
+    screen = np.empty((rows_max, n_idx), dtype=bool)
     detections: list[list[Detection]] = []
     for lo in range(0, n_rows, SCAN_BLOCK_ROWS):
         block = frames[lo:lo + SCAN_BLOCK_ROWS]
-        energy = np.zeros((block.shape[0], length + 1))
-        np.cumsum(block * block, axis=-1, out=energy[:, 1:])
-        sta = np.sqrt((energy[:, first + w.sta:last + w.sta] - energy[:, first:last])
-                      / w.sta)
-        lta = np.sqrt((energy[:, first:last] - energy[:, lta_start]) / lta_len)
+        nb = block.shape[0]
+        e, s, g, m = energy[:nb], short[:nb], long[:nb], screen[:nb]
+        np.multiply(block, block, out=squares[:nb])
+        np.cumsum(squares[:nb], axis=-1, out=e[:, 1:])
+        np.subtract(e[:, first + w.sta:last + w.sta], e[:, first:last], out=s)
+        g[:, :grown] = e[:, first:first + grown]
+        np.subtract(e[:, first + grown:last], e[:, first + grown - w.lta:last - w.lta],
+                    out=g[:, grown:])
+        np.multiply(g, gain, out=g)
+        np.greater(s, g, out=m)
+        _screen_tiny_prefixes(e, s, m, first + w.sta)
 
-        # Scale-invariant ratio; a silent long window below any activity
-        # floors at a relative epsilon so a blast out of silence triggers.
-        floor = np.maximum(lta, _LTA_FLOOR_REL * np.maximum(sta, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(floor > 0.0, sta / np.where(floor > 0.0, floor, 1.0), 0.0)
-
-        # Visit only the threshold crossings, row by row; a crossing
-        # inside the hold-off of its row's last detection is skipped.
-        rows: list[list[Detection]] = [[] for _ in range(block.shape[0])]
-        row, resume = -1, 0
-        crossing_rows, crossing_cols = np.nonzero(ratio > config.threshold)
-        for r, i in zip(crossing_rows.tolist(), crossing_cols.tolist()):
-            if r != row:
-                row, resume = r, 0
-            if i >= resume:
-                rows[r].append(Detection(first + i, float(ratio[r, i])))
-                resume = i + w.hold
+        rows: list[list[Detection]] = [[] for _ in range(nb)]
+        for r in np.flatnonzero(m.any(axis=1)).tolist():
+            cols, k = np.flatnonzero(m[r]), 0
+            while k < cols.size:
+                i = first + int(cols[k])
+                ratio = _onset_ratio(e[r], i, w)
+                if ratio > config.threshold:
+                    rows[r].append(Detection(i, ratio))
+                    k = int(np.searchsorted(cols, i + w.hold - first))
+                else:
+                    k += 1
         detections.extend(rows)
     return detections
+
+
+def _screen_tiny_prefixes(energy: np.ndarray, short: np.ndarray, screen: np.ndarray,
+                          end: int) -> None:
+    """Mark every sample with short-window energy as a candidate where
+    the cumulative energy at the short window's end, energy[:, end + c]
+    for column c, is below _TINY_ENERGY. There products of subnormal
+    energies round too coarsely for the screen. Cumulative energy never
+    falls, so these columns are a prefix of each row."""
+    for r in np.flatnonzero(energy[:, end] < _TINY_ENERGY).tolist():
+        n = int(np.searchsorted(energy[r, end:end + short.shape[1]], _TINY_ENERGY))
+        screen[r, :n] |= short[r, :n] > 0.0
+
+
+def _onset_ratio(energy: np.ndarray, i: int, w: SampleWindows) -> float:
+    """The STA/LTA ratio at candidate onset i from one row's cumulative
+    energy (energy[k] is the sum of the first k squared samples).
+
+    A silent long window below any activity floors at a relative epsilon
+    of the short-window RMS, so a blast out of silence triggers."""
+    start = max(i - w.lta, 0)
+    sta = math.sqrt((energy[i + w.sta] - energy[i]) / w.sta)
+    lta = math.sqrt((energy[i] - energy[start]) / (i - start))
+    floor = max(lta, _LTA_FLOOR_REL * sta)
+    return sta / floor if floor > 0.0 else 0.0
 
 
 def match_detections(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .signals import NoiseRecord, ShotRecord, Waveform, rms
 DEFAULT_KERNEL_LEN = 63
 AA_KERNEL_LEN = 127
 _DESIGN_GRID = 8192
+# Rows of a noise stack squared at once for their RMS: 64 rows of 2048
+# samples make a 1 MB temporary.
+_RMS_CHUNK_ROWS = 64
 
 _design_cache: dict[tuple, "FilterSpec"] = {}
 _interp_cache: dict[tuple, np.ndarray] = {}
@@ -239,35 +243,57 @@ class MixResult:
     achieved_snr_db: float
 
 
+def mix_stack(
+    segments: np.ndarray, shots: Sequence[ShotRecord], snrs_db: Sequence[float]
+) -> np.ndarray:
+    """Mix a stack of noise segments onto clean shots at target SNRs,
+    in place.
+
+    Row k of segments, a noise segment as long as shots[k], is scaled by
+    s = peak_pa / (segment RMS * 10^(snrs_db[k]/20)) and shot k's clean
+    frame is added to it, so the stack ends up holding the noisy frames.
+    The RMS is signals.rms of the row bit for bit, taken over chunks of
+    _RMS_CHUNK_ROWS rows so that no temporary is as large as the stack.
+    Returns the scales s, one per row.
+    """
+    n = segments.shape[0]
+    if len(shots) != n or len(snrs_db) != n:
+        raise DataError(f"{n} noise segments for {len(shots)} shots and "
+                        f"{len(snrs_db)} SNRs")
+    seg_rms = np.empty(n)
+    for lo in range(0, n, _RMS_CHUNK_ROWS):
+        chunk = segments[lo:lo + _RMS_CHUNK_ROWS]
+        np.sqrt(np.mean(chunk * chunk, axis=-1), out=seg_rms[lo:lo + chunk.shape[0]])
+    if np.any(seg_rms <= 0):
+        raise NumericError("noise segment is silent (zero RMS)")
+    scales = np.array([shot.peak_pa / (r * 10.0 ** (snr / 20.0))
+                       for shot, r, snr in zip(shots, seg_rms.tolist(), snrs_db)])
+    segments *= scales[:, np.newaxis]
+    for row, shot in zip(segments, shots):
+        row += shot.waveform.samples
+    return scales
+
+
 def mix_at_snr(
     shot: ShotRecord,
     noise: NoiseRecord,
     noise_offset: int,
     target_snr_db: float,
 ) -> MixResult:
-    """Add a scaled noise segment to the clean shot to hit a target SNR.
+    """Add a scaled noise segment to the clean shot to hit a target SNR:
+    mix_stack on a stack of one.
 
     The segment starting at noise_offset (shot length) is scaled by
     s = peak_pa / (segment RMS * 10^(snr/20)) and summed onto the shot;
-    recomputing the SNR on the result returns the target exactly up to
-    float rounding. The clean frame passes through unmodified as the
-    training target, annotations intact on both outputs.
+    recomputing the SNR on the scaled segment returns the target exactly
+    up to float rounding. The clean frame passes through unmodified as
+    the training target, annotations intact on both outputs.
     """
-    n = len(shot.waveform)
-    segment = noise.waveform.samples[noise_offset: noise_offset + n]
-    if noise_offset < 0 or segment.size < n:
-        raise DataError(
-            f"noise offset {noise_offset} leaves no {n}-sample segment "
-            f"in {len(noise.waveform)} samples"
-        )
-    seg_rms = rms(segment)
-    if seg_rms <= 0:
-        raise NumericError("noise segment is silent (zero RMS)")
-    scale = shot.peak_pa / (seg_rms * 10.0 ** (target_snr_db / 20.0))
-    noisy = Waveform(
-        shot.waveform.samples + scale * segment,
-        shot.waveform.fs,
-        list(shot.waveform.annotations),
+    segment = noise.segment(noise_offset, len(shot.waveform))
+    noisy = segment[np.newaxis].copy()
+    [scale] = mix_stack(noisy, [shot], [target_snr_db])
+    return MixResult(
+        Waveform(noisy[0], shot.waveform.fs, list(shot.waveform.annotations)),
+        shot.waveform,
+        snr_db(shot, scale * segment),
     )
-    achieved = snr_db(shot, scale * segment)
-    return MixResult(noisy, shot.waveform, achieved)

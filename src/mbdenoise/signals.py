@@ -135,6 +135,14 @@ class NoiseRecord:
     def from_waveform(cls, waveform: Waveform, noise_id: str):
         return cls(waveform, noise_id, rms(waveform.samples))
 
+    def segment(self, offset: int, n: int) -> np.ndarray:
+        """The n samples from offset on, as a view of the record."""
+        segment = self.waveform.samples[offset:offset + n]
+        if offset < 0 or segment.size < n:
+            raise DataError(f"noise offset {offset} leaves no {n}-sample segment "
+                            f"in {len(self.waveform)} samples")
+        return segment
+
 
 def friedlander(
     peak_pa: float,

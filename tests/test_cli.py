@@ -40,9 +40,11 @@ def pipeline(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def odd_corpora(tmp_path_factory):
-    """Small corpora generated at 16384 Hz and with 4096-sample shots."""
+    """Small corpora generated at 16384 Hz, with 4096-sample shots, and
+    with 2 s noise records at the default fs and frame_len."""
     root = tmp_path_factory.mktemp("odd")
-    for name, override in (("fs16k", "fs=16384"), ("long", "frame_len=4096")):
+    for name, override in (("fs16k", "fs=16384"), ("long", "frame_len=4096"),
+                           ("noise2s", "noise_duration=2")):
         cli.cmd_gen_data(config.load_config(None, [
             "n_shots_a=2", "n_shots_b=1", "noise_duration=1.0", override]), root / name)
     return root
@@ -175,6 +177,20 @@ class TestGenData:
             manifest = manifest.replace(old, new)
         (corpus / "manifest.txt").write_text(manifest)
         with pytest.raises(DataError, match=r"disagree: sample rates \[16384, 32768\]"):
+            cli.load_corpus(corpus)
+
+    def test_noise_records_that_disagree_rejected(self, pipeline, odd_corpora, tmp_path):
+        _, root, _ = pipeline
+        corpus = tmp_path / "mixed"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = (corpus / "manifest.txt").read_text()
+        for suffix in ("", ".meta"):
+            victim = corpus / "noise" / f"N0.wav{suffix}"
+            old = hashlib.sha256(victim.read_bytes()).hexdigest()
+            shutil.copy(odd_corpora / "noise2s" / "noise" / f"N0.wav{suffix}", victim)
+            manifest = manifest.replace(old, hashlib.sha256(victim.read_bytes()).hexdigest())
+        (corpus / "manifest.txt").write_text(manifest)
+        with pytest.raises(DataError, match=r"noise lengths \[65536, 131072\] samples"):
             cli.load_corpus(corpus)
 
     def test_caliber_families_differ(self, pipeline):
@@ -445,6 +461,19 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert "4096-sample shots" in err and "frame_len 2048" in err
+
+    def test_corpus_noise_length_mismatch_exits_2(self, odd_corpora, tmp_path, capsys):
+        # A corpus of 2 s noise records under the default 16 s config.
+        corpus = str(odd_corpora / "noise2s")
+        assert cli.load_corpus(corpus).noise_len == 65536
+        assert cli.main(["train", "--corpus", corpus, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "65536-sample noise records" in err and "gives 524288 samples" in err
+        assert cli.main(["evaluate", "--corpus", corpus, "--train-dir", str(tmp_path / "t"),
+                         "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "65536-sample noise records" in err and "gives 524288 samples" in err
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
 
     def test_empty_phase_list_exits_1_before_training(self, pipeline, tmp_path, capsys):
         cfg, root, _ = pipeline

@@ -127,6 +127,19 @@ class TestMaterialize:
         assert m.snr_bins == [-5.0, 10.0, 0.0]
         assert list(m.clean) == [shots[3].shot_id, shots[0].shot_id]
 
+    def test_every_row_is_mix_at_snr(self, corpus10, splits10):
+        # The stacked mix of every cell of every combination, at two grid
+        # SNRs and two repeats, equals mix_at_snr on the cell alone.
+        shots, noises = corpus10
+        split = splits10[0]
+        cells = curriculum.combo_cells(
+            split, split.combos, {s.shot_id: s for s in shots},
+            {n.noise_id: n for n in noises}, [5.0, -10.0], 2, 0)
+        m = curriculum.mix_cells(cells)
+        assert m.noisy.shape == (len(cells), 2048) and len(cells) == 240
+        for row, cell in zip(m.noisy, cells):
+            assert np.array_equal(row, dsp.mix_at_snr(*cell).noisy.samples)
+
     def test_empty_cell_list_rejected(self):
         with pytest.raises(DataError):
             curriculum.mix_cells([])

@@ -67,14 +67,12 @@ class TestDetectImpulses:
         assert len(dets) == 1
 
 
-def reference_scan(x, fs, config):
-    """detect_impulses by its definition: the same STA/LTA ratio,
-    stepped one candidate at a time, jumping the hold-off after each
-    trigger."""
+def reference_ratios(x, fs, config):
+    """The STA/LTA ratio at every candidate onset, by its definition:
+    (onsets, ratios)."""
     n_sta = max(1, int(round(config.sta_ms * 1e-3 * fs)))
     n_lta = max(n_sta + 1, int(round(config.lta_ms * 1e-3 * fs)))
     n_warm = max(1, int(round(config.warmup_ms * 1e-3 * fs)))
-    n_hold = max(1, int(round(config.refractory_ms * 1e-3 * fs)))
     energy = np.concatenate([[0.0], np.cumsum(x * x)])
     idx = np.arange(n_warm, x.size - n_sta)
     sta = np.sqrt((energy[idx + n_sta] - energy[idx]) / n_sta)
@@ -83,6 +81,15 @@ def reference_scan(x, fs, config):
     floor = np.maximum(lta, 1e-12 * sta)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(floor > 0.0, sta / np.where(floor > 0.0, floor, 1.0), 0.0)
+    return idx, ratio
+
+
+def reference_scan(x, fs, config):
+    """detect_impulses by its definition: the same STA/LTA ratio,
+    stepped one candidate at a time, jumping the hold-off after each
+    trigger."""
+    n_hold = max(1, int(round(config.refractory_ms * 1e-3 * fs)))
+    idx, ratio = reference_ratios(x, fs, config)
     detections = []
     i = 0
     while i < ratio.size:
@@ -162,6 +169,87 @@ class TestCrossingScan:
         x += blast_in_silence(3000 + 600 + 100 * seed, n=16384)
         dets = detect.detect_impulses(x, FS, CFG)
         assert dets and dets == reference_scan(x, FS, CFG)
+
+
+class TestScanEdges:
+    """Rows at the edges of the stacked scan's candidate screen and of
+    its hold-off jump, each checked against reference_scan and against
+    detect_impulses on the row alone."""
+
+    FS_SMALL = 1000
+    T = CFG.threshold
+
+    def check(self, x, fs):
+        [found] = detect._scan_frames(x[np.newaxis], fs, CFG)
+        assert found == reference_scan(x, fs, CFG)
+        assert found == detect.detect_impulses(x, fs, CFG)
+        return found
+
+    @staticmethod
+    def spiked(amplitude, seed):
+        x = 0.01 * np.random.default_rng(seed).standard_normal(400)
+        x[200] += amplitude
+        return x
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_spike_bisected_across_threshold(self, seed):
+        # Bisect the spike amplitude down to two adjacent floats: the
+        # lower one's largest reference ratio is at or just below the
+        # threshold, the upper one's just above it (seed 1: exactly the
+        # threshold; seed 2: the smallest float above it).
+        def peak_ratio(amplitude):
+            return reference_ratios(self.spiked(amplitude, seed), self.FS_SMALL, CFG)[1].max()
+
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if peak_ratio(mid) > self.T else (mid, hi)
+        below, above = peak_ratio(lo), peak_ratio(hi)
+        ulp = np.spacing(self.T)
+        assert self.T - 4 * ulp <= below <= self.T < above <= self.T + 2 * ulp
+        assert below == self.T if seed == 1 else above == np.nextafter(self.T, np.inf)
+        assert self.check(self.spiked(lo, seed), self.FS_SMALL) == []
+        found = self.check(self.spiked(hi, seed), self.FS_SMALL)
+        assert [d.score for d in found] == [above]
+
+    def test_zeros_before_blast(self):
+        # The long window holds only zeros, so the ratio is the floor
+        # branch's sta / (1e-12 * sta).
+        found = self.check(blast_in_silence(5000), FS)
+        assert len(found) == 1 and found[0].score == pytest.approx(1e12)
+
+    def test_tail_scaled_by_1e_200(self):
+        # The tail's squares underflow to zero: its windows hold no energy.
+        x = blast_in_silence(3000, n=16384, noise=0.5, seed=3)
+        x += blast_in_silence(9000, n=16384)
+        x[6000:] *= 1e-200
+        found = self.check(x, FS)
+        assert [d.onset_sample < 6000 for d in found] == [True]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subnormal_energies(self, seed):
+        # Samples near 1e-162 have subnormal squares, where products of
+        # window energies round by far more than the screen's slack.
+        rng = np.random.default_rng(seed)
+        x = 1e-162 * rng.standard_normal(400)
+        x[200] += 3e-162
+        x[300:] *= rng.uniform(0.1, 10.0, 100)
+        self.check(x, self.FS_SMALL)
+
+    def test_hundreds_of_crossings_after_one_blast(self):
+        # A blast followed by a rising reverberation crosses the
+        # threshold at thousands of samples; once the reverberation
+        # crosses without a break, detections follow each other exactly
+        # one hold-off apart.
+        rng = np.random.default_rng(1)
+        x = blast_in_silence(4000, n=16384, noise=1e-3, seed=1)
+        rise = np.exp(0.005 * np.minimum(np.arange(12384), 3000))
+        x[4000:] += 1e-2 * rise * rng.standard_normal(12384)
+        onsets, ratios = reference_ratios(x, FS, CFG)
+        assert np.count_nonzero(ratios > self.T) > 500
+        found = [d.onset_sample for d in self.check(x, FS)]
+        hold = CFG.windows(FS).hold
+        gaps = np.diff(found)
+        assert np.all(gaps >= hold) and np.count_nonzero(gaps == hold) >= 2
 
 
 class TestMatchDetections:

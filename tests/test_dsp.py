@@ -298,3 +298,33 @@ class TestMixAtSnr:
             signals.Waveform(samples, FS), "zeros")
         with pytest.raises(NumericError):
             dsp.mix_at_snr(shot_a, silent, 2048, 0.0)
+
+
+class TestMixStack:
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
+    def test_scales_use_signals_rms(self, shot_a, noise_rec, n_rows):
+        # Rows on both sides of an RMS chunk boundary take the scale
+        # mix_at_snr defines, from signals.rms of the row bit for bit.
+        rng = np.random.default_rng(n_rows)
+        offsets = rng.integers(0, len(noise_rec.waveform) - 2048, size=n_rows)
+        snrs = rng.uniform(-20.0, 10.0, size=n_rows).tolist()
+        segments = np.stack([noise_rec.segment(int(o), 2048) for o in offsets])
+        expected = [shot_a.peak_pa / (signals.rms(seg) * 10.0 ** (snr / 20.0))
+                    for seg, snr in zip(segments, snrs)]
+        noisy = segments.copy()
+        scales = dsp.mix_stack(noisy, [shot_a] * n_rows, snrs)
+        assert scales.tolist() == expected
+        for row, seg, scale in zip(noisy, segments, expected):
+            assert np.array_equal(row, shot_a.waveform.samples + scale * seg)
+
+    def test_silent_row_rejected(self, shot_a, noise_rec):
+        segments = np.stack([noise_rec.segment(0, 2048), np.zeros(2048)])
+        with pytest.raises(NumericError, match="zero RMS"):
+            dsp.mix_stack(segments, [shot_a, shot_a], [0.0, 0.0])
+
+    def test_count_mismatch_rejected(self, shot_a, noise_rec):
+        segments = np.stack([noise_rec.segment(0, 2048)] * 2)
+        with pytest.raises(DataError):
+            dsp.mix_stack(segments, [shot_a], [0.0, 0.0])
+        with pytest.raises(DataError):
+            dsp.mix_stack(segments, [shot_a, shot_a], [0.0])

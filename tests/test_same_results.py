@@ -1,8 +1,11 @@
-"""The artefact comparison of tools/same_results.py on canned files; no
-pipeline is run."""
+"""The artefact comparison of tools/same_results.py on canned files, and
+the commands it would run; no pipeline is run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from mbdenoise import dsp, net
 
@@ -69,3 +72,23 @@ def test_checkpoint_shapes_and_unreadable(tmp_path):
         "differs: parameter shapes"]
     verdict = same_results.compare_file(tmp_path / "a.bin", tmp_path / "c.bin")
     assert verdict[0].startswith("differs (") and "not a checkpoint" in verdict[0]
+
+
+@pytest.mark.parametrize("argv, seed", [([], "0"), (["--seed", "7"], "7")])
+def test_every_command_runs_at_the_seed(tmp_path, monkeypatch, capsys, argv, seed):
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append((cmd, kwargs["env"]["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(same_results.subprocess, "run", fake_run)
+    parent, change = tmp_path / "p", tmp_path / "c"
+    assert same_results.main(["--parent", str(parent), "--change", str(change), *argv]) == 0
+    stages = ["gen-data", "train", "evaluate", "denoise", "report"]
+    assert [cmd[3] for cmd, _ in commands] == stages * 2
+    assert [path for _, path in commands] == (
+        [str(parent.resolve() / "src")] * 5 + [str(change.resolve() / "src")] * 5)
+    for cmd, _ in commands:
+        at = cmd.index("--seed")
+        assert cmd[at + 1] == seed and cmd.count("--seed") == 1

@@ -1,9 +1,9 @@
 """Check that two checkouts produce the same pipeline outputs.
 
-    python3 tools/same_results.py --parent ../parent --change .
+    python3 tools/same_results.py --parent ../parent --change . [--seed N]
 
 Runs the benchmark config (mbbench's ``rotation=0 phase_iters=40
-freeze_iters=20``, seed 0) through every command: ``gen-data``,
+freeze_iters=20``, seed N, 0 by default) through every command: ``gen-data``,
 ``train``, ``evaluate``, ``denoise`` of ``noise/N0.wav`` and ``report``,
 in each checkout, with that checkout's own ``src`` on the path, into a
 temporary directory. Then it prints one line per artefact (every corpus
@@ -40,15 +40,14 @@ sys.path.insert(0, str(ROOT / "src"))
 from mbdenoise import net  # noqa: E402
 from mbdenoise.errors import DataError  # noqa: E402
 
-SETTINGS = ("--seed", "0", "--set", "rotation=0", "--set", "phase_iters=40",
-            "--set", "freeze_iters=20")
+SETTINGS = ("--set", "rotation=0", "--set", "phase_iters=40", "--set", "freeze_iters=20")
 IDENTICAL = "identical"
 HEADER_ONLY = "differs only in # header lines"
 
 
-def run_pipeline(checkout: Path, out: Path) -> None:
+def run_pipeline(checkout: Path, out: Path, seed: int) -> None:
     """gen-data, train, evaluate, denoise and report with the checkout's
-    sources."""
+    sources, at the given seed."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     checkpoint = out / "train" / "rotation_0" / "checkpoint.bin"
     for args in (
@@ -61,7 +60,8 @@ def run_pipeline(checkout: Path, out: Path) -> None:
         ("report", "--eval-dir", out / "eval", "--train-dir", out / "train",
          "--out", out / "report"),
     ):
-        cmd = [sys.executable, "-m", "mbdenoise.cli", *map(str, args), *SETTINGS]
+        cmd = [sys.executable, "-m", "mbdenoise.cli", *map(str, args), "--seed", str(seed),
+               *SETTINGS]
         proc = subprocess.run(cmd, env=env, cwd=out, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
@@ -125,13 +125,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="run seed for every command (default 0)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         outs = {side: Path(tmp) / side for side in ("parent", "change")}
         for side, out in outs.items():
             out.mkdir()
-            run_pipeline(getattr(args, side), out)
+            run_pipeline(getattr(args, side), out, args.seed)
         results = compare_trees(outs["parent"], outs["change"])
     identical: dict[str, int] = {}
     for rel, lines in results.items():
