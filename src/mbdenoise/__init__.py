@@ -39,8 +39,10 @@ from .dsp import (
 from .net import (
     AdamState,
     Network,
+    Plan,
     adam_step,
     backward_batch,
+    compile_plan,
     denoise_frame,
     denoise_frames,
     forward_batch,

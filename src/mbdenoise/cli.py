@@ -130,12 +130,14 @@ class Corpus:
 def load_corpus(corpus_dir: str | Path) -> Corpus:
     """Load a generated corpus, verifying every manifest checksum, that
     all records share one sample rate, all shots one length and all
-    noise records one length."""
+    noise records one length. Each listed file is read once: the bytes
+    whose checksum was verified are the bytes parsed."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise DataError(f"no manifest.txt in {root}")
-    wav_paths = []
+    wavs: list[tuple[str, Path, bytes]] = []
+    sidecars: dict[str, bytes] = {}
     for line in manifest.read_text().splitlines():
         if not line or line.startswith("#"):
             continue
@@ -144,21 +146,31 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             raise DataError(f"malformed manifest line in {manifest}: {line!r}")
         checksum, rel, _ident = fields
         path = root / rel
-        if not path.exists():
-            raise DataError(f"manifest entry missing on disk: {rel}")
-        if _sha256(path) != checksum:
+        try:
+            data = path.read_bytes()
+        except OSError:
+            if path.exists():
+                raise
+            raise DataError(f"manifest entry missing on disk: {rel}") from None
+        if hashlib.sha256(data).hexdigest() != checksum:
             raise DataError(f"checksum mismatch for {rel}")
         if rel.endswith(".wav"):
-            wav_paths.append((rel, path))
+            wavs.append((rel, path, data))
+        elif rel.endswith(".meta"):
+            sidecars[rel] = data
 
     shots_a, shots_b, noises = [], [], []
-    for rel, path in wav_paths:
+    # Popped in manifest order, so each WAV's bytes are freed once parsed.
+    wavs.reverse()
+    while wavs:
+        rel, path, data = wavs.pop()
+        files = signals.RecordFiles(path, data, sidecars.get(rel + ".meta"))
         if rel.startswith("shots_a/"):
-            shots_a.append(signals.load_shot(path))
+            shots_a.append(signals.load_shot(files))
         elif rel.startswith("shots_b/"):
-            shots_b.append(signals.load_shot(path))
+            shots_b.append(signals.load_shot(files))
         elif rel.startswith("noise/"):
-            noises.append(signals.load_noise(path))
+            noises.append(signals.load_noise(files))
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
     # Records are looked up by id, so a repeated id would hand one
@@ -260,7 +272,7 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
 # ---------------------------------------------------------------------------
 
 def _score_mixes(
-    model: net.Network,
+    plan: net.Plan,
     mixes: curriculum.Mixes,
     flags: dict[tuple[float, str], list[bool]],
     det_cfg: detect.DetectorConfig,
@@ -271,7 +283,7 @@ def _score_mixes(
     outcome under all four conditions to flags, keyed by (SNR bin,
     condition); each distinct shot's clean frame is scanned once."""
     outcomes = detect.detect_conditions(
-        mixes.clean, mixes.noisy, net.denoise_frames(model, mixes.noisy),
+        mixes.clean, mixes.noisy, plan(mixes.noisy),
         mixes.shot_ids, mixes.onsets, tolerance, fs, det_cfg)
     for snr, outcome in zip(mixes.snr_bins, outcomes):
         for condition, matched in outcome.items():
@@ -287,7 +299,8 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
     cells = []
     for i, shot in enumerate(corpus.shots_b):
         for snr_idx, snr in enumerate(cfg.snr_grid):
-            rng = np.random.default_rng([cfg.seed, 5, rotation, i, snr_idx])
+            rng = np.random.default_rng(curriculum.seed_words(cfg.seed, 5, rotation, i,
+                                                              snr_idx))
             start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
             offset = int(rng.integers(start, stop - corpus.frame_len + 1))
             cells.append((shot, noise, offset, snr))
@@ -336,12 +349,13 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
             raise DataError(
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
+        plan = net.compile_plan(model)
         split = splits[rotation]
-        _score_mixes(model, _combo_mixes(cfg, corpus, split, (split.validation_combo,)),
+        _score_mixes(plan, _combo_mixes(cfg, corpus, split, (split.validation_combo,)),
                      val_flags, det_cfg, tolerance, cfg.fs)
         test_cells = _test_cells(cfg, corpus, rotation, split)
         if test_cells:
-            _score_mixes(model, curriculum.mix_cells(test_cells), test_flags, det_cfg,
+            _score_mixes(plan, curriculum.mix_cells(test_cells), test_flags, det_cfg,
                          tolerance, cfg.fs)
 
     signals.atomic_write(out / "scores_validation.csv", _score_csv(val_flags, cfg))
@@ -355,19 +369,21 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
 
 def cmd_denoise(cfg: RunConfig, checkpoint: str | Path, wav_in: str | Path,
                 wav_out: str | Path) -> dict[str, float]:
-    """Denoise a WAV as one batch of back-to-back frames; returns the
-    frame count and the batch time per frame."""
+    """Denoise a WAV as one batch of back-to-back frames through the
+    checkpoint's inference plan; returns the frame count and the batch
+    time per frame (the plan's one-off compilation not included)."""
     model = net.load_checkpoint(checkpoint)
     waveform = signals.load_wav(wav_in)
     if waveform.fs != model.fs:
         raise DataError(f"input fs {waveform.fs} != checkpoint fs {model.fs}")
+    plan = net.compile_plan(model)
     frame_len = model.frame_len
     x = waveform.samples
     n_frames = (x.size + frame_len - 1) // frame_len
     padded = np.zeros(n_frames * frame_len)
     padded[: x.size] = x
     start = time.perf_counter()
-    out = net.denoise_frames(model, padded.reshape(n_frames, frame_len))
+    out = plan(padded.reshape(n_frames, frame_len))
     elapsed = time.perf_counter() - start
     result = signals.Waveform(out.ravel()[: x.size], waveform.fs,
                               list(waveform.annotations))

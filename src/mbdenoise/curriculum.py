@@ -172,6 +172,22 @@ def mix_cells(cells: list[Cell]) -> Mixes:
                  {s.shot_id: s.waveform.samples for s in shots})
 
 
+def seed_words(*key: int) -> np.ndarray:
+    """The key as the np.uint32 words np.random.SeedSequence makes of the
+    list of its entries: each non-negative entry as its 32-bit words,
+    least significant first (one word for 0). SeedSequence takes such an
+    array as it is, where it converts a list entry by entry."""
+    words = []
+    for k in key:
+        if k < 0:
+            raise DataError(f"seed key entries must be non-negative, got {k}")
+        words.append(k & 0xFFFFFFFF)
+        while k > 0xFFFFFFFF:
+            k >>= 32
+            words.append(k & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def combo_cells(
     split: DatasetSplit,
     combos: tuple[Combo, ...],
@@ -209,7 +225,7 @@ def combo_cells(
                 for snr_idx, snr in enumerate(snr_grid):
                     for rep in range(examples_per_cell):
                         rng = np.random.default_rng(
-                            [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep]
+                            seed_words(seed, combo_idx, shot_pos, sec_idx, snr_idx, rep)
                         )
                         offset = int(rng.integers(start, stop - frame_len + 1))
                         cells.append((shot, noise, offset, snr))

@@ -25,7 +25,7 @@ _DESIGN_GRID = 8192
 _RMS_CHUNK_ROWS = 64
 
 _design_cache: dict[tuple, "FilterSpec"] = {}
-_interp_cache: dict[tuple, np.ndarray] = {}
+_resampling_cache: dict[tuple, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,64 @@ def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
     return (windows @ branches).reshape(*y.shape[:-1], y.shape[-1] * factor)
 
 
+def decimation_matrix(frame_len: int, fs: float, factor: int = 8) -> np.ndarray:
+    """decimate as a (frame_len // factor, frame_len) matrix D, so that
+    D @ x equals decimate(x, fs, factor) for a frame x up to summation
+    order. Row i holds the kernel at columns i*factor - half onwards;
+    taps that fall off an edge add to that edge's column, as edge
+    padding repeats the edge sample. Cached read-only."""
+    if frame_len % factor != 0:
+        raise DataError(f"length {frame_len} not divisible by factor {factor}")
+    kernel = anti_alias_spec(fs, factor).kernel
+    key = ("decimation", kernel.tobytes(), frame_len, factor)
+    if key not in _resampling_cache:
+        half = (kernel.size - 1) // 2
+        rows = np.arange(frame_len // factor)[:, np.newaxis]
+        cols = np.clip(rows * factor + np.arange(kernel.size) - half, 0, frame_len - 1)
+        _resampling_cache[key] = _scatter_taps(rows, cols, kernel, frame_len // factor,
+                                           frame_len)
+    return _resampling_cache[key]
+
+
+def interpolation_matrix(dim: int, fs_out: float, factor: int = 8) -> np.ndarray:
+    """interpolate as a (dim * factor, dim) matrix I, so that I @ y
+    equals interpolate(y, fs_out, factor) for a dim-sample frame y up to
+    summation order. Output sample i*factor + r holds branch r of the
+    interpolation taps at columns i - pad onwards, edge taps adding to
+    the edge column. Cached read-only."""
+    branches = _interp_branches(anti_alias_spec(fs_out, factor), factor)
+    key = ("interpolation", branches.tobytes(), dim, factor)
+    if key not in _resampling_cache:
+        pad = branches.shape[0] // 2
+        # (input position i, phase r, branch tap d), flattened to rows
+        # i*factor + r of the output.
+        rows = np.arange(dim * factor).reshape(dim, factor, 1)
+        cols = np.clip(np.arange(dim)[:, None, None] + np.arange(branches.shape[0]) - pad,
+                       0, dim - 1)
+        _resampling_cache[key] = _scatter_taps(rows, cols, branches.T[np.newaxis],
+                                           dim * factor, dim)
+    return _resampling_cache[key]
+
+
+def _scatter_taps(rows: np.ndarray, cols: np.ndarray, taps: np.ndarray,
+                  n_rows: int, n_cols: int) -> np.ndarray:
+    """A read-only (n_rows, n_cols) matrix summing each tap into its
+    (row, column), the three broadcast against each other."""
+    rows, cols, taps = np.broadcast_arrays(rows, cols, taps)
+    matrix = np.bincount((rows * n_cols + cols).ravel(), weights=taps.ravel(),
+                         minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _interp_branches(spec: FilterSpec, factor: int) -> np.ndarray:
     """The interpolation taps as a (2*pad + 1, factor) branch matrix:
     entry (d, r) weighs input position i + d - pad in output sample
     i*factor + r, where pad = ceil(half / factor) for the kernel
     half-width half. Cached read-only with the kernel."""
     key = ("branches", spec.kernel.tobytes(), factor)
-    if key in _interp_cache:
-        return _interp_cache[key]
+    if key in _resampling_cache:
+        return _resampling_cache[key]
     kernel = _interp_kernel(spec, factor)
     half = (kernel.size - 1) // 2
     pad = -(-half // factor)
@@ -179,7 +229,7 @@ def _interp_branches(spec: FilterSpec, factor: int) -> np.ndarray:
     inside = (k >= 0) & (k < kernel.size)
     branches = np.where(inside, kernel[np.where(inside, k, 0)], 0.0)
     branches.setflags(write=False)
-    _interp_cache[key] = branches
+    _resampling_cache[key] = branches
     return branches
 
 
@@ -188,8 +238,8 @@ def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
     with each polyphase branch normalized to unit sum. Built once per
     (kernel, factor) and cached read-only."""
     key = (spec.kernel.tobytes(), factor)
-    if key in _interp_cache:
-        return _interp_cache[key]
+    if key in _resampling_cache:
+        return _resampling_cache[key]
     kernel = spec.kernel * factor
     half = (kernel.size - 1) // 2
     for r in range(factor):
@@ -198,7 +248,7 @@ def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
         branch = (idx - half) % factor == r
         kernel[branch] /= np.sum(kernel[branch])
     kernel.setflags(write=False)
-    _interp_cache[key] = kernel
+    _resampling_cache[key] = kernel
     return kernel
 
 

@@ -5,9 +5,11 @@ tanh hidden activation, linear reconstruction) followed by a 256x256
 filter matrix that starts life as a low-pass filter and is itself
 trainable once released. Batch forward, sum-of-squares loss, exact
 analytic backprop, Adam updates honoring the filter-freeze flag, and a
-byte-stable checkpoint format. The filter layer is folded into the
-reconstruction weights once per forward call, and training,
-validation and inference share that one forward path.
+byte-stable checkpoint format. Training and validation run
+forward_batch, which folds the filter layer into the reconstruction
+weights once per call; inference runs a Plan, which also folds the
+decimation, the input scale and the interpolation into the weights, once
+per loaded checkpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import FilterSpec, decimate, interpolate, kernel_to_matrix
+from .dsp import FilterSpec, decimation_matrix, interpolation_matrix, kernel_to_matrix
+# Inference no longer decimates here, but mbbench's tracer and its tests
+# still look decimate up in this module.
+from .dsp import decimate  # noqa: F401
 from .errors import DataError, NumericError
 from .signals import atomic_write
 
@@ -63,6 +68,9 @@ class Network:
     seed: int = 0
     fs: int = 32768
     decim_factor: int = 8
+    # denoise_frames' cached inference plan: (the parameter arrays and
+    # signal-chain fields it was compiled from, the plan).
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -253,19 +261,89 @@ def adam_step(
     return net
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A network compiled for inference on full-rate frames.
+
+    decimate and interpolate are linear maps D and I, and so is the
+    filter layer, so the whole chain interpolate(s * (f @ (w2 @
+    tanh(w1 @ decimate(x) / s + b1) + b2))) for input scale s is
+    y = p @ tanh(q @ x + b1) + c with q = w1 @ D / s,
+    p = s * I @ f @ w2 and c = s * I @ f @ b2. Calling a plan on a
+    (n_frames, frame_len) stack runs that chain in two products.
+    """
+
+    q: np.ndarray
+    b1: np.ndarray
+    p: np.ndarray
+    c: np.ndarray
+
+    @property
+    def frame_len(self) -> int:
+        return self.q.shape[1]
+
+    def __call__(self, frames: np.ndarray) -> np.ndarray:
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.frame_len:
+            raise DataError(f"frames of shape {frames.shape} are not rows of "
+                            f"{self.frame_len} samples")
+        A = frames @ self.q.T
+        A += self.b1
+        # A NaN or Inf sample turns every hidden unit that weighs it
+        # NaN or Inf, so the hidden rows show a non-finite frame.
+        if not np.all(np.isfinite(A)):
+            raise NumericError("network input contains NaN or Inf")
+        np.tanh(A, out=A)
+        Y = A @ self.p.T
+        Y += self.c
+        return Y
+
+
+def compile_plan(net: Network) -> Plan:
+    """The inference plan of net's current parameters."""
+    D = decimation_matrix(net.frame_len, net.fs, net.decim_factor)
+    I = interpolation_matrix(net.dim, net.fs, net.decim_factor)
+    scale = net.input_scale
+    q = net.w1 @ D
+    q /= scale
+    p = I @ (net.f @ net.w2)
+    p *= scale
+    c = I @ (net.f @ net.b2)
+    c *= scale
+    return Plan(q, net.b1.copy(), p, c)
+
+
+def _inference_plan(net: Network) -> Plan:
+    """net's inference plan, compiled once for a network whose
+    parameter arrays can never change (load_checkpoint's) and reused
+    while those arrays and the signal-chain fields stay in place;
+    compiled afresh otherwise, so a plan is never older than the
+    weights."""
+    arrays = tuple(net.params().values())
+    fields = (net.input_scale, net.fs, net.decim_factor)
+    if net._plan is not None:
+        cached_arrays, cached_fields, plan = net._plan
+        if cached_fields == fields and all(a is b for a, b in zip(arrays, cached_arrays)):
+            return plan
+    plan = compile_plan(net)
+    if all(_immutable(arr) for arr in arrays):
+        net._plan = (arrays, fields, plan)
+    return plan
+
+
+def _immutable(arr: np.ndarray) -> bool:
+    """Whether arr views the bytes of an immutable bytes object, which
+    no one can make writeable."""
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 def denoise_frames(net: Network, frames: np.ndarray) -> np.ndarray:
-    """Full inference chain for a (n_frames, frame_len) batch of
-    full-rate frames: one decimate call, scale, one forward over the
-    batch, unscale, one interpolate call back to the original length."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != net.frame_len:
-        raise DataError(f"frames of shape {frames.shape} are not rows of "
-                        f"{net.frame_len} samples")
-    X = decimate(frames, net.fs, net.decim_factor) / net.input_scale
-    if not np.all(np.isfinite(X)):
-        raise NumericError("network input contains NaN or Inf")
-    Y, _ = forward_batch(net, X)
-    return interpolate(Y * net.input_scale, net.fs, net.decim_factor)
+    """The network's inference plan on a (n_frames, frame_len) stack of
+    full-rate frames."""
+    return _inference_plan(net)(frames)
 
 
 def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
@@ -293,6 +371,9 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
+    """The network saved at path. Its parameter arrays are read-only
+    views of the file's bytes, so denoise_frames compiles its inference
+    plan once; assign a new array to change a parameter."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -324,7 +405,8 @@ def load_checkpoint(path: str | Path) -> Network:
     params = {}
     for name, shape in layout.items():
         count = math.prod(shape)
-        params[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(float)
+        params[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(
+            float, copy=False)
         offset += 8 * count
     return Network(**params, f_frozen=bool(f_frozen), input_scale=input_scale,
                    seed=seed, fs=fs, decim_factor=decim_factor)

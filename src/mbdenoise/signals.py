@@ -116,16 +116,19 @@ class ShotRecord:
 
 @dataclass
 class NoiseRecord:
-    """One noise recording: an unannotated waveform plus its RMS pressure."""
+    """One noise recording: an unannotated waveform plus its RMS
+    pressure, measured from the waveform when not given."""
 
     waveform: Waveform
     noise_id: str
-    rms_pa: float
+    rms_pa: float | None = None
 
     def __post_init__(self):
         if self.waveform.annotations:
             raise DataError("noise records carry no annotations")
         expected = rms(self.waveform.samples)
+        if self.rms_pa is None:
+            self.rms_pa = expected
         if not (self.rms_pa > 0):
             raise DataError("rms_pa must be positive")
         if abs(self.rms_pa - expected) > 1e-9 * expected:
@@ -133,7 +136,7 @@ class NoiseRecord:
 
     @classmethod
     def from_waveform(cls, waveform: Waveform, noise_id: str):
-        return cls(waveform, noise_id, rms(waveform.samples))
+        return cls(waveform, noise_id)
 
     def segment(self, offset: int, n: int) -> np.ndarray:
         """The n samples from offset on, as a view of the record."""
@@ -249,7 +252,7 @@ def gen_vehicle_noise(
 
     x *= rms_target / rms(x)
     wave = Waveform(x, fs, [])
-    return NoiseRecord(wave, noise_id or f"noise-{seed}", rms(x))
+    return NoiseRecord(wave, noise_id or f"noise-{seed}")
 
 
 def atomic_write(path: str | Path, data: bytes | str) -> None:
@@ -310,21 +313,43 @@ def save_wav(
     _save_sidecar(path, waveform, extra_meta or {})
 
 
-def load_wav(path: str | Path, meta: dict[str, str] | None = None) -> Waveform:
+@dataclass(frozen=True)
+class RecordFiles:
+    """A WAV path that carries the bytes already read from it and, when
+    the caller has read it too, from its sidecar. load_wav,
+    load_sidecar, load_shot and load_noise parse these bytes instead of
+    reading the files again; a sidecar left None is read from disk.
+    Formats and converts to a path as the WAV path does."""
+
+    path: Path
+    wav: bytes
+    sidecar: bytes | None = None
+
+    def __fspath__(self) -> str:
+        return str(self.path)
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
+def load_wav(path: str | Path | RecordFiles,
+             meta: dict[str, str] | None = None) -> Waveform:
     """Read a mono PCM16 / float32 WAV and its sidecar annotations; the
     sidecar's other key=value pairs are added to meta when it is given."""
-    path = Path(path)
-    raw = path.read_bytes()
+    files = path if isinstance(path, RecordFiles) else None
+    path = files.path if files else Path(path)
+    raw = files.wav if files else path.read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data = None
     pos = 12
+    view = memoryview(raw)
     while pos + 8 <= len(raw):
         chunk_id = raw[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8: pos + 8 + chunk_size]
+        body = view[pos + 8: pos + 8 + chunk_size]
         if len(body) < chunk_size:
             raise MalformedWavError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -354,7 +379,7 @@ def load_wav(path: str | Path, meta: dict[str, str] | None = None) -> Waveform:
             f"{path}: format tag {fmt_tag} with {bits} bits not supported"
         )
 
-    annotations, sidecar = load_sidecar(path)
+    annotations, sidecar = load_sidecar(files or path)
     if "fs" in sidecar and _sidecar_int(path, f"fs={sidecar['fs']}", sidecar["fs"]) != fs:
         raise DataError(f"{path}: sidecar fs {sidecar['fs']} != WAV fs {fs}")
     if meta is not None:
@@ -375,14 +400,19 @@ def _save_sidecar(path: Path, waveform: Waveform, extra: dict[str, str]) -> None
     atomic_write(sidecar_path(path), "\n".join(lines) + "\n")
 
 
-def load_sidecar(path: str | Path) -> tuple[list[tuple[str, int]], dict[str, str]]:
+def load_sidecar(
+    path: str | Path | RecordFiles,
+) -> tuple[list[tuple[str, int]], dict[str, str]]:
     """Return (annotations, other key=value pairs); empty if no sidecar."""
-    sc = sidecar_path(path)
+    data = path.sidecar if isinstance(path, RecordFiles) else None
     annotations: list[tuple[str, int]] = []
     meta: dict[str, str] = {}
-    if not sc.exists():
-        return annotations, meta
-    for line in sc.read_text().splitlines():
+    if data is None:
+        sc = sidecar_path(path)
+        if not sc.exists():
+            return annotations, meta
+        data = sc.read_bytes()
+    for line in data.decode("utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -409,7 +439,7 @@ def save_shot(path: str | Path, shot: ShotRecord, encoding: str = "float32") -> 
              {"caliber_class": shot.caliber_class, "shot_id": shot.shot_id})
 
 
-def load_shot(path: str | Path) -> ShotRecord:
+def load_shot(path: str | Path | RecordFiles) -> ShotRecord:
     meta: dict[str, str] = {}
     waveform = load_wav(path, meta)
     if "shot_id" not in meta or "caliber_class" not in meta:
@@ -421,7 +451,7 @@ def save_noise(path: str | Path, noise: NoiseRecord, encoding: str = "float32") 
     save_wav(path, noise.waveform, encoding, {"noise_id": noise.noise_id})
 
 
-def load_noise(path: str | Path) -> NoiseRecord:
+def load_noise(path: str | Path | RecordFiles) -> NoiseRecord:
     meta: dict[str, str] = {}
     waveform = load_wav(path, meta)
     if "noise_id" not in meta:

@@ -9,7 +9,7 @@ import pytest
 
 from pathlib import Path
 
-from mbdenoise import cli, config, net, signals
+from mbdenoise import cli, config, curriculum, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
 SMOKE = dict(
@@ -192,6 +192,56 @@ class TestGenData:
         (corpus / "manifest.txt").write_text(manifest)
         with pytest.raises(DataError, match=r"noise lengths \[65536, 131072\] samples"):
             cli.load_corpus(corpus)
+
+    def test_each_listed_file_read_once(self, pipeline, monkeypatch):
+        _, root, _ = pipeline
+        reads: list[Path] = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        cli.load_corpus(root / "corpus")
+        listed = [root / "corpus" / ln.split()[1]
+                  for ln in (root / "corpus" / "manifest.txt").read_text().splitlines()
+                  if ln and not ln.startswith("#")]
+        assert sorted(reads) == sorted(listed)
+
+    def test_unlisted_sidecar_read_from_disk(self, pipeline, tmp_path):
+        _, root, _ = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = corpus / "manifest.txt"
+        manifest.write_text("".join(ln + "\n" for ln in manifest.read_text().splitlines()
+                                    if ".meta " not in ln))
+        full, partial = cli.load_corpus(root / "corpus"), cli.load_corpus(corpus)
+        assert ([(s.shot_id, s.onset, s.caliber_class) for s in partial.shots_a]
+                == [(s.shot_id, s.onset, s.caliber_class) for s in full.shots_a])
+        assert [n.noise_id for n in partial.noises] == ["N0", "N1", "N2"]
+
+    def test_tampered_sidecar_detected(self, pipeline, tmp_path):
+        _, root, _ = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        victim = signals.sidecar_path(next((corpus / "shots_a").glob("*.wav")))
+        victim.write_text(victim.read_text().replace("caliber_class=A", "caliber_class=B"))
+        rel = victim.relative_to(corpus).as_posix()
+        with pytest.raises(DataError, match=f"checksum mismatch for {rel}"):
+            cli.load_corpus(corpus)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
+    def test_test_cell_offsets_as_list_form(self, pipeline, seed):
+        cfg, root, _ = pipeline
+        corpus = cli.load_corpus(root / "corpus")
+        split = curriculum.build_split(corpus.shots_a, corpus.noises, 0,
+                                       cfg.sections_per_noise)[2]
+        nsub = split.noise_subsets[split.validation_combo.noise_subset]
+        cells = cli._test_cells(smoke_cfg(seed=seed), corpus, 2, split)
+        expected = []
+        for i in range(len(corpus.shots_b)):
+            for snr_idx in range(len(cfg.snr_grid)):
+                rng = np.random.default_rng([seed, 5, 2, i, snr_idx])
+                start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
+                expected.append(int(rng.integers(start, stop - corpus.frame_len + 1)))
+        assert [offset for _, _, offset, _ in cells] == expected
 
     def test_caliber_families_differ(self, pipeline):
         _, root, _ = pipeline

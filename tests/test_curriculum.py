@@ -215,6 +215,47 @@ class TestMaterialize:
             materialize(corpus10, splits10[0], grid=(20.0,))
 
 
+SEEDS_ACROSS_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", SEEDS_ACROSS_WORDS)
+    def test_same_state_as_list_form(self, seed):
+        key = [seed, 3, 0, 7, 2, 1]
+        words = curriculum.seed_words(*key)
+        assert words.dtype == np.uint32
+        assert np.array_equal(np.random.SeedSequence(words).generate_state(8),
+                              np.random.SeedSequence(key).generate_state(8))
+
+    def test_splits_large_entries_little_endian(self):
+        assert curriculum.seed_words(2**40 + 7, 5).tolist() == [7, 256, 5]
+        assert curriculum.seed_words(2**32, 0).tolist() == [0, 1, 0]
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(DataError):
+            curriculum.seed_words(0, -1)
+
+    @pytest.mark.parametrize("seed", SEEDS_ACROSS_WORDS)
+    def test_combo_cell_offsets_as_list_form(self, corpus10, splits10, seed):
+        shots, noises = corpus10
+        split = splits10[1]
+        grid, per_cell = [0.0, -5.0], 2
+        cells = curriculum.combo_cells(
+            split, split.combos, {s.shot_id: s for s in shots},
+            {n.noise_id: n for n in noises}, grid, per_cell, seed)
+        expected = []
+        for combo_idx, combo in enumerate(split.combos):
+            nsub = split.noise_subsets[combo.noise_subset]
+            for shot_pos, _ in enumerate(split.shot_subsets[combo.shot_subset]):
+                for sec_idx, (start, stop) in enumerate(nsub.sections):
+                    for snr_idx in range(len(grid)):
+                        for rep in range(per_cell):
+                            rng = np.random.default_rng(
+                                [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep])
+                            expected.append(int(rng.integers(start, stop - 2048 + 1)))
+        assert [offset for _, _, offset, _ in cells] == expected
+
+
 class TestPhasePlan:
     def test_defaults_valid(self):
         plan = curriculum.PhasePlan()

@@ -378,6 +378,23 @@ class TestCombined:
             expected["combined"] = expected["noisy"] or expected["denoised"]
             assert outcome == expected
 
+    def test_onset_detected_matches_one_onset_matching(self):
+        # Random detection lists around one onset, the tolerance edges
+        # included, flag the onset exactly when match_detections does.
+        rng = np.random.default_rng(7)
+        tol, onset = 32, 1000
+        for _ in range(2000):
+            offsets = rng.integers(-3 * tol, 3 * tol + 1, rng.integers(0, 5))
+            offsets[rng.uniform(size=offsets.size) < 0.2] = tol * rng.choice([-1, 1])
+            dets = [detect.Detection(onset + int(o), 5.0) for o in sorted(offsets)]
+            expected = detect.match_detections(dets, [onset], tol)[0][0]
+            assert detect._onset_detected(dets, onset, tol) == expected
+
+    def test_negative_tolerance_rejected(self):
+        x = np.zeros((1, 100))
+        with pytest.raises(DataError):
+            detect.detect_conditions({"s": x[0]}, x, x, ["s"], [0], -1, FS, CFG)
+
     def test_combined_at_least_each_rate(self):
         # Union of matched sets dominates each side, bin by bin.
         rng = np.random.default_rng(3)

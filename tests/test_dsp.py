@@ -187,6 +187,47 @@ class TestPolyphase:
             dsp.decimate(np.ones((3, 2047)), FS)
 
 
+class TestLinearMaps:
+    """decimation_matrix and interpolation_matrix against decimate and
+    interpolate: equal up to summation order, so within a few ulps of
+    each row's largest output."""
+
+    ULPS = 16
+
+    @pytest.mark.parametrize("factor", [2, 8])
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_decimation_matrix_is_decimate(self, factor, kind):
+        rng = np.random.default_rng(20 + factor)
+        x = rng.standard_normal((5, 2048)) if kind == "random" else np.full((1, 2048), -3.7)
+        D = dsp.decimation_matrix(2048, FS, factor)
+        ref = dsp.decimate(x, FS, factor)
+        assert D.shape == (2048 // factor, 2048)
+        ulp = np.spacing(np.max(np.abs(ref), axis=1, keepdims=True))
+        assert np.all(np.abs(x @ D.T - ref) <= self.ULPS * ulp)
+
+    @pytest.mark.parametrize("factor", [2, 8])
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_interpolation_matrix_is_interpolate(self, factor, kind):
+        rng = np.random.default_rng(30 + factor)
+        y = rng.standard_normal((5, 256)) if kind == "random" else np.full((1, 256), 2.25)
+        I = dsp.interpolation_matrix(256, FS, factor)
+        ref = dsp.interpolate(y, FS, factor)
+        assert I.shape == (256 * factor, 256)
+        ulp = np.spacing(np.max(np.abs(ref), axis=1, keepdims=True))
+        assert np.all(np.abs(y @ I.T - ref) <= self.ULPS * ulp)
+
+    def test_cached_read_only(self):
+        D = dsp.decimation_matrix(2048, FS, 8)
+        I = dsp.interpolation_matrix(256, FS, 8)
+        assert dsp.decimation_matrix(2048, FS, 8) is D
+        assert dsp.interpolation_matrix(256, FS, 8) is I
+        assert not D.flags.writeable and not I.flags.writeable
+
+    def test_length_must_divide(self):
+        with pytest.raises(DataError):
+            dsp.decimation_matrix(2047, FS, 8)
+
+
 class TestKernelToMatrix:
     def test_unit_impulse_is_identity(self):
         mat = dsp.kernel_to_matrix(np.array([1.0]), dim=256)

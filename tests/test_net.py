@@ -430,3 +430,85 @@ class TestDenoiseFrame:
         x = rng.uniform(-1.0, 1.0, 2048)
         out = net.denoise_frame(model, x)
         assert np.all(np.isfinite(out))
+
+
+def trained_like_net(hidden=16, seed=1, rng_seed=9):
+    """A full-size network with F released and dense, non-zero biases
+    and an input scale that is not 1, as training leaves it."""
+    spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
+    n = net.init_network(hidden, seed, spec, dim=256, fs=FS)
+    rng = np.random.default_rng(rng_seed)
+    n.f = n.f + 0.01 * rng.standard_normal(n.f.shape)
+    n.b1 = 0.1 * rng.standard_normal(hidden)
+    n.b2 = 0.3 * rng.standard_normal(256)
+    n.input_scale = 3.5
+    return n
+
+
+def explicit_chain(n: net.Network, frames):
+    """Inference as decimate, scale, forward_batch, unscale, interpolate."""
+    X = dsp.decimate(frames, n.fs, n.decim_factor) / n.input_scale
+    Y, _ = net.forward_batch(n, X)
+    return dsp.interpolate(Y * n.input_scale, n.fs, n.decim_factor)
+
+
+class TestPlan:
+    def test_matches_explicit_chain(self):
+        n = trained_like_net()
+        frames = np.random.default_rng(6).normal(0.0, 4.0, (9, 2048))
+        ref = explicit_chain(n, frames)
+        for out in (net.compile_plan(n)(frames), net.denoise_frames(n, frames)):
+            assert out.shape == frames.shape
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        n = trained_like_net()
+        frames = np.zeros((3, 2048))
+        frames[1, 700] = bad
+        with pytest.raises(NumericError):
+            net.compile_plan(n)(frames)
+        with pytest.raises(NumericError):
+            net.denoise_frames(n, frames)
+        with pytest.raises(NumericError):
+            net.denoise_frame(n, frames[1])
+
+    def test_loaded_checkpoint_compiles_once(self, tmp_path, monkeypatch):
+        net.save_checkpoint(tmp_path / "c.bin", trained_like_net())
+        loaded = net.load_checkpoint(tmp_path / "c.bin")
+        compiled = []
+        compile_plan = net.compile_plan
+        monkeypatch.setattr(net, "compile_plan",
+                            lambda m: compiled.append(m) or compile_plan(m))
+        frame = np.random.default_rng(2).standard_normal(2048)
+        first = net.denoise_frame(loaded, frame)
+        assert np.array_equal(net.denoise_frame(loaded, frame), first)
+        assert len(compiled) == 1
+        assert all(not arr.flags.writeable for arr in loaded.params().values())
+        with pytest.raises(ValueError):
+            loaded.w2[0, 0] += 1.0
+
+    def test_follows_assigned_parameters(self, tmp_path):
+        net.save_checkpoint(tmp_path / "c.bin", trained_like_net())
+        loaded = net.load_checkpoint(tmp_path / "c.bin")
+        frame = np.random.default_rng(3).normal(0.0, 4.0, 2048)
+        net.denoise_frame(loaded, frame)
+        for change in (lambda m: setattr(m, "w2", 0.5 * m.w2),
+                       lambda m: setattr(m, "input_scale", 2.0 * m.input_scale),
+                       lambda m: setattr(m, "f", m.f + 0.01)):
+            before = net.denoise_frame(loaded, frame)
+            change(loaded)
+            after = net.denoise_frame(loaded, frame)
+            ref = explicit_chain(loaded, frame[np.newaxis])[0]
+            assert not np.allclose(after, before)
+            assert np.max(np.abs(after - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_follows_in_place_training_updates(self):
+        n = trained_like_net()
+        frame = np.random.default_rng(4).normal(0.0, 4.0, 2048)
+        before = net.denoise_frame(n, frame)
+        n.b2 += 0.5  # an in-place update, as adam_step makes
+        after = net.denoise_frame(n, frame)
+        ref = explicit_chain(n, frame[np.newaxis])[0]
+        assert not np.allclose(after, before)
+        assert np.max(np.abs(after - ref)) <= 1e-12 * np.max(np.abs(ref))
