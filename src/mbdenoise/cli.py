@@ -219,13 +219,13 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
     )
 
 
-def _combo_mixes(cfg: RunConfig, corpus: Corpus, split: curriculum.DatasetSplit,
-                 combos: tuple[curriculum.Combo, ...]) -> curriculum.Mixes:
-    """The mixes of every cell of the split's given combinations."""
-    return curriculum.mix_cells(curriculum.combo_cells(
+def _combo_cells(cfg: RunConfig, corpus: Corpus, split: curriculum.DatasetSplit,
+                 combos: tuple[curriculum.Combo, ...]) -> list[curriculum.Cell]:
+    """Every cell of the split's given combinations."""
+    return curriculum.combo_cells(
         split, combos, corpus.shots_by_id(), corpus.noises_by_id(),
         list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-    ))
+    )
 
 
 def _train_rotation(
@@ -234,14 +234,14 @@ def _train_rotation(
     rotation: int,
     on_iteration: Callable[[int, int, net.Network], None] | None = None,
 ) -> tuple[net.Network, curriculum.ConvergenceLog]:
-    """Mix one rotation's training and validation combinations,
-    initialize its network from the rotation's child seed, and run the
-    phased schedule on it."""
+    """Walk one rotation's training and validation combinations into
+    cells, initialize its network from the rotation's child seed, and
+    run the phased schedule on them."""
     split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )[rotation]
-    train = _combo_mixes(cfg, corpus, split, split.train_combos)
-    validation = _combo_mixes(cfg, corpus, split, (split.validation_combo,))
+    train = _combo_cells(cfg, corpus, split, split.train_combos)
+    validation = _combo_cells(cfg, corpus, split, (split.validation_combo,))
     model = net.init_network(
         cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
@@ -351,8 +351,9 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
             )
         plan = net.compile_plan(model)
         split = splits[rotation]
-        _score_mixes(plan, _combo_mixes(cfg, corpus, split, (split.validation_combo,)),
-                     val_flags, det_cfg, tolerance, cfg.fs)
+        val_cells = _combo_cells(cfg, corpus, split, (split.validation_combo,))
+        _score_mixes(plan, curriculum.mix_cells(val_cells), val_flags, det_cfg, tolerance,
+                     cfg.fs)
         test_cells = _test_cells(cfg, corpus, rotation, split)
         if test_cells:
             _score_mixes(plan, curriculum.mix_cells(test_cells), test_flags, det_cfg,

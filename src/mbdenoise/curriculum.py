@@ -10,8 +10,10 @@ so validation shots and validation noise never touch training.
 A combination is walked into cells, one (shot, noise, offset, SNR) mix
 each, and mix_cells turns any list of cells into one Mixes record: a
 stack of full-rate noisy frames with each row's shot id, onset and grid
-SNR, and each shot's clean frame once. Training, validation and
-scoring all read that record.
+SNR, and each shot's clean frame once. Scoring reads that record.
+Training and validation read cells: they are mixed and decimated a
+block of MIX_BLOCK_ROWS rows at a time, so no full-rate stack of them
+outlives its block.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ from .net import (
     residual_loss,
 )
 from .signals import NoiseRecord, ShotRecord
+
+# Cells mixed and decimated per block when training reads them; a block
+# of 64 rows of 2048 samples holds 1 MB at full rate. The 1400 training
+# cells of the benchmark config took 26-38 ms in blocks of 16 to 128
+# rows, against 36-47 ms as one stack, whose traced peak is 53 MB where
+# 64-row blocks peak at 7.4 MB (median and minimum of 21, 2-core x86-64
+# Xeon, numpy 2.4.6).
+MIX_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class Combo:
@@ -143,9 +154,9 @@ class Mixes:
 
     Row k mixes shot shot_ids[k], whose blast starts at onsets[k], at
     the grid SNR snr_bins[k]; clean holds each shot's clean frame once,
-    keyed by shot id. The network's decimated, scaled inputs are built
-    from these by whoever holds the network (train_curriculum,
-    net.denoise_frames).
+    keyed by shot id. Scoring reads whole Mixes records; training mixes
+    one block of cells at a time into one (_network_frames) and keeps
+    only its decimated rows.
     """
 
     noisy: np.ndarray
@@ -307,20 +318,34 @@ class ConvergenceLog:
         return log
 
 
-def _network_frames(net: Network, mixes: Mixes) -> tuple[np.ndarray, np.ndarray]:
-    """The noisy and clean frames of the mixes decimated at the network's
-    rate, unscaled, one row per mix; each shot's clean frame is
-    decimated once."""
-    shot_row = {shot_id: k for k, shot_id in enumerate(mixes.clean)}
-    clean = decimate(np.stack(list(mixes.clean.values())), net.fs, net.decim_factor)
-    return (decimate(mixes.noisy, net.fs, net.decim_factor),
-            clean[[shot_row[shot_id] for shot_id in mixes.shot_ids]])
+def _network_frames(net: Network, cells: list[Cell]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells' noisy frames decimated at the network's rate, one row
+    per cell; each distinct shot's decimated clean frame once; and each
+    row's index into those clean frames. Nothing is scaled.
+
+    The cells are mixed and decimated MIX_BLOCK_ROWS at a time into one
+    preallocated array. Mixing and decimation are both row by row, so
+    every row equals the row of decimate(mix_cells(cells).noisy).
+    """
+    if not cells:
+        raise DataError("no cells to mix")
+    shots = {cell[0].shot_id: cell[0] for cell in cells}
+    shot_row = {shot_id: k for k, shot_id in enumerate(shots)}
+    rows = np.array([shot_row[cell[0].shot_id] for cell in cells])
+    noisy = np.empty((len(cells), net.dim))
+    for lo in range(0, len(cells), MIX_BLOCK_ROWS):
+        mixed = mix_cells(cells[lo:lo + MIX_BLOCK_ROWS]).noisy
+        noisy[lo:lo + mixed.shape[0]] = decimate(mixed, net.fs, net.decim_factor)
+    clean = decimate(np.stack([shot.waveform.samples for shot in shots.values()]), net.fs,
+                     net.decim_factor)
+    return noisy, clean, rows
 
 
 def train_curriculum(
     net: Network,
-    train: Mixes,
-    validation: Mixes,
+    train: list[Cell],
+    validation: list[Cell],
     plan: PhasePlan = PhasePlan(),
     lr: float = 1e-3,
     f_lr_scale: float = 0.5,
@@ -328,40 +353,45 @@ def train_curriculum(
 ) -> tuple[Network, ConvergenceLog]:
     """Run the SNR-phased schedule and log every iteration.
 
-    The network's inputs are the mixes decimated with its own fs and
-    decim_factor and divided by its input_scale, which is set here to
-    the largest |decimated clean training sample|; validation mixes
-    never touch the scale. Each phase warm-starts from the previous one,
-    admits all training rows whose grid SNR is at or above its threshold,
-    re-freezes the filter layer at its start, and releases it after
-    freeze_iters iterations. One iteration is one optimizer step on the
-    full active set, an Adam step at lr (lr * f_lr_scale for the
-    filter layer). Validation rows are only ever used for the
-    logged validation loss, never for gradients.
+    The network's inputs are the cells' mixes decimated with its own fs
+    and decim_factor and divided by its input_scale, which is set here
+    to the largest |decimated clean training sample|; validation cells
+    never touch the scale. The mixes are made a block at a time
+    (_network_frames), and each shot's scaled, decimated clean frame is
+    kept once, from which each phase gathers its targets. Each phase
+    warm-starts from the previous one, admits all training rows whose
+    grid SNR is at or above its threshold, re-freezes the filter layer
+    at its start, and releases it after freeze_iters iterations. One
+    iteration is one optimizer step on the full active set, an Adam
+    step at lr (lr * f_lr_scale for the filter layer). Validation rows
+    are only ever used for the logged validation loss, never for
+    gradients.
 
     The network runs one forward per parameter state. The inputs live
     in one block: the validation rows first, then the phase's active
     training rows. One forward over the block after each Adam step
     gives that iteration's validation loss from the first rows and the
     next iteration's training residual from the rest; each phase starts
-    with one forward of its own. Residuals and gradient scaling work in
+    with one forward of its own, and each forward's output is released
+    before the next is made. Residuals and gradient scaling work in
     place on the forward's output. The weights and the log equal those
     of a separate training and validation forward per iteration bit for
     bit, because a row of a matrix product does not depend on the rows
     beside it; the one exception is OpenBLAS's kernel for products of a
     few rows (under 19 at hidden 64), whose rounding differs.
     """
-    x_train, t_train = _network_frames(net, train)
-    net.input_scale = float(np.max(np.abs(t_train)))
-    x_val, t_val = _network_frames(net, validation)
+    x_train, clean_train, train_rows = _network_frames(net, train)
+    net.input_scale = float(np.max(np.abs(clean_train)))
+    x_val, clean_val, val_rows = _network_frames(net, validation)
     n_val = x_val.shape[0]
     block = np.empty((n_val + x_train.shape[0], x_train.shape[1]))
     block[:n_val] = x_val
     del x_val
-    for frames in (x_train, t_train, block[:n_val], t_val):
+    for frames in (x_train, clean_train, block[:n_val], clean_val):
         frames /= net.input_scale
-    t_act = np.empty_like(t_train)
-    snrs = np.array(train.snr_bins)
+    t_val = clean_val[val_rows]
+    t_act = np.empty_like(x_train)
+    snrs = np.array([cell[3] for cell in train])
 
     state = AdamState()
     log = ConvergenceLog()
@@ -372,7 +402,7 @@ def train_curriculum(
             raise DataError(f"phase {phase}: no training mixes at SNR >= {threshold} dB")
         x = block[:n_val + n_act]
         np.take(x_train, active, axis=0, out=x[n_val:])
-        np.take(t_train, active, axis=0, out=t_act[:n_act])
+        np.take(clean_train, train_rows[active], axis=0, out=t_act[:n_act])
         net.f_frozen = True
         y, cache = forward_batch(net, x)
         for it in range(plan.total_iters):
@@ -387,11 +417,12 @@ def train_curriculum(
             grads = backward_batch(
                 net, ForwardCache(cache.x[n_val:], cache.a[n_val:], cache.p), resid)
             adam_step(net, grads, state, lr=lr, f_lr_scale=f_lr_scale)
+            del y, cache, resid
             y, cache = forward_batch(net, x)
-            val_resid = y[:n_val]
-            val_resid -= t_val
-            val_mse = residual_loss(val_resid)
+            y[:n_val] -= t_val
+            val_mse = residual_loss(y[:n_val])
             log.append(LogRecord(phase, it, train_mse, val_mse, net.f_frozen, n_act))
             if on_iteration is not None:
                 on_iteration(phase, it, net)
+        del y, cache
     return net, log

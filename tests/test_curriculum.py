@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,25 +23,40 @@ def splits10(corpus10):
     return curriculum.build_split(shots, noises, seed=0, sections_per_noise=2)
 
 
-def mixes(corpus, split, combos, grid=(0.0,), per_cell=1, seed=0):
+def cells(corpus, split, combos, grid=(0.0,), per_cell=1, seed=0):
     shots, noises = corpus
-    return curriculum.mix_cells(curriculum.combo_cells(
+    return curriculum.combo_cells(
         split, combos, {s.shot_id: s for s in shots}, {n.noise_id: n for n in noises},
         list(grid), per_cell, seed,
-    ))
+    )
+
+
+def mixes(corpus, split, combos, **kwargs):
+    return curriculum.mix_cells(cells(corpus, split, combos, **kwargs))
+
+
+def rotation_cells(corpus, split, **kwargs):
+    """The split's training and validation cells."""
+    return (cells(corpus, split, split.train_combos, **kwargs),
+            cells(corpus, split, (split.validation_combo,), **kwargs))
 
 
 def materialize(corpus, split, **kwargs):
     """The split's training and validation mixes."""
-    return (mixes(corpus, split, split.train_combos, **kwargs),
-            mixes(corpus, split, (split.validation_combo,), **kwargs))
+    return tuple(map(curriculum.mix_cells, rotation_cells(corpus, split, **kwargs)))
 
 
-def take(m, rows):
-    """The mixes of the given rows, in that order."""
-    ids = [m.shot_ids[k] for k in rows]
-    return curriculum.Mixes(m.noisy[rows], ids, [m.onsets[k] for k in rows],
-                            [m.snr_bins[k] for k in rows], {s: m.clean[s] for s in ids})
+def shifted(cell, by):
+    """The cell with its shot's and its noise's samples raised by by."""
+    shot, noise, offset, snr = cell
+    wave = shot.waveform
+    return (signals.ShotRecord.from_waveform(
+                signals.Waveform(wave.samples + by, wave.fs, list(wave.annotations)),
+                shot.caliber_class, shot.shot_id),
+            signals.NoiseRecord.from_waveform(
+                signals.Waveform(noise.waveform.samples + by, noise.waveform.fs),
+                noise.noise_id),
+            offset, snr)
 
 
 def best_match(residual, record):
@@ -299,7 +315,7 @@ def tiny_net(seed=0, hidden=16):
 
 @pytest.fixture(scope="module")
 def trained(corpus10, splits10):
-    train, val = materialize(corpus10, splits10[0], grid=(5.0, 0.0, -5.0))
+    train, val = rotation_cells(corpus10, splits10[0], grid=(5.0, 0.0, -5.0))
     model = tiny_net()
     plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                 freeze_iters=6, total_iters=14)
@@ -308,7 +324,7 @@ def trained(corpus10, splits10):
         model, train, val, plan,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())),
     )
-    return train, model, log, hashes
+    return curriculum.mix_cells(train), model, log, hashes
 
 
 class TestTrainCurriculum:
@@ -352,13 +368,14 @@ class TestTrainCurriculum:
         # Training decimates each row with the network's own rate and
         # scales by the largest decimated clean training sample, row for
         # row in stack order, here with the two combinations interleaved.
-        train, val = materialize(corpus10, splits10[0], grid=(0.0,))
-        half = len(train.shot_ids) // 2
-        mixed = take(train, [k for pair in zip(range(half), range(half, 2 * half))
-                             for k in pair])
-        assert np.array_equal(mixed.noisy[1], train.noisy[half])
+        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
+        half = len(train) // 2
+        interleaved = [train[k] for pair in zip(range(half), range(half, 2 * half))
+                       for k in pair]
+        mixed = curriculum.mix_cells(interleaved)
+        assert np.array_equal(mixed.noisy[1], curriculum.mix_cells(train).noisy[half])
         plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
-        model, log = curriculum.train_curriculum(tiny_net(seed=4), mixed, val, plan)
+        model, log = curriculum.train_curriculum(tiny_net(seed=4), interleaved, val, plan)
 
         scale = max(float(np.max(np.abs(dsp.decimate(mixed.clean[s], FS, 8))))
                     for s in mixed.shot_ids)
@@ -370,16 +387,22 @@ class TestTrainCurriculum:
 
     def test_validation_never_in_gradients(self, corpus10, splits10):
         # Corrupting every validation frame must not change the trained
-        # weights by a single bit.
+        # weights by a single bit. Raising the validation shots and noise
+        # records by 2e6 raises every network input and target of
+        # validation by at least 1e6.
+        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
+        corrupted = [shifted(cell, 2e6) for cell in val]
+        (x, clean, rows), (x_c, clean_c, rows_c) = (
+            curriculum._network_frames(tiny_net(), v) for v in (val, corrupted))
+        assert np.array_equal(rows, rows_c)
+        assert np.min(x_c - x) >= 1e6 and np.min(clean_c - clean) >= 1e6
+
         def run(corrupt):
-            train, val = materialize(corpus10, splits10[0], grid=(0.0,))
-            if corrupt:
-                val.noisy += 1e6
-                val.clean = {s: frame - 1e6 for s, frame in val.clean.items()}
             model = tiny_net(seed=9)
             plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                         freeze_iters=3, total_iters=8)
-            model, _ = curriculum.train_curriculum(model, train, val, plan)
+            model, _ = curriculum.train_curriculum(model, train,
+                                                   corrupted if corrupt else val, plan)
             return model
 
         clean_run, corrupted_run = run(False), run(True)
@@ -396,15 +419,16 @@ class TestTrainCurriculum:
         # 19 at hidden 64) with a kernel of their own, so a row's bits
         # depend on the batch only below that size; 30 validation and
         # 40 or 60 training rows stay above it.
-        train, val = materialize(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
-        assert (len(val.shot_ids), len(train.shot_ids)) == (30, 60)
+        train, val = rotation_cells(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
+        assert (len(val), len(train)) == (30, 60)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=4, total_iters=9)
         lr, f_lr_scale = 2e-3, 0.7
         model, log = curriculum.train_curriculum(tiny_net(seed=6, hidden=64), train, val,
                                                  plan, lr, f_lr_scale)
 
-        def frames(m):
+        def frames(c):
+            m = curriculum.mix_cells(c)
             return (np.stack([dsp.decimate(row, FS, 8) for row in m.noisy]),
                     np.stack([dsp.decimate(m.clean[s], FS, 8) for s in m.shot_ids]))
 
@@ -413,7 +437,7 @@ class TestTrainCurriculum:
         scale = float(np.max(np.abs(t_train)))
         x_train, t_train = x_train / scale, t_train / scale
         x_val, t_val = (f / scale for f in frames(val))
-        snrs = np.array(train.snr_bins)
+        snrs = np.array([snr for *_, snr in train])
         moments, records = {}, []
         for phase, threshold in enumerate(plan.thresholds_db):
             active = snrs >= threshold
@@ -438,7 +462,7 @@ class TestTrainCurriculum:
         assert log.records == records
 
     def test_empty_active_set_aborts(self, corpus10, splits10):
-        train, val = materialize(corpus10, splits10[0], grid=(-5.0,))
+        train, val = rotation_cells(corpus10, splits10[0], grid=(-5.0,))
         model = tiny_net()
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=2, total_iters=5)
@@ -446,18 +470,17 @@ class TestTrainCurriculum:
             curriculum.train_curriculum(model, train, val, plan)
 
     def test_overfits_single_example(self, corpus10, splits10):
-        train, val = materialize(corpus10, splits10[0], grid=(0.0,))
+        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
         model = tiny_net(seed=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)
-        model, log = curriculum.train_curriculum(model, take(train, [0]), take(val, [0]),
-                                                 plan)
+        model, log = curriculum.train_curriculum(model, train[:1], val[:1], plan)
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
     def test_determinism_bitwise(self, corpus10, splits10):
         def run():
-            train, val = materialize(corpus10, splits10[2], grid=(0.0, -5.0))
+            train, val = rotation_cells(corpus10, splits10[2], grid=(0.0, -5.0))
             model = tiny_net(seed=5)
             plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                         freeze_iters=4, total_iters=9)
@@ -467,3 +490,69 @@ class TestTrainCurriculum:
         for k in net_a.params():
             assert np.array_equal(net_a.params()[k], net_b.params()[k])
         assert log_a.records == log_b.records
+
+
+BLOCK = curriculum.MIX_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def all_cells(corpus10, splits10):
+    """Every cell of every combination: 240 cells over all ten shots."""
+    split = splits10[0]
+    return cells(corpus10, split, split.combos, grid=(5.0, -10.0), per_cell=2)
+
+
+def repeated(cells_, n):
+    """The first n cells of the list repeated end to end."""
+    return (cells_ * (n // len(cells_) + 1))[:n]
+
+
+class TestNetworkFrames:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_edges(self, all_cells, n):
+        # Rows on either side of every block edge equal the rows of the
+        # whole stack mixed and decimated at once, and each row's target
+        # is its shot's decimated clean frame.
+        cell_list = repeated(all_cells[::-1], n)
+        noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
+        m = curriculum.mix_cells(cell_list)
+        whole = dsp.decimate(m.noisy, FS, 8)
+        assert noisy.shape == (n, 256) and rows.shape == (n,)
+        for k in range(n):
+            assert np.array_equal(noisy[k], whole[k]), k
+            assert np.array_equal(clean[rows[k]], dsp.decimate(m.clean[m.shot_ids[k]], FS, 8))
+        assert len(clean) == len(m.clean)
+        # input_scale as taken from one target row per mix.
+        targets = dsp.decimate(np.stack([m.clean[s] for s in m.shot_ids]), FS, 8)
+        assert float(np.max(np.abs(clean))) == float(np.max(np.abs(targets)))
+
+    def test_uses_the_model_rate(self, all_cells):
+        spec = dsp.design_butterworth(8, FS / 41.0, FS / 4.0)
+        model = net.init_network(4, 0, spec, dim=512, fs=FS, decim_factor=4)
+        cell_list = all_cells[:BLOCK + 3]
+        noisy, clean, rows = curriculum._network_frames(model, cell_list)
+        m = curriculum.mix_cells(cell_list)
+        assert np.array_equal(noisy, dsp.decimate(m.noisy, FS, 4))
+        assert np.array_equal(clean[rows], dsp.decimate(
+            np.stack([m.clean[s] for s in m.shot_ids]), FS, 4))
+
+    def test_empty_cell_list_rejected(self):
+        with pytest.raises(DataError):
+            curriculum._network_frames(tiny_net(), [])
+
+    def test_peak_below_one_full_rate_stack(self, all_cells):
+        # Six blocks of cells: the traced peak, output included, stays
+        # below the bytes of the full-rate noisy stack of those cells,
+        # which mixing them all at once would hold (with decimate's
+        # edge-padded copy of it besides).
+        cell_list = repeated(all_cells, 6 * BLOCK)
+        model = tiny_net()
+        full_rate = len(cell_list) * len(cell_list[0][0].waveform) * 8
+        tracemalloc.start()
+        try:
+            frames = curriculum._network_frames(model, cell_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frames[0].shape == (6 * BLOCK, 256)
+        assert peak < full_rate, (peak, full_rate)

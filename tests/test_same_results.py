@@ -2,7 +2,8 @@
 the commands it would run; no pipeline is run."""
 
 import importlib.util
-import subprocess
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,11 +79,11 @@ def test_checkpoint_shapes_and_unreadable(tmp_path):
 def test_every_command_runs_at_the_seed(tmp_path, monkeypatch, capsys, argv, seed):
     commands = []
 
-    def fake_run(cmd, **kwargs):
-        commands.append((cmd, kwargs["env"]["PYTHONPATH"]))
-        return subprocess.CompletedProcess(cmd, 0, "", "")
+    def fake_run(cmd, env, cwd):
+        commands.append((cmd, env["PYTHONPATH"]))
+        return 0, "", float(len(commands)), 10.0 * len(commands)
 
-    monkeypatch.setattr(same_results.subprocess, "run", fake_run)
+    monkeypatch.setattr(same_results, "run_command", fake_run)
     parent, change = tmp_path / "p", tmp_path / "c"
     assert same_results.main(["--parent", str(parent), "--change", str(change), *argv]) == 0
     stages = ["gen-data", "train", "evaluate", "denoise", "report"]
@@ -92,3 +93,28 @@ def test_every_command_runs_at_the_seed(tmp_path, monkeypatch, capsys, argv, see
     for cmd, _ in commands:
         at = cmd.index("--seed")
         assert cmd[at + 1] == seed and cmd.count("--seed") == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("cost per command, parent -> change:")
+    assert out[at + 1:] == [
+        f"    {stage}: wall {k:.2f} -> {k + 5:.2f} s, "
+        f"peak RSS {10 * k:.1f} -> {10 * (k + 5):.1f} MB"
+        for k, stage in enumerate(stages, start=1)]
+
+
+def test_failed_command_raises_with_its_stderr(tmp_path, monkeypatch):
+    monkeypatch.setattr(same_results, "run_command",
+                        lambda cmd, env, cwd: (2, "data error: no manifest\n", 0.1, 50.0))
+    with pytest.raises(RuntimeError, match="exited 2: data error: no manifest"):
+        same_results.run_pipeline(tmp_path, tmp_path, 0)
+
+
+def test_run_command_measures_the_child(tmp_path):
+    # A child that holds 64 MB, writes to stderr and exits 3: its own
+    # peak, not this process's, is reported.
+    code = ("import sys, time; block = bytearray(64 * 2**20); "
+            "sys.stderr.write('held'); time.sleep(0.05); sys.exit(3)")
+    status, stderr, wall_s, peak_mb = same_results.run_command(
+        [sys.executable, "-c", code], dict(os.environ), tmp_path)
+    assert (status, stderr) == (3, "held")
+    assert wall_s >= 0.05
+    assert 64 * 2**20 / 1e6 < peak_mb < 64 * 2**20 / 1e6 + 200

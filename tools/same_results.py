@@ -19,6 +19,10 @@ these results; identical files are counted per directory instead:
   parameter it is in;
 - ``differs``, or ``only in parent`` / ``only in change``.
 
+After the artefacts it prints each command's wall time and peak
+resident memory (the child's ``ru_maxrss``) in both checkouts; these
+lines are for information and do not change the exit status.
+
 Exits 0 when every artefact is identical or differs only in header
 lines, 1 otherwise.
 """
@@ -30,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +50,30 @@ IDENTICAL = "identical"
 HEADER_ONLY = "differs only in # header lines"
 
 
-def run_pipeline(checkout: Path, out: Path, seed: int) -> None:
+def run_command(cmd: list[str], env: dict[str, str],
+                cwd: Path) -> tuple[int, str, float, float]:
+    """Run one command to its end: (exit code, stderr, wall time in s,
+    peak resident memory in MB)."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    # ru_maxrss is in KiB on Linux; MB as mbbench reports peak_rss_mb.
+    return proc.returncode, stderr, wall_s, usage.ru_maxrss * 1024 / 1e6
+
+
+def run_pipeline(checkout: Path, out: Path, seed: int) -> dict[str, tuple[float, float]]:
     """gen-data, train, evaluate, denoise and report with the checkout's
-    sources, at the given seed."""
+    sources, at the given seed; each command's wall time in s and peak
+    resident memory in MB."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     checkpoint = out / "train" / "rotation_0" / "checkpoint.bin"
+    costs = {}
     for args in (
         ("gen-data", "--out", out / "corpus"),
         ("train", "--corpus", out / "corpus", "--out", out / "train"),
@@ -62,10 +86,12 @@ def run_pipeline(checkout: Path, out: Path, seed: int) -> None:
     ):
         cmd = [sys.executable, "-m", "mbdenoise.cli", *map(str, args), "--seed", str(seed),
                *SETTINGS]
-        proc = subprocess.run(cmd, env=env, cwd=out, capture_output=True, text=True)
-        if proc.returncode != 0:
+        code, stderr, wall_s, peak_mb = run_command(cmd, env, out)
+        if code != 0:
             raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
-                               f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+                               f"{code}: {stderr.strip()[-2000:]}")
+        costs[args[0]] = (wall_s, peak_mb)
+    return costs
 
 
 def _header_split(data: bytes) -> tuple[list[str], list[str]] | None:
@@ -131,9 +157,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         outs = {side: Path(tmp) / side for side in ("parent", "change")}
+        costs = {}
         for side, out in outs.items():
             out.mkdir()
-            run_pipeline(getattr(args, side), out, args.seed)
+            costs[side] = run_pipeline(getattr(args, side), out, args.seed)
         results = compare_trees(outs["parent"], outs["change"])
     identical: dict[str, int] = {}
     for rel, lines in results.items():
@@ -146,6 +173,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"    {detail}")
     for folder, count in identical.items():
         print(f"{folder} ({count} files): {IDENTICAL}")
+    print("cost per command, parent -> change:")
+    for command, (wall_p, peak_p) in costs["parent"].items():
+        wall_c, peak_c = costs["change"][command]
+        print(f"    {command}: wall {wall_p:.2f} -> {wall_c:.2f} s, "
+              f"peak RSS {peak_p:.1f} -> {peak_c:.1f} MB")
     same = all(lines[0] in (IDENTICAL, HEADER_ONLY) for lines in results.values())
     return 0 if same else 1
 
