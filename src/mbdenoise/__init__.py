@@ -24,6 +24,7 @@ from .detect import (
     detect_conditions,
     detect_impulses,
     match_detections,
+    scan_clean,
     score_rates,
 )
 from .dsp import (

@@ -271,23 +271,32 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _score_mixes(
+def _score_cells(
     plan: net.Plan,
-    mixes: curriculum.Mixes,
+    cells: list[curriculum.Cell],
     flags: dict[tuple[float, str], list[bool]],
     det_cfg: detect.DetectorConfig,
     tolerance: int,
     fs: int,
 ) -> None:
-    """Denoise the mixes in one batch and append each row's detection
-    outcome under all four conditions to flags, keyed by (SNR bin,
-    condition); each distinct shot's clean frame is scanned once."""
-    outcomes = detect.detect_conditions(
-        mixes.clean, mixes.noisy, plan(mixes.noisy),
-        mixes.shot_ids, mixes.onsets, tolerance, fs, det_cfg)
-    for snr, outcome in zip(mixes.snr_bins, outcomes):
-        for condition, matched in outcome.items():
-            flags.setdefault((snr, condition), []).append(matched)
+    """Append each cell's detection outcome under all four conditions to
+    flags, keyed by (SNR bin, condition).
+
+    Each distinct shot's clean frame is scanned once. The cells are then
+    scored a block at a time (curriculum.row_blocks): the block is
+    mixed, denoised in one batch and its noisy and denoised frames
+    scanned, and only its flags outlive it.
+    """
+    clean_dets = detect.scan_clean({cell[0].shot_id: cell[0].waveform.samples
+                                    for cell in cells}, fs, det_cfg)
+    for block in curriculum.row_blocks(len(cells)):
+        mixes = curriculum.mix_cells(cells[block])
+        outcomes = detect.detect_conditions(
+            clean_dets, mixes.noisy, plan(mixes.noisy), mixes.shot_ids, mixes.onsets,
+            tolerance, fs, det_cfg)
+        for snr, outcome in zip(mixes.snr_bins, outcomes):
+            for condition, matched in outcome.items():
+                flags.setdefault((snr, condition), []).append(matched)
 
 
 def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
@@ -328,7 +337,8 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                  out_dir: str | Path) -> Path:
     """Score detection per SNR bin on clean, noisy, denoised, and
     combined signals, concatenated across rotations; the held-out
-    caliber class is scored separately."""
+    caliber class is scored separately. Each cell list is scored a
+    block of rows at a time (_score_cells)."""
     corpus = _load_config_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,13 +361,10 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
             )
         plan = net.compile_plan(model)
         split = splits[rotation]
-        val_cells = _combo_cells(cfg, corpus, split, (split.validation_combo,))
-        _score_mixes(plan, curriculum.mix_cells(val_cells), val_flags, det_cfg, tolerance,
-                     cfg.fs)
-        test_cells = _test_cells(cfg, corpus, rotation, split)
-        if test_cells:
-            _score_mixes(plan, curriculum.mix_cells(test_cells), test_flags, det_cfg,
-                         tolerance, cfg.fs)
+        _score_cells(plan, _combo_cells(cfg, corpus, split, (split.validation_combo,)),
+                     val_flags, det_cfg, tolerance, cfg.fs)
+        _score_cells(plan, _test_cells(cfg, corpus, rotation, split), test_flags,
+                     det_cfg, tolerance, cfg.fs)
 
     signals.atomic_write(out / "scores_validation.csv", _score_csv(val_flags, cfg))
     signals.atomic_write(out / "scores_test.csv", _score_csv(test_flags, cfg))

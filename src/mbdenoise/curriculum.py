@@ -10,10 +10,11 @@ so validation shots and validation noise never touch training.
 A combination is walked into cells, one (shot, noise, offset, SNR) mix
 each, and mix_cells turns any list of cells into one Mixes record: a
 stack of full-rate noisy frames with each row's shot id, onset and grid
-SNR, and each shot's clean frame once. Scoring reads that record.
-Training and validation read cells: they are mixed and decimated a
-block of MIX_BLOCK_ROWS rows at a time, so no full-rate stack of them
-outlives its block.
+SNR, and each shot's clean frame once. Training, validation and scoring
+all read cells a block of rows at a time (row_blocks): each block is
+mixed into one Mixes record and reduced (decimated, or denoised and
+scanned) before the next is made, so no full-rate stack outlives its
+block.
 """
 
 from __future__ import annotations
@@ -39,13 +40,19 @@ from .net import (
 )
 from .signals import NoiseRecord, ShotRecord
 
-# Cells mixed and decimated per block when training reads them; a block
-# of 64 rows of 2048 samples holds 1 MB at full rate. The 1400 training
+# Cells mixed per block when training or scoring reads them; a block of
+# 64 rows of 2048 samples holds 1 MB at full rate. The 1400 training
 # cells of the benchmark config took 26-38 ms in blocks of 16 to 128
 # rows, against 36-47 ms as one stack, whose traced peak is 53 MB where
 # 64-row blocks peak at 7.4 MB (median and minimum of 21, 2-core x86-64
 # Xeon, numpy 2.4.6).
 MIX_BLOCK_ROWS = 64
+# A tail block shorter than this joins the block before it. OpenBLAS
+# multiplies a product of a few rows with another kernel, whose rounding
+# differs: on a trained inference plan, plan(x[:m]) differs in its last
+# bits from the same rows of a 700-row product for m <= 7 and equals
+# them for m >= 8 (OpenBLAS 0.3.31, 2-core x86-64 Xeon).
+MIN_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,9 @@ class Mixes:
 
     Row k mixes shot shot_ids[k], whose blast starts at onsets[k], at
     the grid SNR snr_bins[k]; clean holds each shot's clean frame once,
-    keyed by shot id. Scoring reads whole Mixes records; training mixes
-    one block of cells at a time into one (_network_frames) and keeps
-    only its decimated rows.
+    keyed by shot id. The pipeline makes one record per block of cells
+    (row_blocks): training keeps only its decimated rows
+    (_network_frames), scoring only each row's detection flags.
     """
 
     noisy: np.ndarray
@@ -181,6 +188,17 @@ def mix_cells(cells: list[Cell]) -> Mixes:
     return Mixes(noisy, [s.shot_id for s in shots], [s.onset for s in shots],
                  [cell[3] for cell in cells],
                  {s.shot_id: s.waveform.samples for s in shots})
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of MIX_BLOCK_ROWS rows that cover n rows. A
+    last block shorter than MIN_BLOCK_ROWS joins the one before it, so
+    every block has MIN_BLOCK_ROWS to MIX_BLOCK_ROWS + MIN_BLOCK_ROWS - 1
+    rows unless n itself is smaller."""
+    starts = list(range(0, n, MIX_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < MIN_BLOCK_ROWS:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def seed_words(*key: int) -> np.ndarray:
@@ -324,9 +342,9 @@ def _network_frames(net: Network, cells: list[Cell]
     per cell; each distinct shot's decimated clean frame once; and each
     row's index into those clean frames. Nothing is scaled.
 
-    The cells are mixed and decimated MIX_BLOCK_ROWS at a time into one
-    preallocated array. Mixing and decimation are both row by row, so
-    every row equals the row of decimate(mix_cells(cells).noisy).
+    The cells are mixed and decimated a block at a time (row_blocks)
+    into one preallocated array. Mixing and decimation are both row by
+    row, so every row equals the row of decimate(mix_cells(cells).noisy).
     """
     if not cells:
         raise DataError("no cells to mix")
@@ -334,9 +352,8 @@ def _network_frames(net: Network, cells: list[Cell]
     shot_row = {shot_id: k for k, shot_id in enumerate(shots)}
     rows = np.array([shot_row[cell[0].shot_id] for cell in cells])
     noisy = np.empty((len(cells), net.dim))
-    for lo in range(0, len(cells), MIX_BLOCK_ROWS):
-        mixed = mix_cells(cells[lo:lo + MIX_BLOCK_ROWS]).noisy
-        noisy[lo:lo + mixed.shape[0]] = decimate(mixed, net.fs, net.decim_factor)
+    for block in row_blocks(len(cells)):
+        noisy[block] = decimate(mix_cells(cells[block]).noisy, net.fs, net.decim_factor)
     clean = decimate(np.stack([shot.waveform.samples for shot in shots.values()]), net.fs,
                      net.decim_factor)
     return noisy, clean, rows

@@ -246,8 +246,20 @@ def score_rates(flags_by_bin: dict[float, list[bool]]) -> list[DetectionScore]:
     return scores
 
 
+def scan_clean(
+    clean: dict[str, np.ndarray], fs: int, config: DetectorConfig = DetectorConfig()
+) -> dict[str, list[Detection]]:
+    """The detections of each clean frame, keyed as clean is, all frames
+    scanned as one stack. The frames must share one length."""
+    if not clean:
+        return {}
+    if len({frame.shape for frame in clean.values()}) > 1:
+        raise DataError("clean frames differ in length")
+    return dict(zip(clean, _scan_frames(np.stack(list(clean.values())), fs, config)))
+
+
 def detect_conditions(
-    clean: dict[str, np.ndarray],
+    clean_dets: dict[str, list[Detection]],
     noisy: np.ndarray,
     denoised: np.ndarray,
     shot_ids: list[str],
@@ -260,26 +272,27 @@ def detect_conditions(
     four conditions: clean, noisy, denoised, and combined.
 
     Row k of the noisy and denoised stacks is example k, a mix of shot
-    shot_ids[k] with its onset at truth_onsets[k]; clean maps each shot
-    id to its clean frame, which is scanned once however many examples
-    share it. An example has one truth onset, so it counts as detected
-    when any of its detections lies within tolerance_samples of it
-    (_onset_detected). Combined is the parallel rule noisy OR denoised,
-    so the combined rate can never fall below either individual curve
-    (denoising occasionally filters out a blast the raw signal keeps).
+    shot_ids[k] with its onset at truth_onsets[k]; clean_dets maps each
+    shot id to its clean frame's detections (scan_clean), so a shot's
+    clean frame is scanned once however many examples, or blocks of
+    examples, share it. An example has one truth onset, so it counts as
+    detected when any of its detections lies within tolerance_samples
+    of it (_onset_detected). Combined is the parallel rule noisy OR
+    denoised, so the combined rate can never fall below either
+    individual curve (denoising occasionally filters out a blast the
+    raw signal keeps).
     """
     if tolerance_samples < 0:
         raise DataError(f"tolerance must be >= 0, got {tolerance_samples}")
     n, length = len(shot_ids), noisy.shape[-1]
     if (noisy.shape != (n, length) or denoised.shape != (n, length)
-            or len(truth_onsets) != n
-            or any(frame.shape != (length,) for frame in clean.values())):
-        raise DataError("clean, noisy and denoised stacks disagree in shape")
+            or len(truth_onsets) != n):
+        raise DataError("noisy and denoised stacks disagree in shape")
+    missing = sorted(set(shot_ids) - clean_dets.keys())
+    if missing:
+        raise DataError(f"no clean detections for shots {', '.join(missing)}")
     if n == 0:
         return []
-    clean_ids = list(clean)
-    clean_dets = dict(zip(clean_ids, _scan_frames(
-        np.stack([clean[s] for s in clean_ids]), fs, config)))
     outcomes = []
     for shot_id, onset, noisy_dets, denoised_dets in zip(
             shot_ids, truth_onsets, _scan_frames(noisy, fs, config),

@@ -20,9 +20,6 @@ from .signals import NoiseRecord, ShotRecord, Waveform, rms
 DEFAULT_KERNEL_LEN = 63
 AA_KERNEL_LEN = 127
 _DESIGN_GRID = 8192
-# Rows of a noise stack squared at once for their RMS: 64 rows of 2048
-# samples make a 1 MB temporary.
-_RMS_CHUNK_ROWS = 64
 
 _design_cache: dict[tuple, "FilterSpec"] = {}
 _resampling_cache: dict[tuple, np.ndarray] = {}
@@ -302,18 +299,14 @@ def mix_stack(
     Row k of segments, a noise segment as long as shots[k], is scaled by
     s = peak_pa / (segment RMS * 10^(snrs_db[k]/20)) and shot k's clean
     frame is added to it, so the stack ends up holding the noisy frames.
-    The RMS is signals.rms of the row bit for bit, taken over chunks of
-    _RMS_CHUNK_ROWS rows so that no temporary is as large as the stack.
-    Returns the scales s, one per row.
+    The RMS is signals.rms of the row bit for bit. Returns the scales s,
+    one per row.
     """
     n = segments.shape[0]
     if len(shots) != n or len(snrs_db) != n:
         raise DataError(f"{n} noise segments for {len(shots)} shots and "
                         f"{len(snrs_db)} SNRs")
-    seg_rms = np.empty(n)
-    for lo in range(0, n, _RMS_CHUNK_ROWS):
-        chunk = segments[lo:lo + _RMS_CHUNK_ROWS]
-        np.sqrt(np.mean(chunk * chunk, axis=-1), out=seg_rms[lo:lo + chunk.shape[0]])
+    seg_rms = np.sqrt(np.mean(segments * segments, axis=-1))
     if np.any(seg_rms <= 0):
         raise NumericError("noise segment is silent (zero RMS)")
     scales = np.array([shot.peak_pa / (r * 10.0 ** (snr / 20.0))

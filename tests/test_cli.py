@@ -3,13 +3,14 @@ import hashlib
 import shutil
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pathlib import Path
 
-from mbdenoise import cli, config, curriculum, net, signals
+from mbdenoise import cli, config, curriculum, detect, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
 SMOKE = dict(
@@ -342,6 +343,56 @@ class TestEvaluate:
         with pytest.raises(DataError):
             cli.cmd_evaluate(cfg, root / "corpus", tmp_path / "badckpt",
                              tmp_path / "out2")
+
+
+def scoring_inputs(cfg, root, n):
+    """n cells of the pipeline corpus (its cells of every combination,
+    repeated end to end) and rotation 0's inference plan."""
+    corpus = cli.load_corpus(root / "corpus")
+    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed,
+                                   cfg.sections_per_noise)[0]
+    cells = cli._combo_cells(cfg, corpus, split, split.combos)
+    cells = (cells * (n // len(cells) + 1))[:n]
+    model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
+    return cells, net.compile_plan(model)
+
+
+class TestScoreCells:
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 71, 72, 129])
+    def test_blocks_score_like_one_stack(self, pipeline, n):
+        # Flags from block scoring equal those of the whole cell list
+        # mixed at once, denoised in one call and scanned in one call.
+        cfg, root, _ = pipeline
+        cells, plan = scoring_inputs(cfg, root, n)
+        det_cfg, tol = cfg.detector(), detect.default_tolerance(cfg.fs)
+        flags = {}
+        cli._score_cells(plan, cells, flags, det_cfg, tol, cfg.fs)
+        m = curriculum.mix_cells(cells)
+        expected = {}
+        for snr, outcome in zip(m.snr_bins, detect.detect_conditions(
+                detect.scan_clean(m.clean, cfg.fs, det_cfg), m.noisy, plan(m.noisy),
+                m.shot_ids, m.onsets, tol, cfg.fs, det_cfg)):
+            for condition, matched in outcome.items():
+                expected.setdefault((snr, condition), []).append(matched)
+        assert flags == expected
+        assert sum(len(v) for v in flags.values()) == 4 * n
+
+    def test_peak_bounded_by_a_few_blocks(self, pipeline):
+        # 700 cells of 2048 samples hold 11.5 MB per full-rate stack;
+        # scored a block at a time, the traced peak stays under 8 MB.
+        cfg, root, _ = pipeline
+        cells, plan = scoring_inputs(cfg, root, 700)
+        assert cfg.frame_len == 2048
+        flags = {}
+        tracemalloc.start()
+        try:
+            cli._score_cells(plan, cells, flags, cfg.detector(),
+                             detect.default_tolerance(cfg.fs), cfg.fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(v) for v in flags.values()) == 4 * 700
+        assert peak < 8e6, peak
 
 
 class TestDenoiseCmd:

@@ -507,6 +507,26 @@ def repeated(cells_, n):
     return (cells_ * (n // len(cells_) + 1))[:n]
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n, sizes", [
+        (0, []),
+        (1, [1]),
+        (7, [7]),
+        (BLOCK, [BLOCK]),
+        (BLOCK + 1, [BLOCK + 1]),
+        (BLOCK + 7, [BLOCK + 7]),
+        (BLOCK + 8, [BLOCK, 8]),
+        (2 * BLOCK + 1, [BLOCK, BLOCK + 1]),
+        (700, [BLOCK] * 10 + [60]),
+    ])
+    def test_blocks_cover_the_rows_in_order(self, n, sizes):
+        # A tail under MIN_BLOCK_ROWS joins the block before it.
+        assert curriculum.MIN_BLOCK_ROWS == 8
+        blocks = curriculum.row_blocks(n)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+
+
 class TestNetworkFrames:
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_edges(self, all_cells, n):

@@ -323,18 +323,18 @@ class TestCombined:
         clean = blast_in_silence(onset, noise=0.01)
         rng = np.random.default_rng(1)
         masked = clean + 20.0 * rng.standard_normal(clean.size)
-        [flags] = detect.detect_conditions({"s": clean}, masked[np.newaxis],
-                                           clean[np.newaxis], ["s"], [onset],
-                                           self.TOL, FS, CFG)
+        [flags] = detect.detect_conditions(detect.scan_clean({"s": clean}, FS, CFG),
+                                           masked[np.newaxis], clean[np.newaxis],
+                                           ["s"], [onset], self.TOL, FS, CFG)
         assert flags == {"clean": True, "noisy": False, "denoised": True,
                          "combined": True}
 
     def test_neither_matches(self):
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(8192)
-        [flags] = detect.detect_conditions({"s": noise}, noise[np.newaxis],
-                                           noise[np.newaxis], ["s"], [4000],
-                                           self.TOL, FS, CFG)
+        [flags] = detect.detect_conditions(detect.scan_clean({"s": noise}, FS, CFG),
+                                           noise[np.newaxis], noise[np.newaxis],
+                                           ["s"], [4000], self.TOL, FS, CFG)
         assert not any(flags.values())
 
     def test_interleaved_shots_keep_their_clean_flags(self):
@@ -347,8 +347,8 @@ class TestCombined:
         onsets = [4000, 4000, 4000, 4000, 4000]
         noisy = np.stack([clean[s] for s in shot_ids])
         silent = np.zeros_like(noisy)
-        outcomes = detect.detect_conditions(clean, noisy, silent, shot_ids, onsets,
-                                            self.TOL, FS, CFG)
+        outcomes = detect.detect_conditions(detect.scan_clean(clean, FS, CFG), noisy,
+                                            silent, shot_ids, onsets, self.TOL, FS, CFG)
         assert [o["clean"] for o in outcomes] == [s == "hit" for s in shot_ids]
         assert [o["noisy"] for o in outcomes] == [s == "hit" for s in shot_ids]
         assert not any(o["denoised"] for o in outcomes)
@@ -366,8 +366,8 @@ class TestCombined:
         noisy = np.stack([shots[s] + rng.uniform(0.5, 8.0) * rng.standard_normal(8192)
                           for s in shot_ids])
         denoised = 0.5 * (noisy + np.stack([shots[s] for s in shot_ids]))
-        outcomes = detect.detect_conditions(shots, noisy, denoised, shot_ids, onsets,
-                                            self.TOL, FS, CFG)
+        outcomes = detect.detect_conditions(detect.scan_clean(shots, FS, CFG), noisy,
+                                            denoised, shot_ids, onsets, self.TOL, FS, CFG)
         for k, outcome in enumerate(outcomes):
             expected = {}
             for condition, x in (("clean", shots[shot_ids[k]]), ("noisy", noisy[k]),
@@ -393,7 +393,7 @@ class TestCombined:
     def test_negative_tolerance_rejected(self):
         x = np.zeros((1, 100))
         with pytest.raises(DataError):
-            detect.detect_conditions({"s": x[0]}, x, x, ["s"], [0], -1, FS, CFG)
+            detect.detect_conditions({"s": []}, x, x, ["s"], [0], -1, FS, CFG)
 
     def test_combined_at_least_each_rate(self):
         # Union of matched sets dominates each side, bin by bin.
@@ -405,21 +405,43 @@ class TestCombined:
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            detect.detect_conditions({"s": np.zeros(100)}, np.zeros((1, 100)),
+            detect.detect_conditions({"s": []}, np.zeros((1, 100)),
                                      np.zeros((1, 99)), ["s"], [0], 10, FS, CFG)
 
-    @pytest.mark.parametrize("clean_len, noisy_rows, denoised_rows, n_ids, n_onsets", [
-        (99, 1, 1, 1, 1),   # clean frame shorter than the rows
-        (100, 1, 2, 1, 1),  # denoised has a row too many
-        (100, 2, 2, 1, 1),  # two rows, one shot id
-        (100, 1, 1, 1, 2),  # one row, two onsets
+    @pytest.mark.parametrize("noisy_rows, denoised_rows, n_ids, n_onsets", [
+        (1, 2, 1, 1),  # denoised has a row too many
+        (2, 2, 1, 1),  # two rows, one shot id
+        (1, 1, 1, 2),  # one row, two onsets
     ])
-    def test_count_mismatch(self, clean_len, noisy_rows, denoised_rows, n_ids, n_onsets):
+    def test_count_mismatch(self, noisy_rows, denoised_rows, n_ids, n_onsets):
         with pytest.raises(DataError):
             detect.detect_conditions(
-                {"s": np.zeros(clean_len)}, np.zeros((noisy_rows, 100)),
+                {"s": []}, np.zeros((noisy_rows, 100)),
                 np.zeros((denoised_rows, 100)), ["s"] * n_ids, [0] * n_onsets,
                 10, FS, CFG)
+
+    def test_shot_without_clean_detections_rejected(self):
+        with pytest.raises(DataError, match="no clean detections for shots t"):
+            detect.detect_conditions({"s": []}, np.zeros((2, 100)), np.zeros((2, 100)),
+                                     ["s", "t"], [0, 0], 10, FS, CFG)
+
+
+class TestScanClean:
+    def test_each_frame_scanned_as_alone(self):
+        clean = {f"s{k}": blast_in_silence(3000 + 100 * k, noise=0.05, seed=k)
+                 for k in range(detect.SCAN_BLOCK_ROWS + 2)}
+        dets = detect.scan_clean(clean, FS, CFG)
+        assert list(dets) == list(clean)
+        for shot_id, frame in clean.items():
+            assert dets[shot_id] == detect.detect_impulses(frame, FS, CFG)
+        assert all(dets.values())
+
+    def test_empty(self):
+        assert detect.scan_clean({}, FS, CFG) == {}
+
+    def test_frames_of_different_lengths_rejected(self):
+        with pytest.raises(DataError, match="differ in length"):
+            detect.scan_clean({"s": np.zeros(8192), "t": np.zeros(8191)}, FS, CFG)
 
 
 def test_default_tolerance_is_ten_ms():
