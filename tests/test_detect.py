@@ -408,16 +408,17 @@ class TestCombined:
             detect.detect_conditions({"s": []}, np.zeros((1, 100)),
                                      np.zeros((1, 99)), ["s"], [0], 10, FS, CFG)
 
-    @pytest.mark.parametrize("noisy_rows, denoised_rows, n_ids, n_onsets", [
-        (1, 2, 1, 1),  # denoised has a row too many
-        (2, 2, 1, 1),  # two rows, one shot id
-        (1, 1, 1, 2),  # one row, two onsets
+    @pytest.mark.parametrize("clean_len, noisy_rows, denoised_rows, n_ids, n_onsets", [
+        (100, 1, 2, 1, 1),  # denoised has a row too many
+        (100, 2, 2, 1, 1),  # two rows, one shot id
+        (100, 1, 1, 1, 2),  # one row, two onsets
     ])
-    def test_count_mismatch(self, noisy_rows, denoised_rows, n_ids, n_onsets):
-        with pytest.raises(DataError):
+    def test_count_mismatch(self, clean_len, noisy_rows, denoised_rows, n_ids, n_onsets):
+        # Every row is as long as the shot's clean frame; only the counts differ.
+        with pytest.raises(DataError, match="disagree in shape"):
             detect.detect_conditions(
-                {"s": []}, np.zeros((noisy_rows, 100)),
-                np.zeros((denoised_rows, 100)), ["s"] * n_ids, [0] * n_onsets,
+                {"s": []}, np.zeros((noisy_rows, clean_len)),
+                np.zeros((denoised_rows, clean_len)), ["s"] * n_ids, [0] * n_onsets,
                 10, FS, CFG)
 
     def test_shot_without_clean_detections_rejected(self):
