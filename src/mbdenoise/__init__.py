@@ -9,7 +9,6 @@ from .config import RunConfig, load_config
 from .curriculum import (
     ConvergenceLog,
     DatasetSplit,
-    Mixes,
     PhasePlan,
     build_split,
     combo_cells,
@@ -33,7 +32,6 @@ from .dsp import (
     design_butterworth,
     interpolate,
     kernel_to_matrix,
-    mix_at_snr,
     mix_stack,
     snr_db,
 )
@@ -45,11 +43,9 @@ from .net import (
     backward_batch,
     compile_plan,
     denoise_frame,
-    denoise_frames,
     forward_batch,
     init_network,
     load_checkpoint,
-    mse_loss,
     residual_loss,
     save_checkpoint,
 )

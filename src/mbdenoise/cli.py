@@ -290,11 +290,12 @@ def _score_cells(
     clean_dets = detect.scan_clean({cell[0].shot_id: cell[0].waveform.samples
                                     for cell in cells}, fs, det_cfg)
     for block in curriculum.row_blocks(len(cells)):
-        mixes = curriculum.mix_cells(cells[block])
+        block_cells = cells[block]
+        noisy = curriculum.mix_cells(block_cells)
         outcomes = detect.detect_conditions(
-            clean_dets, mixes.noisy, plan(mixes.noisy), mixes.shot_ids, mixes.onsets,
-            tolerance, fs, det_cfg)
-        for snr, outcome in zip(mixes.snr_bins, outcomes):
+            clean_dets, noisy, plan(noisy), [cell[0].shot_id for cell in block_cells],
+            [cell[0].onset for cell in block_cells], tolerance, fs, det_cfg)
+        for (_, _, _, snr), outcome in zip(block_cells, outcomes):
             for condition, matched in outcome.items():
                 flags.setdefault((snr, condition), []).append(matched)
 

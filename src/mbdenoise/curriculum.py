@@ -8,13 +8,12 @@ and trains on the other shot half noised by the two remaining noises,
 so validation shots and validation noise never touch training.
 
 A combination is walked into cells, one (shot, noise, offset, SNR) mix
-each, and mix_cells turns any list of cells into one Mixes record: a
-stack of full-rate noisy frames with each row's shot id, onset and grid
-SNR, and each shot's clean frame once. Training, validation and scoring
-all read cells a block of rows at a time (row_blocks): each block is
-mixed into one Mixes record and reduced (decimated, or denoised and
-scanned) before the next is made, so no full-rate stack outlives its
-block.
+each, and mix_cells turns any list of cells into a stack of full-rate
+noisy frames, one row per cell; each row's shot id, onset and grid SNR
+stay in its cell. Training, validation and scoring all read cells a
+block of rows at a time (row_blocks): each block is mixed and reduced
+(decimated, or denoised and scanned) before the next is made, so no
+full-rate stack outlives its block.
 """
 
 from __future__ import annotations
@@ -155,39 +154,19 @@ def build_split(
 Cell = tuple[ShotRecord, NoiseRecord, int, float]
 
 
-@dataclass
-class Mixes:
-    """Noisy frames mixed from cells, one full-rate row per cell.
-
-    Row k mixes shot shot_ids[k], whose blast starts at onsets[k], at
-    the grid SNR snr_bins[k]; clean holds each shot's clean frame once,
-    keyed by shot id. The pipeline makes one record per block of cells
-    (row_blocks): training keeps only its decimated rows
-    (_network_frames), scoring only each row's detection flags.
-    """
-
-    noisy: np.ndarray
-    shot_ids: list[str]
-    onsets: list[int]
-    snr_bins: list[float]
-    clean: dict[str, np.ndarray]
-
-
-def mix_cells(cells: list[Cell]) -> Mixes:
-    """Cut each cell's noise segment into one preallocated stack and mix
-    the whole stack with dsp.mix_stack. cells must be non-empty and
-    share one shot length."""
+def mix_cells(cells: list[Cell]) -> np.ndarray:
+    """The cells' noisy frames, one full-rate row per cell: each cell's
+    noise segment is cut into one preallocated stack and the whole stack
+    is mixed with dsp.mix_stack. cells must be non-empty and share one
+    shot length."""
     if not cells:
         raise DataError("no cells to mix")
     frame_len = len(cells[0][0].waveform)
     noisy = np.empty((len(cells), frame_len))
     for row, (_, noise, offset, _) in zip(noisy, cells):
         row[:] = noise.segment(offset, frame_len)
-    shots = [cell[0] for cell in cells]
-    mix_stack(noisy, shots, [cell[3] for cell in cells])
-    return Mixes(noisy, [s.shot_id for s in shots], [s.onset for s in shots],
-                 [cell[3] for cell in cells],
-                 {s.shot_id: s.waveform.samples for s in shots})
+    mix_stack(noisy, [cell[0] for cell in cells], [cell[3] for cell in cells])
+    return noisy
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -344,7 +323,7 @@ def _network_frames(net: Network, cells: list[Cell]
 
     The cells are mixed and decimated a block at a time (row_blocks)
     into one preallocated array. Mixing and decimation are both row by
-    row, so every row equals the row of decimate(mix_cells(cells).noisy).
+    row, so every row equals the row of decimate(mix_cells(cells)).
     """
     if not cells:
         raise DataError("no cells to mix")
@@ -356,7 +335,7 @@ def _network_frames(net: Network, cells: list[Cell]
         # Mixed and decimated in one expression, the blocks left glibc's
         # heap laid out so that a process that trains and then scores
         # (the benchmark's evaluate run) peaked 4.5 MB higher.
-        mixed = mix_cells(cells[block]).noisy
+        mixed = mix_cells(cells[block])
         noisy[block] = decimate(mixed, net.fs, net.decim_factor)
     clean = decimate(np.stack([shot.waveform.samples for shot in shots.values()]), net.fs,
                      net.decim_factor)

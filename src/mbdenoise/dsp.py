@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .signals import NoiseRecord, ShotRecord, Waveform, rms
+from .signals import ShotRecord, Waveform, rms
 
 DEFAULT_KERNEL_LEN = 63
 AA_KERNEL_LEN = 127
@@ -283,13 +283,6 @@ def snr_db(shot: ShotRecord, noise_segment: Waveform | np.ndarray) -> float:
     return 20.0 * math.log10(shot.peak_pa / noise_rms)
 
 
-@dataclass(frozen=True)
-class MixResult:
-    noisy: Waveform
-    clean: Waveform
-    achieved_snr_db: float
-
-
 def mix_stack(
     segments: np.ndarray, shots: Sequence[ShotRecord], snrs_db: Sequence[float]
 ) -> np.ndarray:
@@ -315,28 +308,3 @@ def mix_stack(
     for row, shot in zip(segments, shots):
         row += shot.waveform.samples
     return scales
-
-
-def mix_at_snr(
-    shot: ShotRecord,
-    noise: NoiseRecord,
-    noise_offset: int,
-    target_snr_db: float,
-) -> MixResult:
-    """Add a scaled noise segment to the clean shot to hit a target SNR:
-    mix_stack on a stack of one.
-
-    The segment starting at noise_offset (shot length) is scaled by
-    s = peak_pa / (segment RMS * 10^(snr/20)) and summed onto the shot;
-    recomputing the SNR on the scaled segment returns the target exactly
-    up to float rounding. The clean frame passes through unmodified as
-    the training target, annotations intact on both outputs.
-    """
-    segment = noise.segment(noise_offset, len(shot.waveform))
-    noisy = segment[np.newaxis].copy()
-    [scale] = mix_stack(noisy, [shot], [target_snr_db])
-    return MixResult(
-        Waveform(noisy[0], shot.waveform.fs, list(shot.waveform.annotations)),
-        shot.waveform,
-        snr_db(shot, scale * segment),
-    )

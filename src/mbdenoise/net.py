@@ -3,13 +3,14 @@
 A single-hidden-layer fully connected autoencoder (256 -> hidden -> 256,
 tanh hidden activation, linear reconstruction) followed by a 256x256
 filter matrix that starts life as a low-pass filter and is itself
-trainable once released. Batch forward, sum-of-squares loss, exact
-analytic backprop, Adam updates honoring the filter-freeze flag, and a
-byte-stable checkpoint format. Training and validation run
-forward_batch, which folds the filter layer into the reconstruction
-weights once per call; inference runs a Plan, which also folds the
-decimation, the input scale and the interpolation into the weights, once
-per loaded checkpoint.
+trainable once released. Batch forward, the sum-of-squares loss of a
+residual, exact analytic backprop, Adam updates honoring the
+filter-freeze flag, and a byte-stable checkpoint format. Training and
+validation run forward_batch, which folds the filter layer into the
+reconstruction weights once per call; inference runs a Plan
+(compile_plan), which also folds the decimation, the input scale and the
+interpolation into the weights. denoise_frame runs one frame through a
+plan it compiles once per loaded checkpoint.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Network:
     seed: int = 0
     fs: int = 32768
     decim_factor: int = 8
-    # denoise_frames' cached inference plan: (the parameter arrays and
+    # denoise_frame's cached inference plan: (the parameter arrays and
     # signal-chain fields it was compiled from, the plan).
     _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -149,19 +150,10 @@ def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache
     return Y, ForwardCache(X, A, P)
 
 
-def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
-    """Sum of squared per-sample errors; 2-D inputs average the row sums,
-    so the learning rate is batch-size independent."""
-    y = np.asarray(y, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if y.shape != target.shape:
-        raise DataError(f"shape mismatch {y.shape} vs {target.shape}")
-    return residual_loss(y - target)
-
-
 def residual_loss(diff: np.ndarray) -> float:
-    """mse_loss of a precomputed residual y - target, as one flat dot
-    product over all samples divided by the number of examples."""
+    """The loss of a residual diff = y - target: the sum of squared
+    per-sample errors, as one flat dot product; a 2-D residual averages
+    its row sums, so the learning rate is batch-size independent."""
     flat = np.ravel(diff)
     n_examples = 1 if diff.ndim == 1 else diff.shape[0]
     return float(np.dot(flat, flat)) / n_examples
@@ -340,15 +332,9 @@ def _immutable(arr: np.ndarray) -> bool:
     return isinstance(base, bytes)
 
 
-def denoise_frames(net: Network, frames: np.ndarray) -> np.ndarray:
-    """The network's inference plan on a (n_frames, frame_len) stack of
-    full-rate frames."""
-    return _inference_plan(net)(frames)
-
-
 def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
-    """denoise_frames on one full-rate frame."""
-    return denoise_frames(net, np.reshape(frame, (1, -1)))[0]
+    """The network's inference plan on one full-rate frame."""
+    return _inference_plan(net)(np.reshape(frame, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +358,10 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
 
 def load_checkpoint(path: str | Path) -> Network:
     """The network saved at path. Its parameter arrays are read-only
-    views of the file's bytes, so denoise_frames compiles its inference
-    plan once; assign a new array to change a parameter."""
+    views of the file's bytes, so denoise_frame compiles its inference
+    plan once; assign a new array to change a parameter. A header whose
+    dim, hidden, fs or decim_factor is below 1, or whose input_scale is
+    not finite and positive, is a DataError."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -385,6 +373,9 @@ def load_checkpoint(path: str | Path) -> Network:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, seed, fs, decim_factor, f_frozen, input_scale = struct.unpack_from(
         "<IIqIIBd", raw, 8)
+    if dim < 1 or hidden < 1:
+        raise DataError(f"{path}: checkpoint header needs dim >= 1 and hidden >= 1, "
+                        f"got {dim} and {hidden}")
     if fs < 1 or decim_factor < 1 or not 0 < input_scale < math.inf:
         raise DataError(
             f"{path}: checkpoint header needs fs >= 1, decim_factor >= 1 and a "

@@ -134,10 +134,6 @@ class NoiseRecord:
         if abs(self.rms_pa - expected) > 1e-9 * expected:
             raise DataError(f"rms_pa {self.rms_pa} != measured RMS {expected}")
 
-    @classmethod
-    def from_waveform(cls, waveform: Waveform, noise_id: str):
-        return cls(waveform, noise_id)
-
     def segment(self, offset: int, n: int) -> np.ndarray:
         """The n samples from offset on, as a view of the record."""
         segment = self.waveform.samples[offset:offset + n]
@@ -456,4 +452,4 @@ def load_noise(path: str | Path | RecordFiles) -> NoiseRecord:
     waveform = load_wav(path, meta)
     if "noise_id" not in meta:
         raise DataError(f"{path}: sidecar lacks noise_id")
-    return NoiseRecord.from_waveform(waveform, meta["noise_id"])
+    return NoiseRecord(waveform, meta["noise_id"])

@@ -37,7 +37,7 @@ def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
 
     def loss():
         YY, _ = net.forward_batch(model, X)
-        return net.mse_loss(YY, T)
+        return net.residual_loss(YY - T)
 
     errors = []
     for name, arr in params.items():

@@ -367,11 +367,13 @@ class TestScoreCells:
         det_cfg, tol = cfg.detector(), detect.default_tolerance(cfg.fs)
         flags = {}
         cli._score_cells(plan, cells, flags, det_cfg, tol, cfg.fs)
-        m = curriculum.mix_cells(cells)
+        noisy = curriculum.mix_cells(cells)
+        clean = {cell[0].shot_id: cell[0].waveform.samples for cell in cells}
         expected = {}
-        for snr, outcome in zip(m.snr_bins, detect.detect_conditions(
-                detect.scan_clean(m.clean, cfg.fs, det_cfg), m.noisy, plan(m.noisy),
-                m.shot_ids, m.onsets, tol, cfg.fs, det_cfg)):
+        for (_, _, _, snr), outcome in zip(cells, detect.detect_conditions(
+                detect.scan_clean(clean, cfg.fs, det_cfg), noisy, plan(noisy),
+                [cell[0].shot_id for cell in cells], [cell[0].onset for cell in cells],
+                tol, cfg.fs, det_cfg)):
             for condition, matched in outcome.items():
                 expected.setdefault((snr, condition), []).append(matched)
         assert flags == expected
@@ -535,6 +537,23 @@ class TestMainEntry:
                          "--out", str(tmp_path / "den.wav")])
         assert code == 2
         assert "activation 'relu'" in capsys.readouterr().err
+        assert not (tmp_path / "den.wav").exists()
+
+    def test_empty_layer_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        # A dim-0 network would divide by zero in inference, so loading
+        # it must end denoise as a data error, not a traceback.
+        _, root, _ = pipeline
+        empty = net.Network(w1=np.zeros((4, 0)), b1=np.zeros(4), w2=np.zeros((0, 4)),
+                            b2=np.zeros(0), f=np.zeros((0, 0)))
+        bad = tmp_path / "empty.bin"
+        net.save_checkpoint(bad, empty)
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint header needs dim >= 1 and hidden >= 1" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "den.wav").exists()
 
     def test_corpus_fs_mismatch_exits_2(self, pipeline, odd_corpora, tmp_path, capsys):

@@ -31,19 +31,41 @@ def cells(corpus, split, combos, grid=(0.0,), per_cell=1, seed=0):
     )
 
 
-def mixes(corpus, split, combos, **kwargs):
-    return curriculum.mix_cells(cells(corpus, split, combos, **kwargs))
-
-
 def rotation_cells(corpus, split, **kwargs):
     """The split's training and validation cells."""
     return (cells(corpus, split, split.train_combos, **kwargs),
             cells(corpus, split, (split.validation_combo,), **kwargs))
 
 
-def materialize(corpus, split, **kwargs):
-    """The split's training and validation mixes."""
-    return tuple(map(curriculum.mix_cells, rotation_cells(corpus, split, **kwargs)))
+def shot_ids(cell_list):
+    return [cell[0].shot_id for cell in cell_list]
+
+
+def onsets(cell_list):
+    return [cell[0].onset for cell in cell_list]
+
+
+def snr_bins(cell_list):
+    return [cell[3] for cell in cell_list]
+
+
+def clean_frames(cell_list):
+    """Each distinct shot's clean frame once, keyed by shot id."""
+    return {cell[0].shot_id: cell[0].waveform.samples for cell in cell_list}
+
+
+def clean_rows(cell_list):
+    """Each cell's clean frame, one row per cell."""
+    return np.stack([cell[0].waveform.samples for cell in cell_list])
+
+
+def mixed_alone(cell):
+    """The cell's mix worked out by hand: its shot plus its noise
+    segment scaled by s = peak / (rms(segment) * 10^(snr/20))."""
+    shot, noise, offset, snr = cell
+    segment = noise.segment(offset, len(shot.waveform))
+    scale = shot.peak_pa / (signals.rms(segment) * 10.0 ** (snr / 20.0))
+    return shot.waveform.samples + scale * segment
 
 
 def shifted(cell, by):
@@ -53,7 +75,7 @@ def shifted(cell, by):
     return (signals.ShotRecord.from_waveform(
                 signals.Waveform(wave.samples + by, wave.fs, list(wave.annotations)),
                 shot.caliber_class, shot.shot_id),
-            signals.NoiseRecord.from_waveform(
+            signals.NoiseRecord(
                 signals.Waveform(noise.waveform.samples + by, noise.waveform.fs),
                 noise.noise_id),
             offset, snr)
@@ -123,38 +145,35 @@ class TestBuildSplit:
 
 class TestMaterialize:
     def test_counts(self, corpus10, splits10):
-        train, val = materialize(corpus10, splits10[0])
+        train, val = rotation_cells(corpus10, splits10[0])
         # Validation cells: 5 shots x 2 sections x 1 SNR x 1 per cell.
         # Training: other shot half x 2 noises x 2 sections each.
-        for m, n in ((val, 10), (train, 20)):
-            assert m.noisy.shape == (n, 2048)
-            assert len(m.shot_ids) == len(m.onsets) == len(m.snr_bins) == n
-            assert len(m.clean) == 5
+        for c, n in ((val, 10), (train, 20)):
+            assert len(c) == n
+            assert curriculum.mix_cells(c).shape == (n, 2048)
+            assert len(clean_frames(c)) == 5
 
-    def test_rows_are_mix_at_snr(self, corpus10, splits10):
+    def test_rows_are_scaled_segments_on_shots(self, corpus10, splits10):
         shots, noises = corpus10
         cells = [(shots[3], noises[1], 500, -5.0), (shots[0], noises[2], 9000, 10.0),
                  (shots[3], noises[0], 17, 0.0)]
-        m = curriculum.mix_cells(cells)
-        for row, cell in zip(m.noisy, cells):
-            assert np.array_equal(row, dsp.mix_at_snr(*cell).noisy.samples)
-        assert m.shot_ids == [shots[3].shot_id, shots[0].shot_id, shots[3].shot_id]
-        assert m.onsets == [shots[3].onset, shots[0].onset, shots[3].onset]
-        assert m.snr_bins == [-5.0, 10.0, 0.0]
-        assert list(m.clean) == [shots[3].shot_id, shots[0].shot_id]
+        noisy = curriculum.mix_cells(cells)
+        assert noisy.shape == (3, 2048)
+        for row, cell in zip(noisy, cells):
+            assert np.array_equal(row, mixed_alone(cell))
 
-    def test_every_row_is_mix_at_snr(self, corpus10, splits10):
+    def test_every_row_is_a_scaled_segment_on_its_shot(self, corpus10, splits10):
         # The stacked mix of every cell of every combination, at two grid
-        # SNRs and two repeats, equals mix_at_snr on the cell alone.
+        # SNRs and two repeats, equals the cell's mix worked out alone.
         shots, noises = corpus10
         split = splits10[0]
         cells = curriculum.combo_cells(
             split, split.combos, {s.shot_id: s for s in shots},
             {n.noise_id: n for n in noises}, [5.0, -10.0], 2, 0)
-        m = curriculum.mix_cells(cells)
-        assert m.noisy.shape == (len(cells), 2048) and len(cells) == 240
-        for row, cell in zip(m.noisy, cells):
-            assert np.array_equal(row, dsp.mix_at_snr(*cell).noisy.samples)
+        noisy = curriculum.mix_cells(cells)
+        assert noisy.shape == (len(cells), 2048) and len(cells) == 240
+        for row, cell in zip(noisy, cells):
+            assert np.array_equal(row, mixed_alone(cell))
 
     def test_empty_cell_list_rejected(self):
         with pytest.raises(DataError):
@@ -163,26 +182,28 @@ class TestMaterialize:
     def test_snr_recompute_oracle(self, corpus10, splits10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        for m in materialize(corpus10, splits10[0], grid=(5.0, -10.0)):
-            assert set(m.snr_bins) == {5.0, -10.0}
-            for row, shot_id, snr_bin in zip(m.noisy, m.shot_ids, m.snr_bins):
-                residual = row - m.clean[shot_id]
+        for c in rotation_cells(corpus10, splits10[0], grid=(5.0, -10.0)):
+            assert set(snr_bins(c)) == {5.0, -10.0}
+            for row, shot_id, snr_bin in zip(curriculum.mix_cells(c), shot_ids(c),
+                                             snr_bins(c)):
+                residual = row - by_id[shot_id].waveform.samples
                 snr = 20 * math.log10(by_id[shot_id].peak_pa / signals.rms(residual))
                 assert snr == pytest.approx(snr_bin, abs=1e-6)
 
     def test_clean_frame_is_source_shot(self, corpus10, splits10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        _, val = materialize(corpus10, splits10[0])
-        assert set(val.clean) == set(val.shot_ids)
-        for shot_id, frame in val.clean.items():
+        _, val = rotation_cells(corpus10, splits10[0])
+        assert set(clean_frames(val)) == set(shot_ids(val))
+        for shot_id, frame in clean_frames(val).items():
             assert np.array_equal(frame, by_id[shot_id].waveform.samples)
-        assert val.onsets == [by_id[shot_id].onset for shot_id in val.shot_ids]
+        assert onsets(val) == [by_id[shot_id].onset for shot_id in shot_ids(val)]
 
     def test_deterministic(self, corpus10, splits10):
-        (a, _), (b, _) = (materialize(corpus10, splits10[1], seed=3) for _ in range(2))
-        assert np.array_equal(a.noisy, b.noisy)
-        assert (a.shot_ids, a.onsets, a.snr_bins) == (b.shot_ids, b.onsets, b.snr_bins)
+        (a, _), (b, _) = (rotation_cells(corpus10, splits10[1], seed=3) for _ in range(2))
+        assert np.array_equal(curriculum.mix_cells(a), curriculum.mix_cells(b))
+        assert (shot_ids(a), onsets(a), snr_bins(a)) == (shot_ids(b), onsets(b),
+                                                         snr_bins(b))
 
     def test_validation_provenance_isolated(self, corpus10, splits10):
         # Each validation row is its shot plus a scaled segment of the
@@ -190,7 +211,8 @@ class TestMaterialize:
         # no training row holds a segment of that record anywhere.
         _, noises = corpus10
         split = splits10[0]
-        train, val = materialize(corpus10, split)
+        train, val = rotation_cells(corpus10, split)
+        val_noisy, val_clean = curriculum.mix_cells(val), clean_frames(val)
         combo = split.validation_combo
         nsub = split.noise_subsets[combo.noise_subset]
         record = next(n for n in noises if n.noise_id == nsub.noise_id).waveform.samples
@@ -201,34 +223,35 @@ class TestMaterialize:
                     [0, split.combos.index(combo), shot_pos, sec_idx, 0, 0])
                 offset = int(rng.integers(start, stop - 2048 + 1))
                 segment = record[offset:offset + 2048]
-                residual = val.noisy[row] - val.clean[shot_id]
+                residual = val_noisy[row] - val_clean[shot_id]
                 scale = residual @ segment / (segment @ segment)
-                assert val.shot_ids[row] == shot_id and scale > 0
+                assert shot_ids(val)[row] == shot_id and scale > 0
                 assert np.allclose(residual, scale * segment, rtol=0, atol=1e-12)
                 assert best_match(residual, record) > 1 - 1e-9
                 row += 1
-        assert row == len(val.shot_ids)
-        assert not set(train.shot_ids) & set(val.shot_ids)
-        for noisy, shot_id in zip(train.noisy, train.shot_ids):
-            assert best_match(noisy - train.clean[shot_id], record) < 0.5
+        assert row == len(val)
+        assert not set(shot_ids(train)) & set(shot_ids(val))
+        for noisy, clean in zip(curriculum.mix_cells(train), clean_rows(train)):
+            assert best_match(noisy - clean, record) < 0.5
 
     def test_validation_combo_alone_matches_full_rotation(self, corpus10, splits10):
         split = splits10[4]
         kwargs = dict(grid=(5.0, -10.0), per_cell=2, seed=7)
-        full = mixes(corpus10, split, split.train_combos + (split.validation_combo,),
+        full = cells(corpus10, split, split.train_combos + (split.validation_combo,),
                      **kwargs)
-        alone = mixes(corpus10, split, (split.validation_combo,), **kwargs)
-        n = len(alone.shot_ids)
-        assert len(full.shot_ids) == 3 * n
-        assert np.array_equal(alone.noisy, full.noisy[-n:])
-        assert alone.shot_ids == full.shot_ids[-n:]
-        assert alone.onsets == full.onsets[-n:]
-        assert alone.snr_bins == full.snr_bins[-n:]
-        assert all(np.array_equal(frame, full.clean[s]) for s, frame in alone.clean.items())
+        alone = cells(corpus10, split, (split.validation_combo,), **kwargs)
+        n = len(alone)
+        assert len(full) == 3 * n
+        assert np.array_equal(curriculum.mix_cells(alone), curriculum.mix_cells(full)[-n:])
+        assert shot_ids(alone) == shot_ids(full[-n:])
+        assert onsets(alone) == onsets(full[-n:])
+        assert snr_bins(alone) == snr_bins(full[-n:])
+        assert all(np.array_equal(frame, clean_frames(full)[s])
+                   for s, frame in clean_frames(alone).items())
 
     def test_rejects_out_of_range_grid(self, corpus10, splits10):
         with pytest.raises(ConfigError):
-            materialize(corpus10, splits10[0], grid=(20.0,))
+            rotation_cells(corpus10, splits10[0], grid=(20.0,))
 
 
 SEEDS_ACROSS_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
@@ -324,7 +347,7 @@ def trained(corpus10, splits10):
         model, train, val, plan,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())),
     )
-    return curriculum.mix_cells(train), model, log, hashes
+    return train, model, log, hashes
 
 
 class TestTrainCurriculum:
@@ -335,7 +358,7 @@ class TestTrainCurriculum:
 
     def test_phase_zero_excludes_low_snr(self, trained):
         train, _, log, _ = trained
-        n_at_or_above_zero = sum(1 for snr in train.snr_bins if snr >= 0.0)
+        n_at_or_above_zero = sum(1 for snr in snr_bins(train) if snr >= 0.0)
         assert log.phase_records(0)[0].n_active == n_at_or_above_zero
 
     def test_filter_frozen_then_released(self, trained):
@@ -358,10 +381,10 @@ class TestTrainCurriculum:
         # below an untrained network's loss on the wider active set.
         train, model, log, _ = trained
         fresh = tiny_net()
-        X = dsp.decimate(train.noisy, FS, 8)
-        T = dsp.decimate(np.stack([train.clean[s] for s in train.shot_ids]), FS, 8)
+        X = dsp.decimate(curriculum.mix_cells(train), FS, 8)
+        T = dsp.decimate(clean_rows(train), FS, 8)
         Y, _ = net.forward_batch(fresh, X / model.input_scale)
-        untrained = net.mse_loss(Y, T / model.input_scale)
+        untrained = net.residual_loss(Y - T / model.input_scale)
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
 
     def test_inputs_decimated_and_scaled_by_the_model(self, corpus10, splits10):
@@ -373,17 +396,17 @@ class TestTrainCurriculum:
         interleaved = [train[k] for pair in zip(range(half), range(half, 2 * half))
                        for k in pair]
         mixed = curriculum.mix_cells(interleaved)
-        assert np.array_equal(mixed.noisy[1], curriculum.mix_cells(train).noisy[half])
+        assert np.array_equal(mixed[1], curriculum.mix_cells(train)[half])
         plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
         model, log = curriculum.train_curriculum(tiny_net(seed=4), interleaved, val, plan)
 
-        scale = max(float(np.max(np.abs(dsp.decimate(mixed.clean[s], FS, 8))))
-                    for s in mixed.shot_ids)
+        scale = max(float(np.max(np.abs(dsp.decimate(clean, FS, 8))))
+                    for clean in clean_rows(interleaved))
         assert model.input_scale == scale
-        X = np.stack([dsp.decimate(row, FS, 8) for row in mixed.noisy]) / scale
-        T = np.stack([dsp.decimate(mixed.clean[s], FS, 8) for s in mixed.shot_ids]) / scale
+        X = np.stack([dsp.decimate(row, FS, 8) for row in mixed]) / scale
+        T = np.stack([dsp.decimate(clean, FS, 8) for clean in clean_rows(interleaved)]) / scale
         Y, _ = net.forward_batch(tiny_net(seed=4), X)
-        assert log.records[0].train_mse == net.mse_loss(Y, T)
+        assert log.records[0].train_mse == net.residual_loss(Y - T)
 
     def test_validation_never_in_gradients(self, corpus10, splits10):
         # Corrupting every validation frame must not change the trained
@@ -412,7 +435,7 @@ class TestTrainCurriculum:
 
     def test_matches_two_forward_reference_loop(self, corpus10, splits10):
         # The textbook loop: per iteration a training forward on the
-        # active rows, mse_loss, backward, allocating Adam, then a
+        # active rows, residual_loss, backward, allocating Adam, then a
         # separate validation forward. train_curriculum's one stacked
         # forward per parameter state must give the same bits. The model
         # is full width: OpenBLAS rounds products of a few rows (under
@@ -428,9 +451,8 @@ class TestTrainCurriculum:
                                                  plan, lr, f_lr_scale)
 
         def frames(c):
-            m = curriculum.mix_cells(c)
-            return (np.stack([dsp.decimate(row, FS, 8) for row in m.noisy]),
-                    np.stack([dsp.decimate(m.clean[s], FS, 8) for s in m.shot_ids]))
+            return (np.stack([dsp.decimate(row, FS, 8) for row in curriculum.mix_cells(c)]),
+                    np.stack([dsp.decimate(clean, FS, 8) for clean in clean_rows(c)]))
 
         ref = tiny_net(seed=6, hidden=64)
         x_train, t_train = frames(train)
@@ -447,12 +469,12 @@ class TestTrainCurriculum:
                 if it == plan.freeze_iters:
                     ref.f_frozen = False
                 y, cache = net.forward_batch(ref, x)
-                train_mse = net.mse_loss(y, t)
+                train_mse = net.residual_loss(y - t)
                 grads = net.backward_batch(ref, cache, (2.0 / len(x)) * (y - t))
                 textbook_adam_step(ref, grads, moments, lr, f_lr_scale)
                 y_val, _ = net.forward_batch(ref, x_val)
                 records.append(curriculum.LogRecord(
-                    phase, it, train_mse, net.mse_loss(y_val, t_val), ref.f_frozen,
+                    phase, it, train_mse, net.residual_loss(y_val - t_val), ref.f_frozen,
                     int(active.sum())))
 
         assert model.input_scale == scale
@@ -535,15 +557,15 @@ class TestNetworkFrames:
         # is its shot's decimated clean frame.
         cell_list = repeated(all_cells[::-1], n)
         noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
-        m = curriculum.mix_cells(cell_list)
-        whole = dsp.decimate(m.noisy, FS, 8)
+        whole = dsp.decimate(curriculum.mix_cells(cell_list), FS, 8)
         assert noisy.shape == (n, 256) and rows.shape == (n,)
         for k in range(n):
             assert np.array_equal(noisy[k], whole[k]), k
-            assert np.array_equal(clean[rows[k]], dsp.decimate(m.clean[m.shot_ids[k]], FS, 8))
-        assert len(clean) == len(m.clean)
+            assert np.array_equal(clean[rows[k]],
+                                  dsp.decimate(cell_list[k][0].waveform.samples, FS, 8))
+        assert len(clean) == len(clean_frames(cell_list))
         # input_scale as taken from one target row per mix.
-        targets = dsp.decimate(np.stack([m.clean[s] for s in m.shot_ids]), FS, 8)
+        targets = dsp.decimate(clean_rows(cell_list), FS, 8)
         assert float(np.max(np.abs(clean))) == float(np.max(np.abs(targets)))
 
     def test_uses_the_model_rate(self, all_cells):
@@ -551,10 +573,8 @@ class TestNetworkFrames:
         model = net.init_network(4, 0, spec, dim=512, fs=FS, decim_factor=4)
         cell_list = all_cells[:BLOCK + 3]
         noisy, clean, rows = curriculum._network_frames(model, cell_list)
-        m = curriculum.mix_cells(cell_list)
-        assert np.array_equal(noisy, dsp.decimate(m.noisy, FS, 4))
-        assert np.array_equal(clean[rows], dsp.decimate(
-            np.stack([m.clean[s] for s in m.shot_ids]), FS, 4))
+        assert np.array_equal(noisy, dsp.decimate(curriculum.mix_cells(cell_list), FS, 4))
+        assert np.array_equal(clean[rows], dsp.decimate(clean_rows(cell_list), FS, 4))
 
     def test_empty_cell_list_rejected(self):
         with pytest.raises(DataError):

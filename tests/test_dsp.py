@@ -295,57 +295,63 @@ class TestSnr:
             dsp.snr_db(shot, np.zeros(100))
 
 
+def mix_one(shot, noise, offset, target_snr_db):
+    """mix_stack on the one noise segment at offset: the noisy frame,
+    the segment and its scale."""
+    segment = noise.segment(offset, len(shot.waveform))
+    noisy = segment[np.newaxis].copy()
+    [scale] = dsp.mix_stack(noisy, [shot], [target_snr_db])
+    return noisy[0], segment, scale
+
+
 class TestMixAtSnr:
     def test_round_trip_identity(self, shot_a, noise_rec):
         for target in (-30.0, -20.0, -5.0, 0.0, 7.5, 30.0):
-            mix = dsp.mix_at_snr(shot_a, noise_rec, 1000, target)
-            assert mix.achieved_snr_db == pytest.approx(target, abs=1e-6)
+            noisy, segment, scale = mix_one(shot_a, noise_rec, 1000, target)
+            assert dsp.snr_db(shot_a, scale * segment) == pytest.approx(target, abs=1e-6)
             # Independent recomputation from the mixed output itself.
-            residual = mix.noisy.samples - mix.clean.samples
+            residual = noisy - shot_a.waveform.samples
             snr = 20 * math.log10(shot_a.peak_pa / signals.rms(residual))
             assert snr == pytest.approx(target, abs=1e-6)
 
     def test_vanishing_noise_limit(self, shot_a, noise_rec):
-        mix = dsp.mix_at_snr(shot_a, noise_rec, 0, 200.0)
-        scale = np.max(np.abs(mix.noisy.samples - mix.clean.samples))
+        noisy, _, _ = mix_one(shot_a, noise_rec, 0, 200.0)
+        scale = np.max(np.abs(noisy - shot_a.waveform.samples))
         assert scale <= 1e-8 * shot_a.peak_pa
 
     def test_scaled_noise_rms(self, noise_rec):
         # Inverting the SNR definition by hand: peak 10 Pa at -20 dB
         # means the added noise must carry 100 Pa RMS.
         shot = signals.friedlander(10.0, 0.0025, FS, 2048, 600)
-        mix = dsp.mix_at_snr(shot, noise_rec, 512, -20.0)
-        added = mix.noisy.samples - mix.clean.samples
+        noisy, _, _ = mix_one(shot, noise_rec, 512, -20.0)
+        added = noisy - shot.waveform.samples
         assert signals.rms(added) == pytest.approx(100.0, abs=1e-4)
 
     def test_clean_frame_untouched(self, shot_a, noise_rec):
-        mix = dsp.mix_at_snr(shot_a, noise_rec, 123, 0.0)
-        assert np.array_equal(mix.clean.samples, shot_a.waveform.samples)
-
-    def test_annotation_preserved(self, shot_a, noise_rec):
-        mix = dsp.mix_at_snr(shot_a, noise_rec, 123, 0.0)
-        assert mix.noisy.annotations == shot_a.waveform.annotations
+        before = shot_a.waveform.samples.copy()
+        mix_one(shot_a, noise_rec, 123, 0.0)
+        assert np.array_equal(shot_a.waveform.samples, before)
 
     def test_offset_out_of_range(self, shot_a, noise_rec):
         with pytest.raises(DataError):
-            dsp.mix_at_snr(shot_a, noise_rec, len(noise_rec.waveform) - 100, 0.0)
+            noise_rec.segment(len(noise_rec.waveform) - 100, len(shot_a.waveform))
         with pytest.raises(DataError):
-            dsp.mix_at_snr(shot_a, noise_rec, -5, 0.0)
+            noise_rec.segment(-5, len(shot_a.waveform))
 
     def test_silent_segment_rejected(self, shot_a):
         samples = np.ones(8192)
         samples[2048:4096] = 0.0
-        silent = signals.NoiseRecord.from_waveform(
-            signals.Waveform(samples, FS), "zeros")
+        silent = signals.NoiseRecord(signals.Waveform(samples, FS), "zeros")
         with pytest.raises(NumericError):
-            dsp.mix_at_snr(shot_a, silent, 2048, 0.0)
+            mix_one(shot_a, silent, 2048, 0.0)
 
 
 class TestMixStack:
     @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
     def test_scales_use_signals_rms(self, shot_a, noise_rec, n_rows):
-        # Rows on both sides of an RMS chunk boundary take the scale
-        # mix_at_snr defines, from signals.rms of the row bit for bit.
+        # Every row, in a stack of one row or of many, takes the scale
+        # peak / (rms * 10^(snr/20)), with signals.rms of the row bit
+        # for bit.
         rng = np.random.default_rng(n_rows)
         offsets = rng.integers(0, len(noise_rec.waveform) - 2048, size=n_rows)
         snrs = rng.uniform(-20.0, 10.0, size=n_rows).tolist()

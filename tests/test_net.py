@@ -148,29 +148,25 @@ class TestForward:
 class TestMseLoss:
     def test_identical_is_zero(self):
         y = np.arange(5.0)
-        assert net.mse_loss(y, y) == 0.0
+        assert net.residual_loss(y - y) == 0.0
 
     def test_simple_sum(self):
         y = np.zeros(8)
         t = np.zeros(8)
         y[0], y[1] = 1.0, -1.0
-        assert net.mse_loss(y, t) == 2.0
+        assert net.residual_loss(y - t) == 2.0
 
     def test_random_matches_independent_sum(self):
         rng = np.random.default_rng(2)
         y, t = rng.standard_normal(64), rng.standard_normal(64)
         expected = sum((float(a) - float(b)) ** 2 for a, b in zip(y, t))
-        assert net.mse_loss(y, t) == pytest.approx(expected, abs=1e-12)
+        assert net.residual_loss(y - t) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_is_mean_of_per_example_sums(self):
         rng = np.random.default_rng(3)
         Y, T = rng.standard_normal((3, 10)), rng.standard_normal((3, 10))
-        per = [net.mse_loss(Y[i], T[i]) for i in range(3)]
-        assert net.mse_loss(Y, T) == pytest.approx(np.mean(per), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            net.mse_loss(np.zeros(3), np.zeros(4))
+        per = [net.residual_loss(Y[i] - T[i]) for i in range(3)]
+        assert net.residual_loss(Y - T) == pytest.approx(np.mean(per), abs=1e-12)
 
 
 class TestBackward:
@@ -363,6 +359,18 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checkpoint header needs"):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dim, hidden", [(0, 0), (0, 4), (256, 0)])
+    def test_rejects_empty_layer(self, tmp_path, dim, hidden):
+        # The body matches the header, so only the header check can
+        # catch a network with no input samples or no hidden units.
+        model = net.Network(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden),
+                            w2=np.zeros((dim, hidden)), b2=np.zeros(dim),
+                            f=np.zeros((dim, dim)))
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, model)
+        with pytest.raises(DataError, match="needs dim >= 1 and hidden >= 1"):
+            net.load_checkpoint(path)
+
     def test_rejects_other_activation(self, tmp_path, small_spec):
         # The network only computes tanh; a checkpoint naming another
         # activation must not load and silently run tanh.
@@ -410,7 +418,7 @@ class TestDenoiseFrame:
         model = net.init_network(16, 1, spec, dim=256, fs=FS)
         model.input_scale = 3.5
         frames = np.random.default_rng(5).uniform(-2.0, 2.0, (4, 2048))
-        batch = net.denoise_frames(model, frames)
+        batch = net.compile_plan(model)(frames)
         assert batch.shape == frames.shape
         for frame, out in zip(frames, batch):
             assert np.max(np.abs(net.denoise_frame(model, frame) - out)) < 1e-12
@@ -418,10 +426,11 @@ class TestDenoiseFrame:
     def test_batch_rejects_wrong_shape(self):
         spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
         model = net.init_network(8, 0, spec, dim=256, fs=FS)
+        plan = net.compile_plan(model)
         with pytest.raises(DataError):
-            net.denoise_frames(model, np.zeros(2048))
+            plan(np.zeros(2048))
         with pytest.raises(DataError):
-            net.denoise_frames(model, np.zeros((2, 1000)))
+            plan(np.zeros((2, 1000)))
 
     def test_bounded_on_bounded_input(self):
         spec = dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
@@ -457,7 +466,8 @@ class TestPlan:
         n = trained_like_net()
         frames = np.random.default_rng(6).normal(0.0, 4.0, (9, 2048))
         ref = explicit_chain(n, frames)
-        for out in (net.compile_plan(n)(frames), net.denoise_frames(n, frames)):
+        for out in (net.compile_plan(n)(frames),
+                    np.stack([net.denoise_frame(n, frame) for frame in frames])):
             assert out.shape == frames.shape
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -468,8 +478,6 @@ class TestPlan:
         frames[1, 700] = bad
         with pytest.raises(NumericError):
             net.compile_plan(n)(frames)
-        with pytest.raises(NumericError):
-            net.denoise_frames(n, frames)
         with pytest.raises(NumericError):
             net.denoise_frame(n, frames[1])
 
