@@ -120,12 +120,6 @@ class Corpus:
     frame_len: int
     noise_len: int
 
-    def shots_by_id(self) -> dict[str, signals.ShotRecord]:
-        return {s.shot_id: s for s in self.shots_a + self.shots_b}
-
-    def noises_by_id(self) -> dict[str, signals.NoiseRecord]:
-        return {n.noise_id: n for n in self.noises}
-
 
 def load_corpus(corpus_dir: str | Path) -> Corpus:
     """Load a generated corpus, verifying every manifest checksum, that
@@ -173,8 +167,8 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             noises.append(signals.load_noise(files))
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
-    # Records are looked up by id, so a repeated id would hand one
-    # record's data to another's role (a held-out shot into training).
+    # Clean frames and clean detections are keyed by shot id, so a
+    # repeated id would pair one shot's mixes with another's clean frame.
     for kind, ids in (("shot", [s.shot_id for s in shots_a + shots_b]),
                       ("noise", [n.noise_id for n in noises])):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -219,13 +213,11 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
     )
 
 
-def _combo_cells(cfg: RunConfig, corpus: Corpus, split: curriculum.DatasetSplit,
+def _combo_cells(cfg: RunConfig, split: curriculum.DatasetSplit,
                  combos: tuple[curriculum.Combo, ...]) -> list[curriculum.Cell]:
     """Every cell of the split's given combinations."""
-    return curriculum.combo_cells(
-        split, combos, corpus.shots_by_id(), corpus.noises_by_id(),
-        list(cfg.snr_grid), cfg.examples_per_cell, cfg.seed,
-    )
+    return curriculum.combo_cells(split, combos, list(cfg.snr_grid),
+                                  cfg.examples_per_cell, cfg.seed)
 
 
 def _train_rotation(
@@ -239,9 +231,10 @@ def _train_rotation(
     run the phased schedule on them."""
     split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
-    )[rotation]
-    train = _combo_cells(cfg, corpus, split, split.train_combos)
-    validation = _combo_cells(cfg, corpus, split, (split.validation_combo,))
+    )
+    train_combos, validation_combo = curriculum.rotation_combos(rotation)
+    train = _combo_cells(cfg, split, train_combos)
+    validation = _combo_cells(cfg, split, (validation_combo,))
     model = net.init_network(
         cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
@@ -304,8 +297,7 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
                 split: curriculum.DatasetSplit) -> list[curriculum.Cell]:
     """Cross-caliber cells: held-out caliber shots mixed with the
     rotation's validation noise (scoring only, never trained on)."""
-    nsub = split.noise_subsets[split.validation_combo.noise_subset]
-    noise = corpus.noises_by_id()[nsub.noise_id]
+    nsub = split.noise_subsets[curriculum.COMBOS[rotation].noise_subset]
     cells = []
     for i, shot in enumerate(corpus.shots_b):
         for snr_idx, snr in enumerate(cfg.snr_grid):
@@ -313,7 +305,7 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
                                                               snr_idx))
             start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
             offset = int(rng.integers(start, stop - corpus.frame_len + 1))
-            cells.append((shot, noise, offset, snr))
+            cells.append((shot, nsub.noise, offset, snr))
     return cells
 
 
@@ -346,7 +338,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     det_cfg = cfg.detector()
     tolerance = detect.default_tolerance(cfg.fs)
 
-    splits = curriculum.build_split(
+    split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )
     val_flags: dict[tuple[float, str], list[bool]] = {}
@@ -361,8 +353,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
         plan = net.compile_plan(model)
-        split = splits[rotation]
-        _score_cells(plan, _combo_cells(cfg, corpus, split, (split.validation_combo,)),
+        _score_cells(plan, _combo_cells(cfg, split, (curriculum.COMBOS[rotation],)),
                      val_flags, det_cfg, tolerance, cfg.fs)
         _score_cells(plan, _test_cells(cfg, corpus, rotation, split), test_flags,
                      det_cfg, tolerance, cfg.fs)

@@ -68,8 +68,15 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.decim_factor < 1:
-            raise ConfigError(f"decim_factor must be >= 1, got {self.decim_factor}")
+        # Decimation low-passes at fs / (2 * decim_factor), which lies
+        # below fs / 2 only from a factor of 2 on.
+        if self.decim_factor < 2:
+            raise ConfigError(f"decim_factor must be >= 2, got {self.decim_factor}")
+        if not self.filter_cutoff_hz < self.fs_decimated / 2:
+            raise ConfigError(
+                f"decim_factor {self.decim_factor} puts the decimated Nyquist rate "
+                f"{self.fs_decimated / 2:g} Hz at or below the filter layer's "
+                f"{self.filter_cutoff_hz:g} Hz cutoff")
         if self.frame_len % self.decim_factor != 0:
             raise ConfigError(
                 f"frame_len {self.frame_len} not divisible by decim_factor "
@@ -77,9 +84,11 @@ class RunConfig:
             )
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.kernel_len < 1 or self.kernel_len % 2 != 1:
-            raise ConfigError(
-                f"kernel_len must be odd and positive, got {self.kernel_len}")
+        # The filter layer is a frame_dim x frame_dim convolution matrix.
+        taps = 2 * self.frame_dim() - 1
+        if not 1 <= self.kernel_len <= taps or self.kernel_len % 2 != 1:
+            raise ConfigError(f"kernel_len must be odd and in [1, {taps}], the taps of "
+                              f"a {self.frame_dim()}-point filter, got {self.kernel_len}")
         if not -1 <= self.rotation <= 5:
             raise ConfigError(f"rotation must be in [-1, 5], got {self.rotation}")
         if self.n_shots_a < 2:

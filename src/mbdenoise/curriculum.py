@@ -1,11 +1,11 @@
 """Dataset splitting, SNR-graded mixing, and the SNR-phased training
 loop with filter-layer freeze and release.
 
-Shots are halved into two subsets and each of the three noise records
-forms its own subset (subdivided into sections), giving six noised
-combinations. Every rotation holds one combination out for validation
-and trains on the other shot half noised by the two remaining noises,
-so validation shots and validation noise never touch training.
+One split serves all rotations: shots are halved into two subsets and
+each of the three noise records is cut into sections, giving six noised
+combinations (COMBOS). Rotation r holds COMBOS[r] out for validation and
+trains on the other shot half noised by the two remaining noises
+(rotation_combos), so validation shots and noise never touch training.
 
 A combination is walked into cells, one (shot, noise, offset, SNR) mix
 each, and mix_cells turns any list of cells into a stack of full-rate
@@ -62,38 +62,29 @@ class Combo:
     noise_subset: int
 
 
+# The six combinations. Rotation r validates on COMBOS[r], and a
+# combination's index here is the first entry of its cells' seed keys.
+COMBOS = tuple(Combo(si, nj) for si in range(2) for nj in range(3))
+
+
 @dataclass(frozen=True)
 class NoiseSubset:
-    noise_id: str
+    noise: NoiseRecord
     sections: tuple[tuple[int, int], ...]
 
 
 @dataclass
 class DatasetSplit:
-    """A rotation of the six-combination split.
+    """The corpus cut once for all six rotations: two disjoint shot
+    halves, and each noise record with the sections it is cut into."""
 
-    The validation combination's shot subset and noise subset appear in
-    no training combination; training pairs the other shot half with
-    the two other noises.
-    """
-
-    shot_subsets: tuple[tuple[str, ...], tuple[str, ...]]
+    shot_subsets: tuple[tuple[ShotRecord, ...], tuple[ShotRecord, ...]]
     noise_subsets: tuple[NoiseSubset, NoiseSubset, NoiseSubset]
-    combos: tuple[Combo, ...]
-    train_combos: tuple[Combo, ...]
-    validation_combo: Combo
-    rotation: int
 
     def __post_init__(self):
-        if set(self.shot_subsets[0]) & set(self.shot_subsets[1]):
+        halves = [{shot.shot_id for shot in half} for half in self.shot_subsets]
+        if halves[0] & halves[1]:
             raise DataError("shot subsets overlap")
-        if len(self.combos) != 6:
-            raise DataError(f"expected 6 combos, got {len(self.combos)}")
-        for combo in self.train_combos:
-            if combo.shot_subset == self.validation_combo.shot_subset:
-                raise DataError("validation shot subset leaks into training")
-            if combo.noise_subset == self.validation_combo.noise_subset:
-                raise DataError("validation noise subset leaks into training")
 
 
 def build_split(
@@ -101,12 +92,9 @@ def build_split(
     noises: list[NoiseRecord],
     seed: int,
     sections_per_noise: int = 2,
-) -> list[DatasetSplit]:
-    """Deterministically split the corpus and emit all 6 rotations.
-
-    Each rotation nominates one of the six combinations as validation;
-    cycling the rotation index covers every combination exactly once.
-    """
+) -> DatasetSplit:
+    """Deterministically halve the shots and cut each noise record into
+    sections_per_noise equal sections."""
     if len(shots) < 2:
         raise DataError(f"need >= 2 shots, got {len(shots)}")
     if len(noises) != 3:
@@ -116,11 +104,8 @@ def build_split(
         raise DataError("duplicate shot_ids")
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    half = len(ids) // 2
-    subset_a = tuple(ids[i] for i in order[:half])
-    subset_b = tuple(ids[i] for i in order[half:])
-
+    order = rng.permutation(len(shots))
+    half = len(shots) // 2
     noise_subsets = []
     for rec in noises:
         n = len(rec.waveform)
@@ -128,25 +113,18 @@ def build_split(
         sections = tuple(
             (int(edges[i]), int(edges[i + 1])) for i in range(sections_per_noise)
         )
-        noise_subsets.append(NoiseSubset(rec.noise_id, sections))
-    noise_subsets = tuple(noise_subsets)
+        noise_subsets.append(NoiseSubset(rec, sections))
+    return DatasetSplit((tuple(shots[i] for i in order[:half]),
+                         tuple(shots[i] for i in order[half:])), tuple(noise_subsets))
 
-    combos = tuple(Combo(si, nj) for si in range(2) for nj in range(3))
-    splits = []
-    for rotation, val in enumerate(combos):
-        train = tuple(
-            c for c in combos
-            if c.shot_subset != val.shot_subset and c.noise_subset != val.noise_subset
-        )
-        splits.append(DatasetSplit(
-            shot_subsets=(subset_a, subset_b),
-            noise_subsets=noise_subsets,
-            combos=combos,
-            train_combos=train,
-            validation_combo=val,
-            rotation=rotation,
-        ))
-    return splits
+
+def rotation_combos(rotation: int) -> tuple[tuple[Combo, ...], Combo]:
+    """The rotation's training combinations, the other shot half with the
+    two other noises in COMBOS order, and its validation combination,
+    COMBOS[rotation]."""
+    val = COMBOS[rotation]
+    return tuple(c for c in COMBOS if c.shot_subset != val.shot_subset
+                 and c.noise_subset != val.noise_subset), val
 
 
 # One mix: a shot, a noise record, the segment's start in it, and the
@@ -199,8 +177,6 @@ def seed_words(*key: int) -> np.ndarray:
 def combo_cells(
     split: DatasetSplit,
     combos: tuple[Combo, ...],
-    shots_by_id: dict[str, ShotRecord],
-    noises_by_id: dict[str, NoiseRecord],
     snr_grid: list[float],
     examples_per_cell: int,
     seed: int,
@@ -209,8 +185,8 @@ def combo_cells(
     in order.
 
     Noise offsets are drawn deterministically per cell from the seed and
-    the combination's index in split.combos, so the same seed gives
-    identical cells whichever combinations are walked.
+    the combination's index in COMBOS, so the same seed gives identical
+    cells whichever combinations are walked.
     """
     lo, hi = SNR_RANGE_DB
     for snr in snr_grid:
@@ -218,16 +194,14 @@ def combo_cells(
             raise ConfigError(f"snr {snr} dB outside [{lo:g}, {hi:+g}] grid range")
     cells = []
     for combo in combos:
-        combo_idx = split.combos.index(combo)
+        combo_idx = COMBOS.index(combo)
         nsub = split.noise_subsets[combo.noise_subset]
-        noise = noises_by_id[nsub.noise_id]
-        for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
-            shot = shots_by_id[shot_id]
+        for shot_pos, shot in enumerate(split.shot_subsets[combo.shot_subset]):
             frame_len = len(shot.waveform)
             for sec_idx, (start, stop) in enumerate(nsub.sections):
                 if stop - start < frame_len:
                     raise DataError(
-                        f"noise section {sec_idx} of {nsub.noise_id} shorter "
+                        f"noise section {sec_idx} of {nsub.noise.noise_id} shorter "
                         f"than the {frame_len}-sample frame"
                     )
                 for snr_idx, snr in enumerate(snr_grid):
@@ -236,7 +210,7 @@ def combo_cells(
                             seed_words(seed, combo_idx, shot_pos, sec_idx, snr_idx, rep)
                         )
                         offset = int(rng.integers(start, stop - frame_len + 1))
-                        cells.append((shot, noise, offset, snr))
+                        cells.append((shot, nsub.noise, offset, snr))
     return cells
 
 

@@ -342,7 +342,20 @@ def denoise_frame(net: Network, frame: np.ndarray) -> np.ndarray:
 # struct packing keeps two identical runs byte-identical on disk.
 # ---------------------------------------------------------------------------
 
+def _check_header(path: str | Path, dim: int, hidden: int, fs: int, decim_factor: int,
+                  input_scale: float) -> None:
+    if dim < 1 or hidden < 1:
+        raise DataError(f"{path}: checkpoint header needs dim >= 1 and hidden >= 1, "
+                        f"got {dim} and {hidden}")
+    if fs < 1 or decim_factor < 1 or not 0 < input_scale < math.inf:
+        raise DataError(
+            f"{path}: checkpoint header needs fs >= 1, decim_factor >= 1 and a "
+            f"finite input_scale > 0, got {fs}, {decim_factor} and {input_scale}"
+        )
+
+
 def save_checkpoint(path: str | Path, net: Network) -> None:
+    _check_header(path, net.dim, net.hidden, net.fs, net.decim_factor, net.input_scale)
     header = b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
@@ -373,14 +386,7 @@ def load_checkpoint(path: str | Path) -> Network:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     dim, hidden, seed, fs, decim_factor, f_frozen, input_scale = struct.unpack_from(
         "<IIqIIBd", raw, 8)
-    if dim < 1 or hidden < 1:
-        raise DataError(f"{path}: checkpoint header needs dim >= 1 and hidden >= 1, "
-                        f"got {dim} and {hidden}")
-    if fs < 1 or decim_factor < 1 or not 0 < input_scale < math.inf:
-        raise DataError(
-            f"{path}: checkpoint header needs fs >= 1, decim_factor >= 1 and a "
-            f"finite input_scale > 0, got {fs}, {decim_factor} and {input_scale}"
-        )
+    _check_header(path, dim, hidden, fs, decim_factor, input_scale)
     activation = raw[offset + 1:offset + 1 + raw[offset]]
     if activation != ACTIVATION:
         name = activation.decode("ascii", "backslashreplace")

@@ -78,14 +78,14 @@ class Waveform:
 class ShotRecord:
     """One clean shot: a waveform with exactly one MB annotation.
 
-    peak_pa is the maximum absolute pressure over the MB support
-    (onset to end of record; everything before onset is pre-trigger).
+    peak_pa, measured when not given, is the maximum absolute pressure
+    over the MB support (onset to end of record; before it is pre-trigger).
     """
 
     waveform: Waveform
     caliber_class: str
-    peak_pa: float
     shot_id: str
+    peak_pa: float | None = None
 
     def __post_init__(self):
         if not self.caliber_class:
@@ -94,6 +94,8 @@ class ShotRecord:
         if len(mb) != 1:
             raise DataError(f"shot needs exactly one MB annotation, got {len(mb)}")
         expected = float(np.max(np.abs(self.waveform.samples[mb[0]:])))
+        if self.peak_pa is None:
+            self.peak_pa = expected
         if not (self.peak_pa > 0):
             raise DataError("peak_pa must be positive")
         if not math.isclose(self.peak_pa, expected, rel_tol=1e-9):
@@ -104,14 +106,6 @@ class ShotRecord:
     @property
     def onset(self) -> int:
         return self.waveform.onsets("MB")[0]
-
-    @classmethod
-    def from_waveform(cls, waveform: Waveform, caliber_class: str, shot_id: str):
-        mb = waveform.onsets("MB")
-        if len(mb) != 1:
-            raise DataError(f"shot needs exactly one MB annotation, got {len(mb)}")
-        peak = float(np.max(np.abs(waveform.samples[mb[0]:])))
-        return cls(waveform, caliber_class, peak, shot_id)
 
 
 @dataclass
@@ -182,7 +176,7 @@ def friedlander(
     t = np.arange(n_samples - onset, dtype=np.float64) / fs
     samples[onset:] = peak_pa * (1.0 - t / t_plus) * np.exp(-t / t_plus)
     wave = Waveform(samples, fs, [("MB", onset)])
-    return ShotRecord(wave, caliber_class, peak_pa, shot_id)
+    return ShotRecord(wave, caliber_class, shot_id, peak_pa)
 
 
 def gen_vehicle_noise(
@@ -440,7 +434,7 @@ def load_shot(path: str | Path | RecordFiles) -> ShotRecord:
     waveform = load_wav(path, meta)
     if "shot_id" not in meta or "caliber_class" not in meta:
         raise DataError(f"{path}: sidecar lacks shot_id/caliber_class")
-    return ShotRecord.from_waveform(waveform, meta["caliber_class"], meta["shot_id"])
+    return ShotRecord(waveform, meta["caliber_class"], meta["shot_id"])
 
 
 def save_noise(path: str | Path, noise: NoiseRecord, encoding: str = "float32") -> None:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,32 @@ def make_corpus(n_shots: int, seed: int, fs: int = FS, frame_len: int = 2048,
         for j in range(3)
     ]
     return shots, noises
+
+
+CHECKPOINT_HEADER = "<IIqIIBd"
+CHECKPOINT_FIELDS = ("dim", "hidden", "seed", "fs", "decim_factor", "f_frozen",
+                     "input_scale")
+
+
+def empty_layer_net(dim: int, hidden: int) -> net.Network:
+    """A network with no input samples (dim 0) or no hidden units."""
+    return net.Network(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden),
+                       w2=np.zeros((dim, hidden)), b2=np.zeros(dim),
+                       f=np.zeros((dim, dim)))
+
+
+def rewrite_header(path, model: net.Network | None = None, **values) -> None:
+    """Set header fields of the checkpoint at path in place, past the
+    check save_checkpoint makes. Given a model, the header takes its dim
+    and hidden and the body becomes its parameters."""
+    raw = bytearray(path.read_bytes())
+    fields = dict(zip(CHECKPOINT_FIELDS, struct.unpack_from(CHECKPOINT_HEADER, raw, 8)))
+    if model is not None:
+        fields.update(dim=model.dim, hidden=model.hidden)
+    fields.update(values)
+    struct.pack_into(CHECKPOINT_HEADER, raw, 8, *fields.values())
+    if model is not None:
+        name_len_at = 8 + struct.calcsize(CHECKPOINT_HEADER)
+        raw = raw[:name_len_at + 1 + raw[name_len_at]] + b"".join(
+            arr.astype("<f8").tobytes() for arr in model.params().values())
+    path.write_bytes(bytes(raw))

@@ -13,6 +13,8 @@ from pathlib import Path
 from mbdenoise import cli, config, curriculum, detect, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
+from conftest import empty_layer_net, rewrite_header
+
 SMOKE = dict(
     n_shots_a=12, n_shots_b=4, noise_duration=4.0,
     snr_grid=(5.0, 0.0, -5.0), phase_thresholds_db=(0.0, -5.0),
@@ -103,6 +105,8 @@ class TestConfig:
         "burst_rate=-1", "n_shots_b=-4", "shot_peak_pa=-3", "noise_rms_pa=0",
         "shot_t_plus=0", "peak_jitter=1.5", "t_plus_jitter=1.2", "f_lr_scale=-1",
         "noise_duration=0.05", "sections_per_noise=257",
+        "decim_factor=1", "decim_factor=32", "decim_factor=64",
+        "kernel_len=513", "kernel_len=1023",
     ])
     def test_validation_failures(self, override):
         with pytest.raises(ConfigError):
@@ -233,9 +237,10 @@ class TestGenData:
         cfg, root, _ = pipeline
         corpus = cli.load_corpus(root / "corpus")
         split = curriculum.build_split(corpus.shots_a, corpus.noises, 0,
-                                       cfg.sections_per_noise)[2]
-        nsub = split.noise_subsets[split.validation_combo.noise_subset]
+                                       cfg.sections_per_noise)
+        nsub = split.noise_subsets[curriculum.rotation_combos(2)[1].noise_subset]
         cells = cli._test_cells(smoke_cfg(seed=seed), corpus, 2, split)
+        assert all(noise is nsub.noise for _, noise, _, _ in cells)
         expected = []
         for i in range(len(corpus.shots_b)):
             for snr_idx in range(len(cfg.snr_grid)):
@@ -350,8 +355,8 @@ def scoring_inputs(cfg, root, n):
     repeated end to end) and rotation 0's inference plan."""
     corpus = cli.load_corpus(root / "corpus")
     split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed,
-                                   cfg.sections_per_noise)[0]
-    cells = cli._combo_cells(cfg, corpus, split, split.combos)
+                                   cfg.sections_per_noise)
+    cells = cli._combo_cells(cfg, split, curriculum.COMBOS)
     cells = (cells * (n // len(cells) + 1))[:n]
     model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
     return cells, net.compile_plan(model)
@@ -543,10 +548,9 @@ class TestMainEntry:
         # A dim-0 network would divide by zero in inference, so loading
         # it must end denoise as a data error, not a traceback.
         _, root, _ = pipeline
-        empty = net.Network(w1=np.zeros((4, 0)), b1=np.zeros(4), w2=np.zeros((0, 4)),
-                            b2=np.zeros(0), f=np.zeros((0, 0)))
         bad = tmp_path / "empty.bin"
-        net.save_checkpoint(bad, empty)
+        shutil.copyfile(root / "train" / "rotation_0" / "checkpoint.bin", bad)
+        rewrite_header(bad, empty_layer_net(dim=0, hidden=4))
         src = next((root / "corpus" / "shots_a").glob("*.wav"))
         code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
                          "--out", str(tmp_path / "den.wav")])
@@ -632,10 +636,9 @@ class TestMainEntry:
     def test_bad_checkpoint_header_exits_2(self, pipeline, tmp_path, capsys, field,
                                            value):
         _, root, _ = pipeline
-        model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
-        setattr(model, field, value)
         bad = tmp_path / "bad.bin"
-        net.save_checkpoint(bad, model)
+        shutil.copyfile(root / "train" / "rotation_0" / "checkpoint.bin", bad)
+        rewrite_header(bad, **{field: value})
         src = next((root / "corpus" / "shots_a").glob("*.wav"))
         code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
                          "--out", str(tmp_path / "den.wav")])
@@ -686,6 +689,27 @@ class TestMainEntry:
                          "--out", str(tmp_path / "t")])
         assert code == 1
         assert "kernel_len" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("decim_factor=1", "decim_factor must be >= 2"),
+        ("decim_factor=32", "decimated Nyquist rate 512 Hz at or below"),
+        ("decim_factor=64", "decimated Nyquist rate 256 Hz at or below"),
+        ("kernel_len=513", "kernel_len must be odd and in [1, 511]"),
+        ("kernel_len=1023", "kernel_len must be odd and in [1, 511]"),
+    ])
+    def test_signal_chain_config_exits_1_before_loading(self, tmp_path, capsys, override,
+                                                         message):
+        # The corpus does not exist: reading it would exit 2.
+        code = cli.main(["train", "--set", override,
+                         "--corpus", str(tmp_path / "absent"),
+                         "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("override", ["decim_factor=16", "kernel_len=511"])
+    def test_signal_chain_limits_accepted(self, override):
+        config.load_config(None, [override])
 
     @pytest.mark.parametrize("override, message", [
         ("lta_ms=100", "lta_ms 100 is 3277 samples"),

@@ -18,23 +18,23 @@ def corpus10():
 
 
 @pytest.fixture(scope="module")
-def splits10(corpus10):
+def split10(corpus10):
     shots, noises = corpus10
     return curriculum.build_split(shots, noises, seed=0, sections_per_noise=2)
 
 
-def cells(corpus, split, combos, grid=(0.0,), per_cell=1, seed=0):
-    shots, noises = corpus
-    return curriculum.combo_cells(
-        split, combos, {s.shot_id: s for s in shots}, {n.noise_id: n for n in noises},
-        list(grid), per_cell, seed,
-    )
+def cells(split, combos, grid=(0.0,), per_cell=1, seed=0):
+    return curriculum.combo_cells(split, combos, list(grid), per_cell, seed)
 
 
-def rotation_cells(corpus, split, **kwargs):
-    """The split's training and validation cells."""
-    return (cells(corpus, split, split.train_combos, **kwargs),
-            cells(corpus, split, (split.validation_combo,), **kwargs))
+def rotation_cells(split, rotation, **kwargs):
+    """The rotation's training and validation cells."""
+    train, validation = curriculum.rotation_combos(rotation)
+    return cells(split, train, **kwargs), cells(split, (validation,), **kwargs)
+
+
+def subset_ids(split):
+    return tuple(tuple(shot.shot_id for shot in half) for half in split.shot_subsets)
 
 
 def shot_ids(cell_list):
@@ -72,7 +72,7 @@ def shifted(cell, by):
     """The cell with its shot's and its noise's samples raised by by."""
     shot, noise, offset, snr = cell
     wave = shot.waveform
-    return (signals.ShotRecord.from_waveform(
+    return (signals.ShotRecord(
                 signals.Waveform(wave.samples + by, wave.fs, list(wave.annotations)),
                 shot.caliber_class, shot.shot_id),
             signals.NoiseRecord(
@@ -93,40 +93,67 @@ def best_match(residual, record):
 
 
 class TestBuildSplit:
-    def test_even_halves_and_six_combos(self, splits10):
-        split = splits10[0]
-        assert len(split.shot_subsets[0]) == 5
-        assert len(split.shot_subsets[1]) == 5
-        assert len(split.combos) == 6
+    def test_even_halves_and_six_combos(self, split10):
+        assert len(split10.shot_subsets[0]) == 5
+        assert len(split10.shot_subsets[1]) == 5
+        assert len(curriculum.COMBOS) == 6
 
-    def test_subsets_disjoint(self, splits10):
-        split = splits10[0]
-        assert not set(split.shot_subsets[0]) & set(split.shot_subsets[1])
+    def test_subsets_disjoint(self, split10):
+        first, second = subset_ids(split10)
+        assert not set(first) & set(second)
 
-    def test_validation_isolated_from_training(self, splits10):
-        for split in splits10:
-            val = split.validation_combo
-            for combo in split.train_combos:
+    def test_holds_the_records(self, split10, corpus10):
+        # The halves hold the corpus's shot records themselves and cover
+        # every shot; each noise subset holds its noise record.
+        shots, noises = corpus10
+        held = [shot for half in split10.shot_subsets for shot in half]
+        assert sorted(map(id, held)) == sorted(map(id, shots))
+        assert [id(sub.noise) for sub in split10.noise_subsets] == list(map(id, noises))
+
+    def test_overlapping_halves_rejected(self, split10):
+        first, second = split10.shot_subsets
+        with pytest.raises(DataError, match="shot subsets overlap"):
+            curriculum.DatasetSplit((first, second + first[:1]), split10.noise_subsets)
+
+    def test_validation_isolated_from_training(self):
+        for rotation in range(6):
+            train, val = curriculum.rotation_combos(rotation)
+            for combo in train:
                 assert combo.shot_subset != val.shot_subset
                 assert combo.noise_subset != val.noise_subset
 
-    def test_two_train_combos_per_rotation(self, splits10):
-        for split in splits10:
-            assert len(split.train_combos) == 2
+    def test_two_train_combos_per_rotation(self):
+        for rotation in range(6):
+            assert len(curriculum.rotation_combos(rotation)[0]) == 2
 
-    def test_rotations_cover_each_combo_once(self, splits10):
-        vals = [s.validation_combo for s in splits10]
+    def test_rotations_cover_each_combo_once(self):
+        vals = [curriculum.rotation_combos(rotation)[1] for rotation in range(6)]
+        assert vals == list(curriculum.COMBOS)
         assert len(set(vals)) == 6
+
+    def test_rotation_order_pinned(self):
+        # Training rows follow this order, and so does the order in which
+        # their gradients are summed.
+        C = curriculum.Combo
+        expected = [
+            ((C(1, 1), C(1, 2)), C(0, 0)),
+            ((C(1, 0), C(1, 2)), C(0, 1)),
+            ((C(1, 0), C(1, 1)), C(0, 2)),
+            ((C(0, 1), C(0, 2)), C(1, 0)),
+            ((C(0, 0), C(0, 2)), C(1, 1)),
+            ((C(0, 0), C(0, 1)), C(1, 2)),
+        ]
+        assert [curriculum.rotation_combos(r) for r in range(6)] == expected
 
     def test_deterministic(self, corpus10):
         shots, noises = corpus10
         a = curriculum.build_split(shots, noises, seed=5)
         b = curriculum.build_split(shots, noises, seed=5)
-        assert a[0].shot_subsets == b[0].shot_subsets
+        assert subset_ids(a) == subset_ids(b)
 
-    def test_noise_sections_tile_record(self, splits10, corpus10):
+    def test_noise_sections_tile_record(self, split10, corpus10):
         _, noises = corpus10
-        for sub, rec in zip(splits10[0].noise_subsets, noises):
+        for sub, rec in zip(split10.noise_subsets, noises):
             assert sub.sections[0][0] == 0
             assert sub.sections[-1][1] == len(rec.waveform)
             for (a, b), (c, d) in zip(sub.sections, sub.sections[1:]):
@@ -144,8 +171,8 @@ class TestBuildSplit:
 
 
 class TestMaterialize:
-    def test_counts(self, corpus10, splits10):
-        train, val = rotation_cells(corpus10, splits10[0])
+    def test_counts(self, split10):
+        train, val = rotation_cells(split10, 0)
         # Validation cells: 5 shots x 2 sections x 1 SNR x 1 per cell.
         # Training: other shot half x 2 noises x 2 sections each.
         for c, n in ((val, 10), (train, 20)):
@@ -153,7 +180,7 @@ class TestMaterialize:
             assert curriculum.mix_cells(c).shape == (n, 2048)
             assert len(clean_frames(c)) == 5
 
-    def test_rows_are_scaled_segments_on_shots(self, corpus10, splits10):
+    def test_rows_are_scaled_segments_on_shots(self, corpus10, split10):
         shots, noises = corpus10
         cells = [(shots[3], noises[1], 500, -5.0), (shots[0], noises[2], 9000, 10.0),
                  (shots[3], noises[0], 17, 0.0)]
@@ -162,14 +189,10 @@ class TestMaterialize:
         for row, cell in zip(noisy, cells):
             assert np.array_equal(row, mixed_alone(cell))
 
-    def test_every_row_is_a_scaled_segment_on_its_shot(self, corpus10, splits10):
+    def test_every_row_is_a_scaled_segment_on_its_shot(self, split10):
         # The stacked mix of every cell of every combination, at two grid
         # SNRs and two repeats, equals the cell's mix worked out alone.
-        shots, noises = corpus10
-        split = splits10[0]
-        cells = curriculum.combo_cells(
-            split, split.combos, {s.shot_id: s for s in shots},
-            {n.noise_id: n for n in noises}, [5.0, -10.0], 2, 0)
+        cells = curriculum.combo_cells(split10, curriculum.COMBOS, [5.0, -10.0], 2, 0)
         noisy = curriculum.mix_cells(cells)
         assert noisy.shape == (len(cells), 2048) and len(cells) == 240
         for row, cell in zip(noisy, cells):
@@ -179,10 +202,10 @@ class TestMaterialize:
         with pytest.raises(DataError):
             curriculum.mix_cells([])
 
-    def test_snr_recompute_oracle(self, corpus10, splits10):
+    def test_snr_recompute_oracle(self, corpus10, split10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        for c in rotation_cells(corpus10, splits10[0], grid=(5.0, -10.0)):
+        for c in rotation_cells(split10, 0, grid=(5.0, -10.0)):
             assert set(snr_bins(c)) == {5.0, -10.0}
             for row, shot_id, snr_bin in zip(curriculum.mix_cells(c), shot_ids(c),
                                              snr_bins(c)):
@@ -190,37 +213,35 @@ class TestMaterialize:
                 snr = 20 * math.log10(by_id[shot_id].peak_pa / signals.rms(residual))
                 assert snr == pytest.approx(snr_bin, abs=1e-6)
 
-    def test_clean_frame_is_source_shot(self, corpus10, splits10):
+    def test_clean_frame_is_source_shot(self, corpus10, split10):
         shots, _ = corpus10
         by_id = {s.shot_id: s for s in shots}
-        _, val = rotation_cells(corpus10, splits10[0])
+        _, val = rotation_cells(split10, 0)
         assert set(clean_frames(val)) == set(shot_ids(val))
         for shot_id, frame in clean_frames(val).items():
             assert np.array_equal(frame, by_id[shot_id].waveform.samples)
         assert onsets(val) == [by_id[shot_id].onset for shot_id in shot_ids(val)]
 
-    def test_deterministic(self, corpus10, splits10):
-        (a, _), (b, _) = (rotation_cells(corpus10, splits10[1], seed=3) for _ in range(2))
+    def test_deterministic(self, split10):
+        (a, _), (b, _) = (rotation_cells(split10, 1, seed=3) for _ in range(2))
         assert np.array_equal(curriculum.mix_cells(a), curriculum.mix_cells(b))
         assert (shot_ids(a), onsets(a), snr_bins(a)) == (shot_ids(b), onsets(b),
                                                          snr_bins(b))
 
-    def test_validation_provenance_isolated(self, corpus10, splits10):
+    def test_validation_provenance_isolated(self, split10):
         # Each validation row is its shot plus a scaled segment of the
         # validation noise record at the offset the cell's seed draws;
         # no training row holds a segment of that record anywhere.
-        _, noises = corpus10
-        split = splits10[0]
-        train, val = rotation_cells(corpus10, split)
+        train, val = rotation_cells(split10, 0)
         val_noisy, val_clean = curriculum.mix_cells(val), clean_frames(val)
-        combo = split.validation_combo
-        nsub = split.noise_subsets[combo.noise_subset]
-        record = next(n for n in noises if n.noise_id == nsub.noise_id).waveform.samples
+        combo = curriculum.COMBOS[0]
+        nsub = split10.noise_subsets[combo.noise_subset]
+        record = nsub.noise.waveform.samples
         row = 0
-        for shot_pos, shot_id in enumerate(split.shot_subsets[combo.shot_subset]):
+        for shot_pos, shot_id in enumerate(subset_ids(split10)[combo.shot_subset]):
             for sec_idx, (start, stop) in enumerate(nsub.sections):
                 rng = np.random.default_rng(
-                    [0, split.combos.index(combo), shot_pos, sec_idx, 0, 0])
+                    [0, curriculum.COMBOS.index(combo), shot_pos, sec_idx, 0, 0])
                 offset = int(rng.integers(start, stop - 2048 + 1))
                 segment = record[offset:offset + 2048]
                 residual = val_noisy[row] - val_clean[shot_id]
@@ -234,12 +255,11 @@ class TestMaterialize:
         for noisy, clean in zip(curriculum.mix_cells(train), clean_rows(train)):
             assert best_match(noisy - clean, record) < 0.5
 
-    def test_validation_combo_alone_matches_full_rotation(self, corpus10, splits10):
-        split = splits10[4]
+    def test_validation_combo_alone_matches_full_rotation(self, split10):
+        train, validation = curriculum.rotation_combos(4)
         kwargs = dict(grid=(5.0, -10.0), per_cell=2, seed=7)
-        full = cells(corpus10, split, split.train_combos + (split.validation_combo,),
-                     **kwargs)
-        alone = cells(corpus10, split, (split.validation_combo,), **kwargs)
+        full = cells(split10, train + (validation,), **kwargs)
+        alone = cells(split10, (validation,), **kwargs)
         n = len(alone)
         assert len(full) == 3 * n
         assert np.array_equal(curriculum.mix_cells(alone), curriculum.mix_cells(full)[-n:])
@@ -249,9 +269,9 @@ class TestMaterialize:
         assert all(np.array_equal(frame, clean_frames(full)[s])
                    for s, frame in clean_frames(alone).items())
 
-    def test_rejects_out_of_range_grid(self, corpus10, splits10):
+    def test_rejects_out_of_range_grid(self, split10):
         with pytest.raises(ConfigError):
-            rotation_cells(corpus10, splits10[0], grid=(20.0,))
+            rotation_cells(split10, 0, grid=(20.0,))
 
 
 SEEDS_ACROSS_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
@@ -275,17 +295,13 @@ class TestSeedWords:
             curriculum.seed_words(0, -1)
 
     @pytest.mark.parametrize("seed", SEEDS_ACROSS_WORDS)
-    def test_combo_cell_offsets_as_list_form(self, corpus10, splits10, seed):
-        shots, noises = corpus10
-        split = splits10[1]
+    def test_combo_cell_offsets_as_list_form(self, split10, seed):
         grid, per_cell = [0.0, -5.0], 2
-        cells = curriculum.combo_cells(
-            split, split.combos, {s.shot_id: s for s in shots},
-            {n.noise_id: n for n in noises}, grid, per_cell, seed)
+        cells = curriculum.combo_cells(split10, curriculum.COMBOS, grid, per_cell, seed)
         expected = []
-        for combo_idx, combo in enumerate(split.combos):
-            nsub = split.noise_subsets[combo.noise_subset]
-            for shot_pos, _ in enumerate(split.shot_subsets[combo.shot_subset]):
+        for combo_idx, combo in enumerate(curriculum.COMBOS):
+            nsub = split10.noise_subsets[combo.noise_subset]
+            for shot_pos, _ in enumerate(split10.shot_subsets[combo.shot_subset]):
                 for sec_idx, (start, stop) in enumerate(nsub.sections):
                     for snr_idx in range(len(grid)):
                         for rep in range(per_cell):
@@ -337,8 +353,8 @@ def tiny_net(seed=0, hidden=16):
 
 
 @pytest.fixture(scope="module")
-def trained(corpus10, splits10):
-    train, val = rotation_cells(corpus10, splits10[0], grid=(5.0, 0.0, -5.0))
+def trained(split10):
+    train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0))
     model = tiny_net()
     plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                 freeze_iters=6, total_iters=14)
@@ -387,11 +403,11 @@ class TestTrainCurriculum:
         untrained = net.residual_loss(Y - T / model.input_scale)
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
 
-    def test_inputs_decimated_and_scaled_by_the_model(self, corpus10, splits10):
+    def test_inputs_decimated_and_scaled_by_the_model(self, split10):
         # Training decimates each row with the network's own rate and
         # scales by the largest decimated clean training sample, row for
         # row in stack order, here with the two combinations interleaved.
-        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
+        train, val = rotation_cells(split10, 0, grid=(0.0,))
         half = len(train) // 2
         interleaved = [train[k] for pair in zip(range(half), range(half, 2 * half))
                        for k in pair]
@@ -408,12 +424,12 @@ class TestTrainCurriculum:
         Y, _ = net.forward_batch(tiny_net(seed=4), X)
         assert log.records[0].train_mse == net.residual_loss(Y - T)
 
-    def test_validation_never_in_gradients(self, corpus10, splits10):
+    def test_validation_never_in_gradients(self, split10):
         # Corrupting every validation frame must not change the trained
         # weights by a single bit. Raising the validation shots and noise
         # records by 2e6 raises every network input and target of
         # validation by at least 1e6.
-        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
+        train, val = rotation_cells(split10, 0, grid=(0.0,))
         corrupted = [shifted(cell, 2e6) for cell in val]
         (x, clean, rows), (x_c, clean_c, rows_c) = (
             curriculum._network_frames(tiny_net(), v) for v in (val, corrupted))
@@ -433,7 +449,7 @@ class TestTrainCurriculum:
             assert np.array_equal(clean_run.params()[k],
                                   corrupted_run.params()[k])
 
-    def test_matches_two_forward_reference_loop(self, corpus10, splits10):
+    def test_matches_two_forward_reference_loop(self, split10):
         # The textbook loop: per iteration a training forward on the
         # active rows, residual_loss, backward, allocating Adam, then a
         # separate validation forward. train_curriculum's one stacked
@@ -442,7 +458,7 @@ class TestTrainCurriculum:
         # 19 at hidden 64) with a kernel of their own, so a row's bits
         # depend on the batch only below that size; 30 validation and
         # 40 or 60 training rows stay above it.
-        train, val = rotation_cells(corpus10, splits10[1], grid=(5.0, 0.0, -5.0))
+        train, val = rotation_cells(split10, 1, grid=(5.0, 0.0, -5.0))
         assert (len(val), len(train)) == (30, 60)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=4, total_iters=9)
@@ -483,16 +499,16 @@ class TestTrainCurriculum:
             assert np.array_equal(model.params()[k], v), k
         assert log.records == records
 
-    def test_empty_active_set_aborts(self, corpus10, splits10):
-        train, val = rotation_cells(corpus10, splits10[0], grid=(-5.0,))
+    def test_empty_active_set_aborts(self, split10):
+        train, val = rotation_cells(split10, 0, grid=(-5.0,))
         model = tiny_net()
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=2, total_iters=5)
         with pytest.raises(DataError):
             curriculum.train_curriculum(model, train, val, plan)
 
-    def test_overfits_single_example(self, corpus10, splits10):
-        train, val = rotation_cells(corpus10, splits10[0], grid=(0.0,))
+    def test_overfits_single_example(self, split10):
+        train, val = rotation_cells(split10, 0, grid=(0.0,))
         model = tiny_net(seed=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)
@@ -500,9 +516,9 @@ class TestTrainCurriculum:
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
-    def test_determinism_bitwise(self, corpus10, splits10):
+    def test_determinism_bitwise(self, split10):
         def run():
-            train, val = rotation_cells(corpus10, splits10[2], grid=(0.0, -5.0))
+            train, val = rotation_cells(split10, 2, grid=(0.0, -5.0))
             model = tiny_net(seed=5)
             plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                         freeze_iters=4, total_iters=9)
@@ -518,10 +534,9 @@ BLOCK = curriculum.MIX_BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")
-def all_cells(corpus10, splits10):
+def all_cells(split10):
     """Every cell of every combination: 240 cells over all ten shots."""
-    split = splits10[0]
-    return cells(corpus10, split, split.combos, grid=(5.0, -10.0), per_cell=2)
+    return cells(split10, curriculum.COMBOS, grid=(5.0, -10.0), per_cell=2)
 
 
 def repeated(cells_, n):

@@ -7,7 +7,8 @@ import pytest
 from mbdenoise import dsp, net
 from mbdenoise.errors import DataError, NumericError
 
-from conftest import gradient_errors, textbook_adam_step
+from conftest import (empty_layer_net, gradient_errors, rewrite_header,
+                      textbook_adam_step)
 
 FS = 32768
 
@@ -311,6 +312,13 @@ class TestAdam:
             assert np.array_equal(a.params()[k], b.params()[k])
 
 
+BAD_HEADER_VALUES = [
+    ("fs", 0), ("decim_factor", 0), ("input_scale", 0.0), ("input_scale", -2.0),
+    ("input_scale", math.nan), ("input_scale", math.inf),
+]
+EMPTY_LAYERS = [(0, 0), (0, 4), (256, 0)]
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, small_spec):
         n = small_net(hidden=6, seed=8, spec=small_spec)
@@ -347,29 +355,39 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             net.load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, value", [
-        ("fs", 0), ("decim_factor", 0), ("input_scale", 0.0), ("input_scale", -2.0),
-        ("input_scale", math.nan), ("input_scale", math.inf),
-    ])
+    @pytest.mark.parametrize("field, value", BAD_HEADER_VALUES)
     def test_rejects_bad_header_value(self, tmp_path, small_spec, field, value):
-        model = small_net(spec=small_spec)
-        setattr(model, field, value)
         path = tmp_path / "model.bin"
-        net.save_checkpoint(path, model)
+        net.save_checkpoint(path, small_net(spec=small_spec))
+        rewrite_header(path, **{field: value})
         with pytest.raises(DataError, match="checkpoint header needs"):
             net.load_checkpoint(path)
 
-    @pytest.mark.parametrize("dim, hidden", [(0, 0), (0, 4), (256, 0)])
-    def test_rejects_empty_layer(self, tmp_path, dim, hidden):
+    @pytest.mark.parametrize("dim, hidden", EMPTY_LAYERS)
+    def test_rejects_empty_layer(self, tmp_path, small_spec, dim, hidden):
         # The body matches the header, so only the header check can
         # catch a network with no input samples or no hidden units.
-        model = net.Network(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden),
-                            w2=np.zeros((dim, hidden)), b2=np.zeros(dim),
-                            f=np.zeros((dim, dim)))
         path = tmp_path / "model.bin"
-        net.save_checkpoint(path, model)
+        net.save_checkpoint(path, small_net(spec=small_spec))
+        rewrite_header(path, empty_layer_net(dim, hidden))
         with pytest.raises(DataError, match="needs dim >= 1 and hidden >= 1"):
             net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", BAD_HEADER_VALUES)
+    def test_save_refuses_bad_header_value(self, tmp_path, small_spec, field, value):
+        model = small_net(spec=small_spec)
+        setattr(model, field, value)
+        path = tmp_path / "model.bin"
+        with pytest.raises(DataError, match="checkpoint header needs"):
+            net.save_checkpoint(path, model)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dim, hidden", EMPTY_LAYERS)
+    def test_save_refuses_empty_layer(self, tmp_path, dim, hidden):
+        path = tmp_path / "model.bin"
+        with pytest.raises(DataError, match="needs dim >= 1 and hidden >= 1"):
+            net.save_checkpoint(path, empty_layer_net(dim, hidden))
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_other_activation(self, tmp_path, small_spec):
         # The network only computes tanh; a checkpoint naming another

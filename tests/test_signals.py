@@ -250,7 +250,13 @@ class TestWavRoundTrip:
 class TestRecordInvariants:
     def test_shot_peak_validated(self, shot_a):
         with pytest.raises(DataError):
-            signals.ShotRecord(shot_a.waveform, "A", shot_a.peak_pa * 2, "x")
+            signals.ShotRecord(shot_a.waveform, "A", "x", shot_a.peak_pa * 2)
+
+    def test_shot_peak_measured_when_omitted(self, shot_a):
+        shot = signals.ShotRecord(shot_a.waveform, "A", "x")
+        assert shot.peak_pa == shot_a.peak_pa
+        given = signals.ShotRecord(shot_a.waveform, "A", "x", shot.peak_pa)
+        assert given.peak_pa == shot.peak_pa
 
     def test_noise_rms_validated(self, noise_rec):
         with pytest.raises(DataError):
@@ -262,4 +268,4 @@ class TestRecordInvariants:
 
     def test_shot_needs_one_mb(self, noise_rec):
         with pytest.raises(DataError):
-            signals.ShotRecord.from_waveform(noise_rec.waveform, "A", "x")
+            signals.ShotRecord(noise_rec.waveform, "A", "x")
