@@ -112,6 +112,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.load_config(None, [override])
 
+    @pytest.mark.parametrize("override", ["decim_factor=16", "kernel_len=511"])
+    def test_signal_chain_limits_accepted(self, override):
+        config.load_config(None, [override])
+
     def test_noise_sections_at_least_a_frame(self):
         # 16 s at 32768 Hz is 524288 samples: 256 sections of 2048 fit,
         # 257 sections of 2040 do not.
@@ -706,10 +710,6 @@ class TestMainEntry:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
-
-    @pytest.mark.parametrize("override", ["decim_factor=16", "kernel_len=511"])
-    def test_signal_chain_limits_accepted(self, override):
-        config.load_config(None, [override])
 
     @pytest.mark.parametrize("override, message", [
         ("lta_ms=100", "lta_ms 100 is 3277 samples"),
