@@ -110,22 +110,19 @@ def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
 
 @dataclass
 class Corpus:
-    """The loaded records, the sample rate they share, and the length
-    all shots share and the length all noise records share."""
+    """The loaded records: both shot caliber classes and the noise records."""
 
     shots_a: list[signals.ShotRecord]
     shots_b: list[signals.ShotRecord]
     noises: list[signals.NoiseRecord]
-    fs: int
-    frame_len: int
-    noise_len: int
 
 
-def load_corpus(corpus_dir: str | Path) -> Corpus:
-    """Load a generated corpus, verifying every manifest checksum, that
-    all records share one sample rate, all shots one length and all
-    noise records one length. Each listed file is read once: the bytes
-    whose checksum was verified are the bytes parsed."""
+def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
+    """Load a generated corpus, verifying every manifest checksum and,
+    as each record is parsed, that it was made at cfg's fs with
+    frame_len samples per shot and noise_duration seconds per noise
+    record. Each listed file is read once: the bytes whose checksum was
+    verified are the bytes parsed."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -154,17 +151,25 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             sidecars[rel] = data
 
     shots_a, shots_b, noises = [], [], []
+    noise_len = int(round(cfg.noise_duration * cfg.fs))
     # Popped in manifest order, so each WAV's bytes are freed once parsed.
     wavs.reverse()
     while wavs:
         rel, path, data = wavs.pop()
         files = signals.RecordFiles(path, data, sidecars.get(rel + ".meta"))
-        if rel.startswith("shots_a/"):
-            shots_a.append(signals.load_shot(files))
-        elif rel.startswith("shots_b/"):
-            shots_b.append(signals.load_shot(files))
-        elif rel.startswith("noise/"):
-            noises.append(signals.load_noise(files))
+        if rel.startswith("noise/"):
+            records, record = noises, signals.load_noise(files)
+            length, setting = noise_len, f"noise_duration {cfg.noise_duration:g} s, so"
+        elif rel.startswith(("shots_a/", "shots_b/")):
+            records = shots_a if rel.startswith("shots_a/") else shots_b
+            record, length, setting = signals.load_shot(files), cfg.frame_len, "frame_len"
+        else:
+            continue
+        wave = record.waveform
+        if (wave.fs, len(wave)) != (cfg.fs, length):
+            raise DataError(f"{path} has fs {wave.fs} Hz and {len(wave)} samples, but "
+                            f"the config has fs {cfg.fs} Hz and {setting} {length} samples")
+        records.append(record)
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
     # Clean frames and clean detections are keyed by shot id, so a
@@ -174,33 +179,7 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
         if repeated:
             raise DataError(f"duplicate {kind} ids in {root}: {', '.join(repeated)}")
-    rates = {rec.waveform.fs for rec in shots_a + shots_b + noises}
-    frame_lens = {len(shot.waveform) for shot in shots_a + shots_b}
-    noise_lens = {len(noise.waveform) for noise in noises}
-    if len(rates) != 1 or len(frame_lens) != 1 or len(noise_lens) != 1:
-        raise DataError(f"records in {root} disagree: sample rates {sorted(rates)} Hz, "
-                        f"shot lengths {sorted(frame_lens)} samples, "
-                        f"noise lengths {sorted(noise_lens)} samples")
-    return Corpus(shots_a, shots_b, noises, rates.pop(), frame_lens.pop(),
-                  noise_lens.pop())
-
-
-def _load_config_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
-    """load_corpus, rejecting a corpus not made at cfg's fs, frame_len
-    and noise_duration."""
-    corpus = load_corpus(corpus_dir)
-    if (corpus.fs, corpus.frame_len) != (cfg.fs, cfg.frame_len):
-        raise DataError(
-            f"corpus {corpus_dir} has fs {corpus.fs} Hz and {corpus.frame_len}-sample "
-            f"shots, but the config has fs {cfg.fs} Hz and frame_len {cfg.frame_len}"
-        )
-    noise_len = int(round(cfg.noise_duration * cfg.fs))
-    if corpus.noise_len != noise_len:
-        raise DataError(
-            f"corpus {corpus_dir} has {corpus.noise_len}-sample noise records, but the "
-            f"config's noise_duration {cfg.noise_duration:g} s gives {noise_len} samples"
-        )
-    return corpus
+    return Corpus(shots_a, shots_b, noises)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +227,7 @@ def _train_rotation(
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
     """Train one network per requested rotation; each rotation writes a
     checkpoint and a per-iteration convergence CSV."""
-    corpus = _load_config_corpus(cfg, corpus_dir)
+    corpus = load_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     for rotation in cfg.rotations():
         model, log = _train_rotation(cfg, corpus, rotation)
@@ -304,7 +283,7 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
             rng = np.random.default_rng(curriculum.seed_words(cfg.seed, 5, rotation, i,
                                                               snr_idx))
             start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
-            offset = int(rng.integers(start, stop - corpus.frame_len + 1))
+            offset = int(rng.integers(start, stop - cfg.frame_len + 1))
             cells.append((shot, nsub.noise, offset, snr))
     return cells
 
@@ -332,7 +311,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     combined signals, concatenated across rotations; the held-out
     caliber class is scored separately. Each cell list is scored a
     block of rows at a time (_score_cells)."""
-    corpus = _load_config_corpus(cfg, corpus_dir)
+    corpus = load_corpus(cfg, corpus_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     det_cfg = cfg.detector()

@@ -122,6 +122,8 @@ def rotation_combos(rotation: int) -> tuple[tuple[Combo, ...], Combo]:
     """The rotation's training combinations, the other shot half with the
     two other noises in COMBOS order, and its validation combination,
     COMBOS[rotation]."""
+    if not 0 <= rotation < len(COMBOS):
+        raise ConfigError(f"rotation must be in [0, 5], got {rotation}")
     val = COMBOS[rotation]
     return tuple(c for c in COMBOS if c.shot_subset != val.shot_subset
                  and c.noise_subset != val.noise_subset), val

@@ -66,10 +66,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.fs
-
     def onsets(self, label: str = "MB") -> list[int]:
         return [s for lab, s in self.annotations if lab == label]
 
@@ -255,7 +251,8 @@ def atomic_write(path: str | Path, data: bytes | str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# WAV container I/O (RIFF/WAVE, mono, PCM16 or IEEE float32, little-endian)
+# WAV container I/O (RIFF/WAVE, mono, little-endian): IEEE float32 is
+# written; PCM16 and IEEE float32 are read
 # ---------------------------------------------------------------------------
 
 _FMT_PCM = 1
@@ -266,36 +263,20 @@ _PCM16_FULL_SCALE = 32767.0
 def save_wav(
     path: str | Path,
     waveform: Waveform,
-    encoding: str = "float32",
     extra_meta: dict[str, str] | None = None,
 ) -> None:
-    """Write a mono WAV plus its key=value sidecar metadata file.
-
-    encoding "float32" is lossless for float32-representable samples;
-    "pcm16" quantizes a [-1, 1] full-scale signal to 16 bits and rejects
-    overrange samples rather than clipping them.
-    """
+    """Write a mono IEEE float32 WAV plus its key=value sidecar metadata
+    file; lossless for float32-representable samples."""
     path = Path(path)
-    x = waveform.samples
-    if encoding == "float32":
-        fmt_tag, bits = _FMT_FLOAT, 32
-        payload = x.astype("<f4").tobytes()
-    elif encoding == "pcm16":
-        fmt_tag, bits = _FMT_PCM, 16
-        if np.max(np.abs(x)) > 1.0:
-            raise DataError("pcm16 encoding requires samples within [-1, 1]")
-        payload = np.round(x * _PCM16_FULL_SCALE).astype("<i2").tobytes()
-    else:
-        raise DataError(f"unknown encoding {encoding!r}")
-
-    block_align = bits // 8
-    byte_rate = waveform.fs * block_align
+    payload = waveform.samples.astype("<f4").tobytes()
+    block_align = 4  # one float32 sample per frame
     header = b"".join([
         b"RIFF",
         struct.pack("<I", 36 + len(payload)),
         b"WAVE",
         b"fmt ",
-        struct.pack("<IHHIIHH", 16, fmt_tag, 1, waveform.fs, byte_rate, block_align, bits),
+        struct.pack("<IHHIIHH", 16, _FMT_FLOAT, 1, waveform.fs,
+                    waveform.fs * block_align, block_align, 32),
         b"data",
         struct.pack("<I", len(payload)),
     ])
@@ -424,8 +405,8 @@ def _sidecar_int(path: str | Path, line: str, text: str) -> int:
         raise DataError(f"{sidecar_path(path)}: malformed line {line!r}") from None
 
 
-def save_shot(path: str | Path, shot: ShotRecord, encoding: str = "float32") -> None:
-    save_wav(path, shot.waveform, encoding,
+def save_shot(path: str | Path, shot: ShotRecord) -> None:
+    save_wav(path, shot.waveform,
              {"caliber_class": shot.caliber_class, "shot_id": shot.shot_id})
 
 
@@ -437,8 +418,8 @@ def load_shot(path: str | Path | RecordFiles) -> ShotRecord:
     return ShotRecord(waveform, meta["caliber_class"], meta["shot_id"])
 
 
-def save_noise(path: str | Path, noise: NoiseRecord, encoding: str = "float32") -> None:
-    save_wav(path, noise.waveform, encoding, {"noise_id": noise.noise_id})
+def save_noise(path: str | Path, noise: NoiseRecord) -> None:
+    save_wav(path, noise.waveform, {"noise_id": noise.noise_id})
 
 
 def load_noise(path: str | Path | RecordFiles) -> NoiseRecord:

@@ -34,33 +34,36 @@ class DeskRun:
     train_dir: Path
     eval_dir: Path
     train_seconds: float
+    rotation0: net.Network  # the model cmd_train trained for rotation 0
+    f_hashes: list[tuple[int, int, str]]  # its (phase, iter, filter hash)
 
 
 @pytest.fixture(scope="session")
 def desk_run(tmp_path_factory) -> DeskRun:
-    """Default-config pipeline: gen-data, 6-rotation train, evaluate."""
+    """Default-config pipeline: gen-data, 6-rotation train, evaluate.
+    cmd_train's rotation-0 training also records a per-iteration hash
+    of the filter layer (the convergence CSVs cannot carry it)."""
     root = tmp_path_factory.mktemp("desk")
     cfg = config.RunConfig().validate()
     cli.cmd_gen_data(cfg, root / "corpus")
-    start = time.perf_counter()
-    cli.cmd_train(cfg, root / "corpus", root / "train")
-    train_seconds = time.perf_counter() - start
+    hashes: list[tuple[int, int, str]] = []
+    trained: dict[int, net.Network] = {}
+    train_rotation = cli._train_rotation
+
+    def hashed(cfg, corpus, rotation, on_iteration=None):
+        if rotation == 0:
+            on_iteration = lambda ph, it, n: hashes.append((ph, it, n.f_hash()))
+        trained[rotation], log = train_rotation(cfg, corpus, rotation, on_iteration)
+        return trained[rotation], log
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_train_rotation", hashed)
+        start = time.perf_counter()
+        cli.cmd_train(cfg, root / "corpus", root / "train")
+        train_seconds = time.perf_counter() - start
     cli.cmd_evaluate(cfg, root / "corpus", root / "train", root / "eval")
     return DeskRun(cfg, root / "corpus", root / "train", root / "eval",
-                   train_seconds)
-
-
-@pytest.fixture(scope="session")
-def instrumented_run(desk_run):
-    """Rotation-0 training re-run at desk scale through cmd_train's own
-    per-rotation recipe, with a per-iteration hash of the filter layer
-    (the convergence CSVs cannot carry it)."""
-    corpus = cli.load_corpus(desk_run.corpus_dir)
-    hashes: list[tuple[int, int, str]] = []
-    model, log = cli._train_rotation(
-        desk_run.cfg, corpus, 0,
-        on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())))
-    return model, log, hashes
+                   train_seconds, trained[0], hashes)
 
 
 def load_scores(path: Path):
@@ -135,12 +138,12 @@ def test_criterion_03_gradient_check():
               f"(median {np.median(errors):.2e})")
 
 
-def test_criterion_04_freeze_contract(desk_run, instrumented_run):
-    model, _, hashes = instrumented_run
+def test_criterion_04_freeze_contract(desk_run):
+    model, hashes = desk_run.rotation0, desk_run.f_hashes
     written = net.load_checkpoint(desk_run.train_dir / "rotation_0" / "checkpoint.bin")
     assert model.input_scale == written.input_scale
     assert all(np.array_equal(model.params()[k], written.params()[k])
-               for k in written.params()), "re-run differs from cmd_train's model"
+               for k in written.params()), "checkpoint differs from the trained model"
     cfg = desk_run.cfg
     n_phases = len(cfg.phase_thresholds_db)
     for phase in range(n_phases):
@@ -153,7 +156,7 @@ def test_criterion_04_freeze_contract(desk_run, instrumented_run):
     assert at_release != after, "filter did not move within 10 iterations of release"
     report(4, f"filter hash constant over all {n_phases} frozen segments; "
               f"changed within 10 iterations of release in the final phase; "
-              f"re-run equals the rotation-0 checkpoint cmd_train wrote")
+              f"trained model equals the rotation-0 checkpoint cmd_train wrote")
 
 
 def test_criterion_05_snr_round_trip(shot_a, noise_rec):

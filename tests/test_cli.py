@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import shutil
 import struct
 import time
@@ -140,7 +141,7 @@ class TestConfig:
 class TestGenData:
     def test_corpus_contents(self, pipeline):
         cfg, root, _ = pipeline
-        corpus = cli.load_corpus(root / "corpus")
+        corpus = cli.load_corpus(cfg, root / "corpus")
         assert len(corpus.shots_a) == cfg.n_shots_a
         assert len(corpus.shots_b) == cfg.n_shots_b
         assert len(corpus.noises) == 3
@@ -170,10 +171,10 @@ class TestGenData:
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(DataError):
-            cli.load_corpus(tmp_path / "t")
+            cli.load_corpus(cfg, tmp_path / "t")
 
     def test_records_that_disagree_rejected(self, pipeline, odd_corpora, tmp_path):
-        _, root, _ = pipeline
+        cfg, root, _ = pipeline
         corpus = tmp_path / "mixed"
         shutil.copytree(root / "corpus", corpus)
         victim = sorted((corpus / "shots_a").glob("*.wav"))[0]
@@ -185,11 +186,11 @@ class TestGenData:
             new = hashlib.sha256(Path(str(victim) + suffix).read_bytes()).hexdigest()
             manifest = manifest.replace(old, new)
         (corpus / "manifest.txt").write_text(manifest)
-        with pytest.raises(DataError, match=r"disagree: sample rates \[16384, 32768\]"):
-            cli.load_corpus(corpus)
+        with pytest.raises(DataError, match=re.escape(f"{victim} has fs 16384 Hz")):
+            cli.load_corpus(cfg, corpus)
 
     def test_noise_records_that_disagree_rejected(self, pipeline, odd_corpora, tmp_path):
-        _, root, _ = pipeline
+        cfg, root, _ = pipeline
         corpus = tmp_path / "mixed"
         shutil.copytree(root / "corpus", corpus)
         manifest = (corpus / "manifest.txt").read_text()
@@ -199,47 +200,49 @@ class TestGenData:
             shutil.copy(odd_corpora / "noise2s" / "noise" / f"N0.wav{suffix}", victim)
             manifest = manifest.replace(old, hashlib.sha256(victim.read_bytes()).hexdigest())
         (corpus / "manifest.txt").write_text(manifest)
-        with pytest.raises(DataError, match=r"noise lengths \[65536, 131072\] samples"):
-            cli.load_corpus(corpus)
+        stranger = corpus / "noise" / "N0.wav"
+        with pytest.raises(DataError,
+                           match=re.escape(f"{stranger} has fs 32768 Hz and 65536 samples")):
+            cli.load_corpus(cfg, corpus)
 
     def test_each_listed_file_read_once(self, pipeline, monkeypatch):
-        _, root, _ = pipeline
+        cfg, root, _ = pipeline
         reads: list[Path] = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes",
                             lambda self: reads.append(self) or read_bytes(self))
-        cli.load_corpus(root / "corpus")
+        cli.load_corpus(cfg, root / "corpus")
         listed = [root / "corpus" / ln.split()[1]
                   for ln in (root / "corpus" / "manifest.txt").read_text().splitlines()
                   if ln and not ln.startswith("#")]
         assert sorted(reads) == sorted(listed)
 
     def test_unlisted_sidecar_read_from_disk(self, pipeline, tmp_path):
-        _, root, _ = pipeline
+        cfg, root, _ = pipeline
         corpus = tmp_path / "corpus"
         shutil.copytree(root / "corpus", corpus)
         manifest = corpus / "manifest.txt"
         manifest.write_text("".join(ln + "\n" for ln in manifest.read_text().splitlines()
                                     if ".meta " not in ln))
-        full, partial = cli.load_corpus(root / "corpus"), cli.load_corpus(corpus)
+        full, partial = cli.load_corpus(cfg, root / "corpus"), cli.load_corpus(cfg, corpus)
         assert ([(s.shot_id, s.onset, s.caliber_class) for s in partial.shots_a]
                 == [(s.shot_id, s.onset, s.caliber_class) for s in full.shots_a])
         assert [n.noise_id for n in partial.noises] == ["N0", "N1", "N2"]
 
     def test_tampered_sidecar_detected(self, pipeline, tmp_path):
-        _, root, _ = pipeline
+        cfg, root, _ = pipeline
         corpus = tmp_path / "corpus"
         shutil.copytree(root / "corpus", corpus)
         victim = signals.sidecar_path(next((corpus / "shots_a").glob("*.wav")))
         victim.write_text(victim.read_text().replace("caliber_class=A", "caliber_class=B"))
         rel = victim.relative_to(corpus).as_posix()
         with pytest.raises(DataError, match=f"checksum mismatch for {rel}"):
-            cli.load_corpus(corpus)
+            cli.load_corpus(cfg, corpus)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
     def test_test_cell_offsets_as_list_form(self, pipeline, seed):
         cfg, root, _ = pipeline
-        corpus = cli.load_corpus(root / "corpus")
+        corpus = cli.load_corpus(cfg, root / "corpus")
         split = curriculum.build_split(corpus.shots_a, corpus.noises, 0,
                                        cfg.sections_per_noise)
         nsub = split.noise_subsets[curriculum.rotation_combos(2)[1].noise_subset]
@@ -250,12 +253,12 @@ class TestGenData:
             for snr_idx in range(len(cfg.snr_grid)):
                 rng = np.random.default_rng([seed, 5, 2, i, snr_idx])
                 start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
-                expected.append(int(rng.integers(start, stop - corpus.frame_len + 1)))
+                expected.append(int(rng.integers(start, stop - cfg.frame_len + 1)))
         assert [offset for _, _, offset, _ in cells] == expected
 
     def test_caliber_families_differ(self, pipeline):
-        _, root, _ = pipeline
-        corpus = cli.load_corpus(root / "corpus")
+        cfg, root, _ = pipeline
+        corpus = cli.load_corpus(cfg, root / "corpus")
         peak_a = np.mean([s.peak_pa for s in corpus.shots_a])
         peak_b = np.mean([s.peak_pa for s in corpus.shots_b])
         assert peak_b < peak_a
@@ -357,7 +360,7 @@ class TestEvaluate:
 def scoring_inputs(cfg, root, n):
     """n cells of the pipeline corpus (its cells of every combination,
     repeated end to end) and rotation 0's inference plan."""
-    corpus = cli.load_corpus(root / "corpus")
+    corpus = cli.load_corpus(cfg, root / "corpus")
     split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed,
                                    cfg.sections_per_noise)
     cells = cli._combo_cells(cfg, split, curriculum.COMBOS)
@@ -581,26 +584,33 @@ class TestMainEntry:
 
     def test_corpus_frame_len_mismatch_exits_2(self, pipeline, odd_corpora, tmp_path,
                                                capsys):
-        cfg, _, _ = pipeline
+        cfg, root, _ = pipeline
         cfg_file = tmp_path / "smoke.cfg"
         cfg_file.write_text(cfg.resolved_text())
-        code = cli.main(["train", "--config", str(cfg_file),
-                         "--corpus", str(odd_corpora / "long"), "--out", str(tmp_path / "t")])
-        assert code == 2
+        corpus = str(odd_corpora / "long")
+        assert cli.main(["train", "--config", str(cfg_file), "--corpus", corpus,
+                         "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
-        assert "4096-sample shots" in err and "frame_len 2048" in err
+        assert "4096 samples" in err and "frame_len 2048 samples" in err
+        assert cli.main(["evaluate", "--config", str(cfg_file), "--corpus", corpus,
+                         "--train-dir", str(root / "train"),
+                         "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "4096 samples" in err and "frame_len 2048 samples" in err
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
 
     def test_corpus_noise_length_mismatch_exits_2(self, odd_corpora, tmp_path, capsys):
         # A corpus of 2 s noise records under the default 16 s config.
         corpus = str(odd_corpora / "noise2s")
-        assert cli.load_corpus(corpus).noise_len == 65536
+        loaded = cli.load_corpus(config.load_config(None, ["noise_duration=2"]), corpus)
+        assert [len(noise.waveform) for noise in loaded.noises] == [65536] * 3
         assert cli.main(["train", "--corpus", corpus, "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
-        assert "65536-sample noise records" in err and "gives 524288 samples" in err
+        assert "65536 samples" in err and "noise_duration 16 s, so 524288 samples" in err
         assert cli.main(["evaluate", "--corpus", corpus, "--train-dir", str(tmp_path / "t"),
                          "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
-        assert "65536-sample noise records" in err and "gives 524288 samples" in err
+        assert "65536 samples" in err and "noise_duration 16 s, so 524288 samples" in err
         assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
 
     def test_empty_phase_list_exits_1_before_training(self, pipeline, tmp_path, capsys):

