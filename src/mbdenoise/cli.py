@@ -122,7 +122,8 @@ def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
     as each record is parsed, that it was made at cfg's fs with
     frame_len samples per shot and noise_duration seconds per noise
     record. Each listed file is read once: the bytes whose checksum was
-    verified are the bytes parsed."""
+    verified are the bytes parsed, and a float32 WAV's samples stay a
+    float32 view of them, so the loaded corpus holds its stored size."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -152,7 +153,9 @@ def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
 
     shots_a, shots_b, noises = [], [], []
     noise_len = int(round(cfg.noise_duration * cfg.fs))
-    # Popped in manifest order, so each WAV's bytes are freed once parsed.
+    # Popped in manifest order, so each WAV's bytes are held only by its
+    # record: a float32 record's samples view them, and a PCM16 record's
+    # are freed once parsed.
     wavs.reverse()
     while wavs:
         rel, path, data = wavs.pop()

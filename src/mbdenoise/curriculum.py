@@ -291,22 +291,24 @@ class ConvergenceLog:
         return log
 
 
-def _network_frames(net: Network, cells: list[Cell]
+def _network_frames(net: Network, cells: list[Cell], noisy: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells' noisy frames decimated at the network's rate, one row
-    per cell; each distinct shot's decimated clean frame once; and each
-    row's index into those clean frames. Nothing is scaled.
+    per cell, written into noisy (a new (len(cells), net.dim) array when
+    not given); each distinct shot's decimated clean frame once; and
+    each row's index into those clean frames. Nothing is scaled.
 
     The cells are mixed and decimated a block at a time (row_blocks)
-    into one preallocated array. Mixing and decimation are both row by
-    row, so every row equals the row of decimate(mix_cells(cells)).
+    into the one array. Mixing and decimation are both row by row, so
+    every row equals the row of decimate(mix_cells(cells)).
     """
     if not cells:
         raise DataError("no cells to mix")
     shots = {cell[0].shot_id: cell[0] for cell in cells}
     shot_row = {shot_id: k for k, shot_id in enumerate(shots)}
     rows = np.array([shot_row[cell[0].shot_id] for cell in cells])
-    noisy = np.empty((len(cells), net.dim))
+    if noisy is None:
+        noisy = np.empty((len(cells), net.dim))
     for block in row_blocks(len(cells)):
         # Mixed and decimated in one expression, the blocks left glibc's
         # heap laid out so that a process that trains and then scores
@@ -344,41 +346,55 @@ def train_curriculum(
     gradients.
 
     The network runs one forward per parameter state. The inputs live
-    in one block: the validation rows first, then the phase's active
-    training rows. One forward over the block after each Adam step
-    gives that iteration's validation loss from the first rows and the
-    next iteration's training residual from the rest; each phase starts
-    with one forward of its own, and each forward's output is released
-    before the next is made. Residuals and gradient scaling work in
-    place on the forward's output. The weights and the log equal those
-    of a separate training and validation forward per iteration bit for
-    bit, because a row of a matrix product does not depend on the rows
-    beside it; the one exception is OpenBLAS's kernel for products of a
-    few rows (under 19 at hidden 64), whose rounding differs.
+    in one block, each row held once: the validation rows first, then
+    every training row. Each phase starts by moving its active training
+    rows, in cell order, to the front of the training rows, so the
+    block's first rows are exactly the validation and active rows. One
+    forward over those rows after each Adam step gives that iteration's
+    validation loss from the first rows and the next iteration's
+    training residual from the rest; each phase starts with one forward
+    of its own, and each forward's output is released before the next
+    is made. Residuals and gradient scaling work in place on the
+    forward's output. The weights and the log equal those of a separate
+    training and validation forward per iteration bit for bit, because
+    a row of a matrix product does not depend on the rows beside it;
+    the one exception is OpenBLAS's kernel for products of a few rows
+    (under 19 at hidden 64), whose rounding differs. The active rows
+    stay in cell order, not sorted by SNR, because the gradients sum
+    over them in that order.
     """
-    x_train, clean_train, train_rows = _network_frames(net, train)
+    n_val, n_train = len(validation), len(train)
+    block = np.empty((n_val + n_train, net.dim))
+    _, clean_train, train_rows = _network_frames(net, train, block[n_val:])
     net.input_scale = float(np.max(np.abs(clean_train)))
-    x_val, clean_val, val_rows = _network_frames(net, validation)
-    n_val = x_val.shape[0]
-    block = np.empty((n_val + x_train.shape[0], x_train.shape[1]))
-    block[:n_val] = x_val
-    del x_val
-    for frames in (x_train, clean_train, block[:n_val], clean_val):
+    _, clean_val, val_rows = _network_frames(net, validation, block[:n_val])
+    for frames in (block, clean_train, clean_val):
         frames /= net.input_scale
     t_val = clean_val[val_rows]
-    t_act = np.empty_like(x_train)
+    t_act = np.empty((n_train, net.dim))
     snrs = np.array([cell[3] for cell in train])
+    # order[k] is the training row at position k of block[n_val:].
+    order = np.arange(n_train)
+    position = np.empty(n_train, dtype=np.intp)
 
     state = AdamState()
     log = ConvergenceLog()
     for phase, threshold in enumerate(plan.thresholds_db):
-        active = np.flatnonzero(snrs >= threshold)
+        admitted = snrs >= threshold
+        active = np.flatnonzero(admitted)
         n_act = active.size
         if n_act == 0:
             raise DataError(f"phase {phase}: no training mixes at SNR >= {threshold} dB")
+        # Active rows first, then the rest, each in cell order. The move
+        # goes through t_act before it takes the targets; the gathers
+        # take mode="clip" (every index is in range) because the default
+        # mode buffers out= in a temporary as large as it.
+        position[order] = np.arange(n_train)
+        order = np.concatenate([active, np.flatnonzero(~admitted)])
+        np.take(block[n_val:], position[order], axis=0, out=t_act, mode="clip")
+        block[n_val:] = t_act
+        np.take(clean_train, train_rows[active], axis=0, out=t_act[:n_act], mode="clip")
         x = block[:n_val + n_act]
-        np.take(x_train, active, axis=0, out=x[n_val:])
-        np.take(clean_train, train_rows[active], axis=0, out=t_act[:n_act])
         net.f_frozen = True
         y, cache = forward_batch(net, x)
         for it in range(plan.total_iters):

@@ -250,12 +250,16 @@ def scan_clean(
     clean: dict[str, np.ndarray], fs: int, config: DetectorConfig = DetectorConfig()
 ) -> dict[str, list[Detection]]:
     """The detections of each clean frame, keyed as clean is, all frames
-    scanned as one stack. The frames must share one length."""
+    scanned as one stack. The frames must share one length. The stack
+    is float64 whatever the frames' precision: _scan_frames squares and
+    sums in its input's dtype, and float32 window energies would move
+    detections."""
     if not clean:
         return {}
     if len({frame.shape for frame in clean.values()}) > 1:
         raise DataError("clean frames differ in length")
-    return dict(zip(clean, _scan_frames(np.stack(list(clean.values())), fs, config)))
+    stack = np.stack(list(clean.values()), dtype=np.float64)
+    return dict(zip(clean, _scan_frames(stack, fs, config)))
 
 
 def detect_conditions(

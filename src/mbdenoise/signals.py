@@ -1,8 +1,13 @@
 """Acoustic signal types, synthetic generators, and WAV round-trip I/O.
 
-Pressure time series are float64 numpy arrays in pascals. Ground-truth
-event times ride along as (label, onset_sample) annotations, persisted in
-a plain-text sidecar file next to each WAV.
+Pressure time series are numpy arrays in pascals: float32 where they
+were read from a float32 WAV, which keeps a loaded corpus at its stored
+size, and float64 everywhere else (synthesized signals, PCM16 reads,
+whose k/32767 levels float32 cannot hold exactly). Every computation on
+samples runs in float64 (or, like a peak, is exact in either), and
+float32 widens exactly, so a record gives the same results in either
+precision. Ground-truth event times ride along as (label, onset_sample)
+annotations, persisted in a plain-text sidecar file next to each WAV.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ class Waveform:
     """Annotated pressure time series.
 
     Attributes:
-        samples: pressure values in Pa, float64, non-empty, all finite.
+        samples: pressure values in Pa, non-empty, all finite; float32
+            or float64 samples are kept as they are, any other dtype is
+            converted to float64.
         fs: sampling frequency in Hz (positive integer).
         annotations: list of (label, onset_sample) ground-truth events,
             labels restricted to MB (muzzle blast) / MW (Mach wave).
@@ -47,7 +54,9 @@ class Waveform:
     annotations: list[tuple[str, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.asarray(self.samples)
+        if self.samples.dtype not in (np.float32, np.float64):
+            self.samples = self.samples.astype(np.float64)
         if self.fs <= 0 or int(self.fs) != self.fs:
             raise DataError(f"fs must be a positive integer, got {self.fs!r}")
         self.fs = int(self.fs)
@@ -205,25 +214,43 @@ def gen_vehicle_noise(
         raise DataError(f"rms_target must be > 0, got {rms_target}")
     rng = np.random.default_rng(seed)
 
+    # Each stage works in place and frees its buffers as they die, with
+    # the same operations in the same order as the plain expressions, so
+    # the output stays bit for bit that of the out-of-place form.
     # 1/f broadband bed: shape white noise in the frequency domain with a
     # 20 Hz corner so DC stays bounded.
     white = rng.standard_normal(n)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    shape = 1.0 / np.sqrt(np.maximum(freqs, 20.0))
+    spectrum = np.fft.rfft(white)
+    del white
+    shape = np.fft.rfftfreq(n, d=1.0 / fs)
+    np.maximum(shape, 20.0, out=shape)
+    np.sqrt(shape, out=shape)
+    np.divide(1.0, shape, out=shape)
     shape[0] = 0.0
-    pink = np.fft.irfft(np.fft.rfft(white) * shape, n=n)
-    pink /= rms(pink)
+    spectrum *= shape
+    del shape
+    x = np.fft.irfft(spectrum, n=n)
+    del spectrum
+    x /= rms(x)
 
     # Engine harmonics: fundamental with decaying partials.
     f0 = rng.uniform(70.0, 130.0)
-    t = np.arange(n, dtype=np.float64) / fs
+    t = np.arange(n, dtype=np.float64)
+    t /= fs
     harm = np.zeros(n)
+    partial = np.empty(n)
     for k in range(1, 7):
-        harm += (1.0 / k) * np.sin(2.0 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
+        np.multiply(2.0 * np.pi * k * f0, t, out=partial)
+        partial += rng.uniform(0, 2 * np.pi)
+        np.sin(partial, out=partial)
+        partial *= 1.0 / k
+        harm += partial
+    del t, partial
     harm *= 0.6 / rms(harm)
 
     # Transient bursts: short damped oscillations, peaks 5-9x the bed RMS.
-    x = pink + harm
+    x += harm
+    del harm
     n_bursts = max(1, int(round(burst_rate * duration)))
     burst_len = max(8, int(round(0.003 * fs)))
     tau = burst_len / 5.0
@@ -306,7 +333,9 @@ class RecordFiles:
 def load_wav(path: str | Path | RecordFiles,
              meta: dict[str, str] | None = None) -> Waveform:
     """Read a mono PCM16 / float32 WAV and its sidecar annotations; the
-    sidecar's other key=value pairs are added to meta when it is given."""
+    sidecar's other key=value pairs are added to meta when it is given.
+    Float32 samples stay float32, a read-only view of the file's bytes;
+    PCM16 samples are scaled to float64."""
     files = path if isinstance(path, RecordFiles) else None
     path = files.path if files else Path(path)
     raw = files.wav if files else path.read_bytes()
@@ -342,7 +371,7 @@ def load_wav(path: str | Path | RecordFiles,
         raise EmptyDataError(f"{path}: zero-length data chunk")
 
     if fmt_tag == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(data, dtype="<f4")
     elif fmt_tag == _FMT_PCM and bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _PCM16_FULL_SCALE
     else:

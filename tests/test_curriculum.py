@@ -523,6 +523,31 @@ class TestTrainCurriculum:
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
+    def test_each_training_row_held_once(self, split10):
+        # Training holds a row in its input block, in the phase's
+        # targets and in the forward's output, plus the hidden layer's
+        # activations and gradients (hidden/dim of a row each). So doubling
+        # the training rows raises the traced peak by about 3.1 rows'
+        # bytes per added row (a slope near 1 would be the peak of mixing,
+        # not of training); a second copy of the inputs makes it 4.1.
+        train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0),
+                                    per_cell=2)
+        plan = curriculum.PhasePlan(thresholds_db=(0.0, -10.0), freeze_iters=1,
+                                    total_iters=2)
+
+        def peak(n_train):
+            tracemalloc.start()
+            try:
+                curriculum.train_curriculum(tiny_net(), repeated(train, n_train),
+                                            repeated(val, 64), plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n, row_bytes = 512, 256 * 8
+        per_row = (peak(2 * n) - peak(n)) / (n * row_bytes)
+        assert 2.5 <= per_row < 3.5, per_row
+
     def test_determinism_bitwise(self, split10):
         def run():
             train, val = rotation_cells(split10, 2, grid=(0.0, -5.0))

@@ -437,6 +437,20 @@ class TestScanClean:
             assert dets[shot_id] == detect.detect_impulses(frame, FS, CFG)
         assert all(dets.values())
 
+    def test_float32_frames_scanned_as_float64(self):
+        # Frames loaded from float32 WAVs stay float32. Their detections
+        # and scores must be those of their exact float64 copies; squared
+        # and summed in float32, most of these frames score differently,
+        # and the 1e-25 Pa blast's squares underflow to zero.
+        clean = {f"s{k}": blast_in_silence(3000 + 100 * k, noise=0.05 * k, seed=k)
+                 .astype(np.float32) for k in range(detect.SCAN_BLOCK_ROWS + 2)}
+        clean["tiny"] = (1e-25 * blast_in_silence(4000)).astype(np.float32)
+        dets = detect.scan_clean(clean, FS, CFG)
+        wide = detect.scan_clean({k: v.astype(np.float64) for k, v in clean.items()},
+                                 FS, CFG)
+        assert dets == wide
+        assert dets["tiny"]
+
     def test_empty(self):
         assert detect.scan_clean({}, FS, CFG) == {}
 

@@ -35,6 +35,16 @@ class TestWaveform:
         with pytest.raises(DataError):
             signals.Waveform(np.zeros(4), 1000, [("XX", 0)])
 
+    @pytest.mark.parametrize("given, kept", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.int16, np.float64),
+        (np.float16, np.float64),
+    ])
+    def test_sample_dtype(self, given, kept):
+        # float32 and float64 samples are kept; anything else widens.
+        wave = signals.Waveform(np.arange(1, 5).astype(given), 1000)
+        assert wave.samples.dtype == kept
+        assert wave.samples.tolist() == [1.0, 2.0, 3.0, 4.0]
+
 
 class TestFriedlander:
     FS = 1000
@@ -134,6 +144,7 @@ class TestWavRoundTrip:
         path = tmp_path / "a.wav"
         signals.save_wav(path, wave)
         loaded = signals.load_wav(path)
+        assert loaded.samples.dtype == np.float32  # kept at its stored precision
         assert np.max(np.abs(loaded.samples - x)) == 0.0
         assert loaded.fs == 32768
         assert loaded.annotations == [("MB", 17)]
@@ -151,6 +162,7 @@ class TestWavRoundTrip:
         loaded = signals.load_wav(path)
         assert loaded.fs == 8000
         assert loaded.samples[0] == 1.0
+        assert loaded.samples.dtype == np.float64  # k/32767 is not float32-exact
         assert loaded.samples.tolist() == [k / 32767 for k in codes]
 
     def test_multichannel_rejected(self, tmp_path):
