@@ -10,10 +10,12 @@ from .curriculum import (
     ConvergenceLog,
     DatasetSplit,
     PhasePlan,
+    TrainingFrames,
     build_split,
     combo_cells,
     mix_cells,
     train_curriculum,
+    training_frames,
 )
 from .detect import (
     Detection,

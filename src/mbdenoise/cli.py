@@ -204,13 +204,18 @@ def _combo_cells(cfg: RunConfig, split: curriculum.DatasetSplit,
 
 def _train_rotation(
     cfg: RunConfig,
-    corpus: Corpus,
+    corpus_dir: str | Path,
     rotation: int,
     on_iteration: Callable[[int, int, net.Network], None] | None = None,
 ) -> tuple[net.Network, curriculum.ConvergenceLog]:
-    """Walk one rotation's training and validation combinations into
-    cells, initialize its network from the rotation's child seed, and
-    run the phased schedule on them."""
+    """Train one rotation from the corpus on disk: load and verify the
+    corpus, walk the rotation's training and validation combinations
+    into cells, initialize its network from the rotation's child seed,
+    build the network's frames from the cells, and run the phased
+    schedule on the frames. The corpus, its split and the cells are
+    dropped before the first optimizer step, so the loop holds only the
+    frames."""
+    corpus = load_corpus(cfg, corpus_dir)
     split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )
@@ -221,19 +226,22 @@ def _train_rotation(
         cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
     )
+    frames = curriculum.training_frames(model, train, validation)
+    del corpus, split, train, validation
     plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
                                 cfg.phase_iters)
-    return curriculum.train_curriculum(model, train, validation, plan, cfg.lr,
-                                       cfg.f_lr_scale, on_iteration)
+    return curriculum.train_curriculum(model, frames, plan, cfg.lr, cfg.f_lr_scale,
+                                       on_iteration)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
     """Train one network per requested rotation; each rotation writes a
-    checkpoint and a per-iteration convergence CSV."""
-    corpus = load_corpus(cfg, corpus_dir)
+    checkpoint and a per-iteration convergence CSV. Each rotation reads
+    and verifies the corpus, and drops it, its split and its cells
+    before the first optimizer step (_train_rotation)."""
     out = Path(out_dir)
     for rotation in cfg.rotations():
-        model, log = _train_rotation(cfg, corpus, rotation)
+        model, log = _train_rotation(cfg, corpus_dir, rotation)
         rot_dir = out / f"rotation_{rotation}"
         rot_dir.mkdir(parents=True, exist_ok=True)
         net.save_checkpoint(rot_dir / "checkpoint.bin", model)

@@ -14,6 +14,11 @@ stay in its cell. Training, validation and scoring all read cells a
 block of rows at a time (row_blocks): each block is mixed and reduced
 (decimated, or denoised and scanned) before the next is made, so no
 full-rate stack outlives its block.
+
+Training takes two steps: training_frames turns a rotation's training
+and validation cells into the network's decimated inputs and targets,
+which refer to no record, and train_curriculum runs the phased schedule
+on those frames alone, so the corpus need not outlive the first step.
 """
 
 from __future__ import annotations
@@ -320,59 +325,93 @@ def _network_frames(net: Network, cells: list[Cell], noisy: np.ndarray | None = 
     return noisy, clean, rows
 
 
+@dataclass
+class TrainingFrames:
+    """A rotation's network inputs and targets as training_frames builds
+    them: decimated at the network's rate, not yet scaled, and holding
+    no cell.
+
+    inputs holds each row once, the n_val validation rows first and then
+    every training row in cell order. clean_val and clean_train hold each
+    distinct shot's decimated clean frame once, and val_rows and
+    train_rows give each validation and training row's index into them.
+    snrs holds each training row's grid SNR.
+    """
+
+    inputs: np.ndarray
+    n_val: int
+    clean_val: np.ndarray
+    val_rows: np.ndarray
+    clean_train: np.ndarray
+    train_rows: np.ndarray
+    snrs: np.ndarray
+
+
+def training_frames(net: Network, train: list[Cell], validation: list[Cell]
+                    ) -> TrainingFrames:
+    """The training and validation cells' network frames, made by
+    _network_frames a block of rows at a time straight into one
+    [validation; training] block of inputs. The frames refer to no cell,
+    shot or noise record, so a caller can drop those before training;
+    train_curriculum scales and reorders them in place, so a set of
+    frames trains once."""
+    n_val, n_train = len(validation), len(train)
+    inputs = np.empty((n_val + n_train, net.dim))
+    _, clean_train, train_rows = _network_frames(net, train, inputs[n_val:])
+    _, clean_val, val_rows = _network_frames(net, validation, inputs[:n_val])
+    return TrainingFrames(inputs, n_val, clean_val, val_rows, clean_train, train_rows,
+                          np.array([cell[3] for cell in train]))
+
+
 def train_curriculum(
     net: Network,
-    train: list[Cell],
-    validation: list[Cell],
+    frames: TrainingFrames,
     plan: PhasePlan = PhasePlan(),
     lr: float = 1e-3,
     f_lr_scale: float = 0.5,
     on_iteration: Callable[[int, int, Network], None] | None = None,
 ) -> tuple[Network, ConvergenceLog]:
-    """Run the SNR-phased schedule and log every iteration.
+    """Run the SNR-phased schedule on frames that training_frames built
+    for net, and log every iteration.
 
-    The network's inputs are the cells' mixes decimated with its own fs
-    and decim_factor and divided by its input_scale, which is set here
-    to the largest |decimated clean training sample|; validation cells
-    never touch the scale. The mixes are made a block at a time
-    (_network_frames), and each shot's scaled, decimated clean frame is
-    kept once, from which each phase gathers its targets. Each phase
-    warm-starts from the previous one, admits all training rows whose
-    grid SNR is at or above its threshold, re-freezes the filter layer
-    at its start, and releases it after freeze_iters iterations. One
-    iteration is one optimizer step on the full active set, an Adam
-    step at lr (lr * f_lr_scale for the filter layer). Validation rows
-    are only ever used for the logged validation loss, never for
-    gradients.
+    The network's inputs are the frames divided by its input_scale,
+    which is set here to the largest |decimated clean training sample|;
+    validation frames never touch the scale. Each shot's scaled,
+    decimated clean frame is kept once, from which each phase gathers
+    its targets. Each phase warm-starts from the previous one, admits
+    all training rows whose grid SNR is at or above its threshold,
+    re-freezes the filter layer at its start, and releases it after
+    freeze_iters iterations. One iteration is one optimizer step on the
+    full active set, an Adam step at lr (lr * f_lr_scale for the filter
+    layer). Validation rows are only ever used for the logged validation
+    loss, never for gradients.
 
-    The network runs one forward per parameter state. The inputs live
-    in one block, each row held once: the validation rows first, then
-    every training row. Each phase starts by moving its active training
-    rows, in cell order, to the front of the training rows, so the
-    block's first rows are exactly the validation and active rows. One
-    forward over those rows after each Adam step gives that iteration's
-    validation loss from the first rows and the next iteration's
-    training residual from the rest; each phase starts with one forward
-    of its own, and each forward's output is released before the next
-    is made. Residuals and gradient scaling work in place on the
-    forward's output. The weights and the log equal those of a separate
-    training and validation forward per iteration bit for bit, because
-    a row of a matrix product does not depend on the rows beside it;
-    the one exception is OpenBLAS's kernel for products of a few rows
-    (under 19 at hidden 64), whose rounding differs. The active rows
-    stay in cell order, not sorted by SNR, because the gradients sum
-    over them in that order.
+    The network runs one forward per parameter state, over the frames'
+    one block of inputs, which holds each row once: the validation rows
+    first, then every training row. Each phase starts by moving its
+    active training rows, in cell order, to the front of the training
+    rows, so the block's first rows are exactly the validation and
+    active rows. One forward over those rows after each Adam step gives
+    that iteration's validation loss from the first rows and the next
+    iteration's training residual from the rest; each phase starts with
+    one forward of its own, and each forward's output is released before
+    the next is made. Residuals and gradient scaling work in place on
+    the forward's output. The weights and the log equal those of a
+    separate training and validation forward per iteration bit for bit,
+    because a row of a matrix product does not depend on the rows beside
+    it; the one exception is OpenBLAS's kernel for products of a few
+    rows (under 19 at hidden 64), whose rounding differs. The active
+    rows stay in cell order, not sorted by SNR, because the gradients
+    sum over them in that order.
     """
-    n_val, n_train = len(validation), len(train)
-    block = np.empty((n_val + n_train, net.dim))
-    _, clean_train, train_rows = _network_frames(net, train, block[n_val:])
+    n_val, block = frames.n_val, frames.inputs
+    n_train = len(block) - n_val
+    clean_train, train_rows = frames.clean_train, frames.train_rows
     net.input_scale = float(np.max(np.abs(clean_train)))
-    _, clean_val, val_rows = _network_frames(net, validation, block[:n_val])
-    for frames in (block, clean_train, clean_val):
-        frames /= net.input_scale
-    t_val = clean_val[val_rows]
+    for arr in (block, clean_train, frames.clean_val):
+        arr /= net.input_scale
+    t_val = frames.clean_val[frames.val_rows]
     t_act = np.empty((n_train, net.dim))
-    snrs = np.array([cell[3] for cell in train])
     # order[k] is the training row at position k of block[n_val:].
     order = np.arange(n_train)
     position = np.empty(n_train, dtype=np.intp)
@@ -380,7 +419,7 @@ def train_curriculum(
     state = AdamState()
     log = ConvergenceLog()
     for phase, threshold in enumerate(plan.thresholds_db):
-        admitted = snrs >= threshold
+        admitted = frames.snrs >= threshold
         active = np.flatnonzero(admitted)
         n_act = active.size
         if n_act == 0:

@@ -31,9 +31,13 @@ EVENT_LABELS = ("MB", "MW")
 
 
 def rms(x: np.ndarray) -> float:
-    """Effective (root-mean-square) value of a sample array."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sqrt(np.mean(x * x)))
+    """Effective (root-mean-square) value of a sample array, in float64.
+
+    The samples are squared straight into one float64 array, which
+    equals squaring a float64 copy bit for bit (a float32 sample widens
+    exactly), so a float32 record's RMS takes one float64 temporary of
+    its length, not two."""
+    return float(np.sqrt(np.mean(np.square(x, dtype=np.float64))))
 
 
 @dataclass

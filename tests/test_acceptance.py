@@ -50,10 +50,10 @@ def desk_run(tmp_path_factory) -> DeskRun:
     trained: dict[int, net.Network] = {}
     train_rotation = cli._train_rotation
 
-    def hashed(cfg, corpus, rotation, on_iteration=None):
+    def hashed(cfg, corpus_dir, rotation, on_iteration=None):
         if rotation == 0:
             on_iteration = lambda ph, it, n: hashes.append((ph, it, n.f_hash()))
-        trained[rotation], log = train_rotation(cfg, corpus, rotation, on_iteration)
+        trained[rotation], log = train_rotation(cfg, corpus_dir, rotation, on_iteration)
         return trained[rotation], log
 
     with pytest.MonkeyPatch.context() as patch:

@@ -1,10 +1,12 @@
 import csv
+import gc
 import hashlib
 import re
 import shutil
 import struct
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -292,6 +294,56 @@ class TestTrain:
         _, root, _ = pipeline
         text = (root / "train" / "rotation_0" / "convergence.csv").read_text()
         assert "# n_shots_a=12" in text
+
+    def test_corpus_released_before_first_step(self, pipeline, monkeypatch):
+        # By the first optimizer step no record _train_rotation loaded
+        # is alive: the loop holds only the network's frames.
+        cfg, root, _ = pipeline
+        refs = []
+        load_corpus = cli.load_corpus
+
+        def tracked(*args):
+            corpus = load_corpus(*args)
+            refs.extend(weakref.ref(record) for record in
+                        corpus.shots_a + corpus.shots_b + corpus.noises)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        steps = []
+
+        def on_iteration(phase, it, model):
+            if not steps:
+                gc.collect()
+                assert refs and all(ref() is None for ref in refs)
+            steps.append((phase, it))
+
+        monkeypatch.setattr(cli, "load_corpus", tracked)
+        cli._train_rotation(cfg, root / "corpus", 0, on_iteration)
+        assert len(refs) == cfg.n_shots_a + cfg.n_shots_b + 3 + 1
+        assert steps[0] == (0, 0)
+
+    def test_each_rotation_as_when_trained_alone(self, tmp_path):
+        # Criterion 12's config: every rotation reads the corpus anew, so
+        # rotations 0 and 5 of an all-rotation run give the checkpoint
+        # and convergence rows of those rotations trained alone; the
+        # CSVs' config headers differ only in the rotation line.
+        small = dict(n_shots_a=10, n_shots_b=3, noise_duration=4.0,
+                     snr_grid=(5.0, 0.0, -5.0), phase_thresholds_db=(0.0, -5.0),
+                     freeze_iters=4, phase_iters=10)
+        every = config.RunConfig(**small, rotation=-1).validate()
+        cli.cmd_gen_data(every, tmp_path / "corpus")
+        cli.cmd_train(every, tmp_path / "corpus", tmp_path / "every")
+        for rotation in (0, 5):
+            cfg = config.RunConfig(**small, rotation=rotation).validate()
+            cli.cmd_train(cfg, tmp_path / "corpus", tmp_path / f"alone{rotation}")
+            together = tmp_path / "every" / f"rotation_{rotation}"
+            alone = tmp_path / f"alone{rotation}" / f"rotation_{rotation}"
+            assert ((together / "checkpoint.bin").read_bytes()
+                    == (alone / "checkpoint.bin").read_bytes())
+            log = (together / "convergence.csv").read_bytes()
+            assert b"# rotation=-1\n" in log
+            assert (log.replace(b"# rotation=-1\n", f"# rotation={rotation}\n".encode())
+                    == (alone / "convergence.csv").read_bytes())
 
     def test_all_rotations_when_requested(self, tmp_path):
         cfg = smoke_cfg(rotation=-1, n_shots_a=6, n_shots_b=2,

@@ -359,6 +359,12 @@ def tiny_net(seed=0, hidden=16):
     return net.init_network(hidden, seed, spec, dim=256, fs=FS)
 
 
+def train_cells(model, train, val, *args, **kwargs):
+    """train_curriculum on the frames training_frames builds from the cells."""
+    return curriculum.train_curriculum(
+        model, curriculum.training_frames(model, train, val), *args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def trained(split10):
     train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0))
@@ -366,7 +372,7 @@ def trained(split10):
     plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                 freeze_iters=6, total_iters=14)
     hashes = []
-    model, log = curriculum.train_curriculum(
+    model, log = train_cells(
         model, train, val, plan,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())),
     )
@@ -421,7 +427,7 @@ class TestTrainCurriculum:
         mixed = curriculum.mix_cells(interleaved)
         assert np.array_equal(mixed[1], curriculum.mix_cells(train)[half])
         plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
-        model, log = curriculum.train_curriculum(tiny_net(seed=4), interleaved, val, plan)
+        model, log = train_cells(tiny_net(seed=4), interleaved, val, plan)
 
         scale = max(float(np.max(np.abs(dsp.decimate(clean, FS, 8))))
                     for clean in clean_rows(interleaved))
@@ -447,8 +453,7 @@ class TestTrainCurriculum:
             model = tiny_net(seed=9)
             plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                         freeze_iters=3, total_iters=8)
-            model, _ = curriculum.train_curriculum(model, train,
-                                                   corrupted if corrupt else val, plan)
+            model, _ = train_cells(model, train, corrupted if corrupt else val, plan)
             return model
 
         clean_run, corrupted_run = run(False), run(True)
@@ -470,8 +475,8 @@ class TestTrainCurriculum:
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=4, total_iters=9)
         lr, f_lr_scale = 2e-3, 0.7
-        model, log = curriculum.train_curriculum(tiny_net(seed=6, hidden=64), train, val,
-                                                 plan, lr, f_lr_scale)
+        model, log = train_cells(tiny_net(seed=6, hidden=64), train, val, plan, lr,
+                                 f_lr_scale)
 
         def frames(c):
             return (np.stack([dsp.decimate(row, FS, 8) for row in curriculum.mix_cells(c)]),
@@ -512,21 +517,22 @@ class TestTrainCurriculum:
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                     freeze_iters=2, total_iters=5)
         with pytest.raises(DataError):
-            curriculum.train_curriculum(model, train, val, plan)
+            train_cells(model, train, val, plan)
 
     def test_overfits_single_example(self, split10):
         train, val = rotation_cells(split10, 0, grid=(0.0,))
         model = tiny_net(seed=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0,),
                                     freeze_iters=250, total_iters=2000)
-        model, log = curriculum.train_curriculum(model, train[:1], val[:1], plan)
+        model, log = train_cells(model, train[:1], val[:1], plan)
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
     def test_each_training_row_held_once(self, split10):
-        # Training holds a row in its input block, in the phase's
-        # targets and in the forward's output, plus the hidden layer's
-        # activations and gradients (hidden/dim of a row each). So doubling
+        # Traced over the frames builder and the loop together. Training
+        # holds a row in its input block, in the phase's targets and in
+        # the forward's output, plus the hidden layer's activations and
+        # gradients (hidden/dim of a row each). So doubling
         # the training rows raises the traced peak by about 3.1 rows'
         # bytes per added row (a slope near 1 would be the peak of mixing,
         # not of training); a second copy of the inputs makes it 4.1.
@@ -538,8 +544,7 @@ class TestTrainCurriculum:
         def peak(n_train):
             tracemalloc.start()
             try:
-                curriculum.train_curriculum(tiny_net(), repeated(train, n_train),
-                                            repeated(val, 64), plan)
+                train_cells(tiny_net(), repeated(train, n_train), repeated(val, 64), plan)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -554,7 +559,7 @@ class TestTrainCurriculum:
             model = tiny_net(seed=5)
             plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
                                         freeze_iters=4, total_iters=9)
-            return curriculum.train_curriculum(model, train, val, plan)
+            return train_cells(model, train, val, plan)
 
         (net_a, log_a), (net_b, log_b) = run(), run()
         for k in net_a.params():
@@ -626,6 +631,21 @@ class TestNetworkFrames:
     def test_empty_cell_list_rejected(self):
         with pytest.raises(DataError):
             curriculum._network_frames(tiny_net(), [])
+
+    def test_training_frames_stack_validation_then_training(self, all_cells):
+        # One block of inputs, the validation rows then the training
+        # rows, each as _network_frames makes it, and the training SNRs.
+        train, val = all_cells[:BLOCK + 9], all_cells[-30:]
+        frames = curriculum.training_frames(tiny_net(), train, val)
+        for part, cell_list in ((frames.inputs[:30], val), (frames.inputs[30:], train)):
+            noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
+            assert np.array_equal(part, noisy)
+        assert frames.n_val == 30
+        assert np.array_equal(frames.clean_val[frames.val_rows],
+                              dsp.decimate(clean_rows(val), FS, 8))
+        assert np.array_equal(frames.clean_train[frames.train_rows],
+                              dsp.decimate(clean_rows(train), FS, 8))
+        assert frames.snrs.tolist() == snr_bins(train)
 
     def test_peak_below_one_full_rate_stack(self, all_cells):
         # Six blocks of cells: the traced peak, output included, stays

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,37 @@ class TestFriedlander:
         args.update(kwargs)
         with pytest.raises(DataError):
             signals.friedlander(**args)
+
+
+class TestRms:
+    @staticmethod
+    def widened(x):
+        wide = x.astype(np.float64)
+        return float(np.sqrt(np.mean(wide * wide)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_float64_mean_square(self, dtype):
+        x = (3.0 * np.random.default_rng(5).standard_normal(100_003)).astype(dtype)
+        assert signals.rms(x) == self.widened(x)
+
+    def test_loaded_noise_record(self, tmp_path, noise_rec):
+        path = tmp_path / "noise.wav"
+        signals.save_noise(path, noise_rec)
+        x = signals.load_noise(path).waveform.samples
+        assert x.dtype == np.float32
+        assert signals.rms(x) == self.widened(x)
+
+    def test_one_float64_temporary(self):
+        # Squaring straight into float64 holds one widened copy of the
+        # samples, where widening and then squaring holds two.
+        x = np.ones(2 ** 20, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            signals.rms(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.size * 8, peak
 
 
 class TestVehicleNoise:
