@@ -42,13 +42,12 @@ from .net import (
     Network,
     Plan,
     adam_step,
-    backward_batch,
+    batch_loss,
     compile_plan,
     denoise_frame,
-    forward_batch,
+    hidden_layer,
     init_network,
     load_checkpoint,
-    residual_loss,
     save_checkpoint,
 )
 from .signals import (

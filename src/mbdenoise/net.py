@@ -3,12 +3,13 @@
 A single-hidden-layer fully connected autoencoder (256 -> hidden -> 256,
 tanh hidden activation, linear reconstruction) followed by a 256x256
 filter matrix that starts life as a low-pass filter and is itself
-trainable once released. Batch forward, the sum-of-squares loss of a
-residual, exact analytic backprop, Adam updates honoring the
-filter-freeze flag, and a byte-stable checkpoint format. Training and
-validation run forward_batch, which folds the filter layer into the
-reconstruction weights once per call; inference runs a Plan
-(compile_plan), which also folds the decimation, the input scale and the
+trainable once released. Training takes the hidden activations of a
+batch (hidden_layer) and batch_loss, which gives the batch-mean
+sum-of-squares loss against targets that repeat across rows and its
+exact gradients from hidden-layer statistics, never forming the
+network's output; Adam updates honor the filter-freeze flag, and the
+checkpoint format is byte-stable. Inference runs a Plan (compile_plan),
+which folds the filter layer, the decimation, the input scale and the
 interpolation into the weights. denoise_frame runs one frame through a
 plan it compiles once per loaded checkpoint.
 """
@@ -121,70 +122,92 @@ def init_network(
     )
 
 
-@dataclass(frozen=True)
-class ForwardCache:
-    """Intermediates needed by backward: input, hidden activation, and
-    the folded reconstruction weights p = f @ w2."""
-
-    x: np.ndarray
-    a: np.ndarray
-    p: np.ndarray
-
-
-def forward_batch(net: Network, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Row-wise y = f @ (w2 @ tanh(w1 @ x + b1) + b2) over a
-    (n_examples, dim) batch.
-
-    The reconstruction and the filter layer are both linear, so the
-    filter is folded into them once per call: y = p @ a + c with
-    p = f @ w2 and c = f @ b2. No per-example product touches the
-    dim x dim filter matrix.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    A = X @ net.w1.T
+def hidden_layer(net: Network, X: np.ndarray) -> np.ndarray:
+    """The hidden activations tanh(w1 @ x + b1) of a (n_examples, dim)
+    batch, one row per example."""
+    A = np.asarray(X, dtype=np.float64) @ net.w1.T
     A += net.b1
     np.tanh(A, out=A)
-    P = net.f @ net.w2
-    Y = A @ P.T
-    Y += net.f @ net.b2
-    return Y, ForwardCache(X, A, P)
+    return A
 
 
-def residual_loss(diff: np.ndarray) -> float:
-    """The loss of a residual diff = y - target: the sum of squared
-    per-sample errors, as one flat dot product; a 2-D residual averages
-    its row sums, so the learning rate is batch-size independent."""
-    flat = np.ravel(diff)
-    n_examples = 1 if diff.ndim == 1 else diff.shape[0]
-    return float(np.dot(flat, flat)) / n_examples
+def batch_loss(
+    net: Network,
+    X: np.ndarray,
+    targets: np.ndarray,
+    rows: np.ndarray,
+    A: np.ndarray | None = None,
+    grads: bool = True,
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """The loss (1/n) sum_n ||y_n - targets[rows[n]]||^2 of the n rows
+    of X, with y = f @ (w2 @ tanh(w1 @ x + b1) + b2), and, with grads,
+    its exact gradients keyed like net.params(); the filter gradient
+    only while the layer is released.
 
+    targets holds each distinct target frame once and rows gives each
+    row's index into it. A is the batch's hidden_layer, made here unless
+    given. No output y is made: the reconstruction and the filter are
+    linear, so with W = [w2 | b2], [P | c] = f @ W and the augmented
+    activations [A | 1], the loss and its gradients follow from the Gram
+    matrix G = [A | 1].T @ [A | 1] (which holds A.T @ A, the row sum s
+    and n) and the per-target sums S_k of the rows of [A | 1] whose
+    target is k (which hold their count m_k):
 
-def backward_batch(net: Network, cache: ForwardCache,
-                   grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of sum_n <grad_out[n], y[n]> through the forward
-    graph, keyed like net.params().
+        n loss   = <[P|c].T @ [P|c], G> - 2 <S, targets @ [P|c]>
+                   + sum_k m_k ||targets_k||^2
+        d[P | c] = (2/n) ([P|c] @ G - targets.T @ S)
+        dA       = (2/n) ([A | 1] @ ([P|c].T @ [P|c])[:, :h] - (targets @ P)[rows])
 
-    grad_out is dL/dY (for the sum-of-squares loss, 2*(Y - target));
-    pre-scale it by 1/n_examples for a batch-mean loss. Gradients flow
-    through the folded p = f @ w2 and c = f @ b2, so the only
-    per-example products are dim x hidden: dW2 = f.T @ dP,
-    db2 = f.T @ dc and dF = dP @ w2.T + dc b2.T. The filter gradient is
-    always computed; the optimizer discards it while the layer is frozen.
+    then dW1 and db1 through tanh' = 1 - a^2, [dW2 | db2] = f.T @ d[P|c]
+    and dF = d[P|c] @ W.T. The only n x dim products are A's and dW1's.
+    S comes from np.add.reduceat over A when rows is sorted, and over a
+    copy of A sorted by target otherwise. Rounding can take the sum
+    below zero at a perfect fit, so the loss is clipped at 0. A NaN
+    input or target makes the loss NaN, a NumericError.
     """
-    G = np.asarray(grad_out, dtype=np.float64)
-    dP = G.T @ cache.a
-    dc = G.sum(axis=0)
-    dW2 = net.f.T @ dP
-    db2 = net.f.T @ dc
-    dF = dP @ net.w2.T
-    dF += np.outer(dc, net.b2)
-    dU = G @ cache.p  # dA, scaled in place by tanh' = 1 - a^2
-    slope = cache.a * cache.a
+    X = np.asarray(X, dtype=np.float64)
+    if A is None:
+        A = hidden_layer(net, X)
+    n, h = A.shape
+    rows = np.asarray(rows)
+    counts = np.bincount(rows, minlength=len(targets))
+    grouped = A if np.all(rows[1:] >= rows[:-1]) else A[np.argsort(rows, kind="stable")]
+    present = counts > 0
+    S = np.zeros((len(targets), h + 1))
+    S[present, :h] = np.add.reduceat(grouped, (np.cumsum(counts) - counts)[present], axis=0)
+    S[:, h] = counts
+    G = np.empty((h + 1, h + 1))
+    G[:h, :h] = A.T @ A
+    G[:h, h] = G[h, :h] = A.sum(axis=0)
+    G[h, h] = n
+    W = np.column_stack((net.w2, net.b2))
+    Pc = net.f @ W
+    TP = targets @ Pc
+    PtP = Pc.T @ Pc
+    n_loss = (np.vdot(PtP, G) - 2.0 * np.vdot(S, TP)
+              + counts @ np.einsum("kd,kd->k", targets, targets))
+    if not np.isfinite(n_loss):
+        raise NumericError("non-finite loss: a NaN or Inf input or target")
+    loss = max(float(n_loss), 0.0) / n
+    if not grads:
+        return loss, None
+    dPc = Pc @ G
+    dPc -= targets.T @ S
+    dPc *= 2.0 / n
+    # dA, scaled in place by tanh' = 1 - a^2. Its per-row terms and the
+    # slope share one array, so the gradients make two arrays of A's size.
+    dU = A @ PtP[:h, :h]
+    rowwise = np.take(PtP[h, :h] - TP[:, :h], rows, axis=0)
+    dU += rowwise
+    dU *= 2.0 / n
+    slope = np.multiply(A, A, out=rowwise)
     np.subtract(1.0, slope, out=slope)
     dU *= slope
-    db1 = dU.sum(axis=0)
-    dW1 = dU.T @ cache.x
-    return {"w1": dW1, "b1": db1, "w2": dW2, "b2": db2, "f": dF}
+    dWb = net.f.T @ dPc
+    out = {"w1": dU.T @ X, "b1": dU.sum(axis=0), "w2": dWb[:, :h], "b2": dWb[:, h]}
+    if not net.f_frozen:
+        out["f"] = dPc @ W.T
+    return loss, out
 
 
 @dataclass

@@ -25,21 +25,46 @@ def filter_spec_dec() -> dsp.FilterSpec:
     return dsp.design_butterworth(8, FS / 41.0, FS / 8.0)
 
 
-def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
-    """Central finite differences vs analytic backprop on the batch of
-    one holding the frame x and target t.
+def textbook_forward(model, X):
+    """The network's output f @ (w2 @ tanh(w1 @ x + b1) + b2) on each
+    row of X, with nothing folded: (Y, hidden activations A, pre-filter
+    output Z)."""
+    A = np.tanh(X @ model.w1.T + model.b1)
+    Z = A @ model.w2.T + model.b2
+    return Z @ model.f.T, A, Z
 
-    Returns one relative error per sampled parameter, sampled evenly
-    across the five parameter groups.
+
+def textbook_loss(model, X, T):
+    """The batch-mean sum of squared errors of the output against the
+    rows of T."""
+    Y, _, _ = textbook_forward(model, X)
+    return float(np.sum((Y - T) ** 2)) / len(X)
+
+
+def textbook_backward(model, X, T):
+    """Backprop of textbook_loss through the unfolded graph, all five
+    gradients keyed like model.params(): the reference net.batch_loss's
+    gradients must match."""
+    Y, A, Z = textbook_forward(model, X)
+    G = 2.0 * (Y - T) / len(X)
+    dZ = G @ model.f
+    dU = (dZ @ model.w2) * (1.0 - A * A)
+    return {"w1": dU.T @ X, "b1": dU.sum(axis=0), "w2": dZ.T @ A, "b2": dZ.sum(axis=0),
+            "f": G.T @ Z}
+
+
+def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
+    """Central finite differences of textbook_loss vs net.batch_loss's
+    gradients on the batch of one holding the frame x and target t.
+
+    The model's filter layer is released first, so batch_loss returns
+    its gradient too. Returns one relative error per sampled parameter,
+    sampled evenly across the five parameter groups.
     """
     X, T = x[np.newaxis], t[np.newaxis]
-    Y, cache = net.forward_batch(model, X)
-    grads = net.backward_batch(model, cache, 2.0 * (Y - T))
+    model.f_frozen = False
+    _, grads = net.batch_loss(model, X, T, [0])
     params = model.params()
-
-    def loss():
-        YY, _ = net.forward_batch(model, X)
-        return net.residual_loss(YY - T)
 
     errors = []
     for name, arr in params.items():
@@ -48,9 +73,9 @@ def gradient_errors(model, x, t, samples_per_group: int, rng, eps=1e-5):
             idx = np.unravel_index(flat, arr.shape)
             orig = arr[idx]
             arr[idx] = orig + eps
-            up = loss()
+            up = textbook_loss(model, X, T)
             arr[idx] = orig - eps
-            down = loss()
+            down = textbook_loss(model, X, T)
             arr[idx] = orig
             numeric = (up - down) / (2 * eps)
             analytic = grads[name][idx]

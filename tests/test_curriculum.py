@@ -7,7 +7,7 @@ import pytest
 from mbdenoise import curriculum, dsp, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
-from conftest import make_corpus, textbook_adam_step
+from conftest import make_corpus, textbook_adam_step, textbook_loss
 
 FS = 32768
 
@@ -57,6 +57,16 @@ def clean_frames(cell_list):
 def clean_rows(cell_list):
     """Each cell's clean frame, one row per cell."""
     return np.stack([cell[0].waveform.samples for cell in cell_list])
+
+
+def decimated_targets(cell_list):
+    """Each distinct shot's decimated clean frame once, in the order the
+    shots first appear (train_curriculum's target order), and each
+    cell's index into them."""
+    frames = clean_frames(cell_list)
+    index = {shot_id: k for k, shot_id in enumerate(frames)}
+    return (np.stack([dsp.decimate(frame, FS, 8) for frame in frames.values()]),
+            np.array([index[shot_id] for shot_id in shot_ids(cell_list)]))
 
 
 def mixed_alone(cell):
@@ -412,8 +422,7 @@ class TestTrainCurriculum:
         fresh = tiny_net()
         X = dsp.decimate(curriculum.mix_cells(train), FS, 8)
         T = dsp.decimate(clean_rows(train), FS, 8)
-        Y, _ = net.forward_batch(fresh, X / model.input_scale)
-        untrained = net.residual_loss(Y - T / model.input_scale)
+        untrained = textbook_loss(fresh, X / model.input_scale, T / model.input_scale)
         assert log.phase_records(1)[0].train_mse < 0.5 * untrained
 
     def test_inputs_decimated_and_scaled_by_the_model(self, split10):
@@ -433,9 +442,12 @@ class TestTrainCurriculum:
                     for clean in clean_rows(interleaved))
         assert model.input_scale == scale
         X = np.stack([dsp.decimate(row, FS, 8) for row in mixed]) / scale
-        T = np.stack([dsp.decimate(clean, FS, 8) for clean in clean_rows(interleaved)]) / scale
-        Y, _ = net.forward_batch(tiny_net(seed=4), X)
-        assert log.records[0].train_mse == net.residual_loss(Y - T)
+        C, rows = decimated_targets(interleaved)
+        # The loop's order: the rows grouped by target, each group in
+        # cell order.
+        order = np.argsort(rows, kind="stable")
+        loss, _ = net.batch_loss(tiny_net(seed=4), X[order], C / scale, rows[order])
+        assert log.records[0].train_mse == loss
 
     def test_validation_never_in_gradients(self, split10):
         # Corrupting every validation frame must not change the trained
@@ -462,14 +474,15 @@ class TestTrainCurriculum:
                                   corrupted_run.params()[k])
 
     def test_matches_two_forward_reference_loop(self, split10):
-        # The textbook loop: per iteration a training forward on the
-        # active rows, residual_loss, backward, allocating Adam, then a
-        # separate validation forward. train_curriculum's one stacked
-        # forward per parameter state must give the same bits. The model
-        # is full width: OpenBLAS rounds products of a few rows (under
-        # 19 at hidden 64) with a kernel of their own, so a row's bits
-        # depend on the batch only below that size; 30 validation and
-        # 40 or 60 training rows stay above it.
+        # The textbook loop: per iteration a batch_loss call on the
+        # active rows, allocating Adam, then a separate validation
+        # batch_loss call, with the rows in the loop's order.
+        # train_curriculum's one stacked hidden layer per parameter state
+        # must give the same bits. The model is full width: OpenBLAS
+        # rounds products of a few rows (under 19 at hidden 64) with a
+        # kernel of their own, so a row's bits depend on the batch only
+        # below that size; 30 validation and 40 or 60 training rows stay
+        # above it.
         train, val = rotation_cells(split10, 1, grid=(5.0, 0.0, -5.0))
         assert (len(val), len(train)) == (30, 60)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
@@ -479,31 +492,32 @@ class TestTrainCurriculum:
                                  f_lr_scale)
 
         def frames(c):
-            return (np.stack([dsp.decimate(row, FS, 8) for row in curriculum.mix_cells(c)]),
-                    np.stack([dsp.decimate(clean, FS, 8) for clean in clean_rows(c)]))
+            targets, rows = decimated_targets(c)
+            mixed = np.stack([dsp.decimate(row, FS, 8) for row in curriculum.mix_cells(c)])
+            return mixed, targets, rows
 
         ref = tiny_net(seed=6, hidden=64)
-        x_train, t_train = frames(train)
-        scale = float(np.max(np.abs(t_train)))
-        x_train, t_train = x_train / scale, t_train / scale
-        x_val, t_val = (f / scale for f in frames(val))
+        x_train, c_train, rows_train = frames(train)
+        scale = float(np.max(np.abs(c_train)))
+        x_train, c_train = x_train / scale, c_train / scale
+        x_val, c_val, rows_val = frames(val)
+        x_val, c_val = x_val / scale, c_val / scale
         snrs = np.array([snr for *_, snr in train])
         moments, records = {}, []
         for phase, threshold in enumerate(plan.thresholds_db):
-            active = snrs >= threshold
-            x, t = x_train[active], t_train[active]
+            active = np.flatnonzero(snrs >= threshold)
+            # Grouped by target, each group in cell order.
+            active = active[np.argsort(rows_train[active], kind="stable")]
+            x, rows = x_train[active], rows_train[active]
             ref.f_frozen = True
             for it in range(plan.total_iters):
                 if it == plan.freeze_iters:
                     ref.f_frozen = False
-                y, cache = net.forward_batch(ref, x)
-                train_mse = net.residual_loss(y - t)
-                grads = net.backward_batch(ref, cache, (2.0 / len(x)) * (y - t))
+                train_mse, grads = net.batch_loss(ref, x, c_train, rows)
                 textbook_adam_step(ref, grads, moments, lr, f_lr_scale)
-                y_val, _ = net.forward_batch(ref, x_val)
+                val_mse, _ = net.batch_loss(ref, x_val, c_val, rows_val, grads=False)
                 records.append(curriculum.LogRecord(
-                    phase, it, train_mse, net.residual_loss(y_val - t_val), ref.f_frozen,
-                    int(active.sum())))
+                    phase, it, train_mse, val_mse, ref.f_frozen, active.size))
 
         assert model.input_scale == scale
         assert moments["f"][2] == 2 * (plan.total_iters - plan.freeze_iters)
@@ -529,13 +543,15 @@ class TestTrainCurriculum:
         assert log.records[-1].train_mse < 0.01 * first
 
     def test_each_training_row_held_once(self, split10):
-        # Traced over the frames builder and the loop together. Training
-        # holds a row in its input block, in the phase's targets and in
-        # the forward's output, plus the hidden layer's activations and
-        # gradients (hidden/dim of a row each). So doubling
-        # the training rows raises the traced peak by about 3.1 rows'
-        # bytes per added row (a slope near 1 would be the peak of mixing,
-        # not of training); a second copy of the inputs makes it 4.1.
+        # Traced over the frames builder and the loop together, at the
+        # config's hidden width of 64. Training holds a row in its input
+        # block, moved in place at each phase start, plus three arrays of
+        # the hidden width (the activations, their gradient and one
+        # temporary): no output, residual or gathered target is made. So
+        # doubling the training rows raises the traced peak by about
+        # 1 + 3 * 64/256 = 1.75 rows' bytes per added row. A slope near
+        # 1 would be the peak of mixing, not of training; a second copy
+        # of the inputs, or an output-sized array, makes it 2.75.
         train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0),
                                     per_cell=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -10.0), freeze_iters=1,
@@ -544,14 +560,23 @@ class TestTrainCurriculum:
         def peak(n_train):
             tracemalloc.start()
             try:
-                train_cells(tiny_net(), repeated(train, n_train), repeated(val, 64), plan)
+                train_cells(tiny_net(hidden=64), repeated(train, n_train), repeated(val, 64),
+                            plan)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         n, row_bytes = 512, 256 * 8
         per_row = (peak(2 * n) - peak(n)) / (n * row_bytes)
-        assert 2.5 <= per_row < 3.5, per_row
+        assert 1.5 <= per_row < 2.25, per_row
+
+    def test_move_rows_permutes_in_place(self):
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((50, 4))
+        for source in (np.arange(50), rng.permutation(50), np.roll(np.arange(50), 7)):
+            moved = block.copy()
+            curriculum._move_rows(moved, source)
+            assert np.array_equal(moved, block[source])
 
     def test_determinism_bitwise(self, split10):
         def run():

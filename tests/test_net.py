@@ -8,7 +8,8 @@ from mbdenoise import dsp, net
 from mbdenoise.errors import DataError, NumericError
 
 from conftest import (empty_layer_net, gradient_errors, rewrite_header,
-                      textbook_adam_step)
+                      textbook_adam_step, textbook_backward, textbook_forward,
+                      textbook_loss)
 
 FS = 32768
 
@@ -98,86 +99,149 @@ class TestInit:
     @pytest.mark.parametrize("hidden", [32, 64, 128])
     def test_hidden_size_sweep(self, small_spec, hidden):
         model = net.init_network(hidden, 3, small_spec, dim=16, fs=FS)
-        Y, _ = net.forward_batch(model, np.linspace(-1, 1, 16)[np.newaxis])
-        assert Y.shape == (1, 16) and np.all(np.isfinite(Y))
+        x = np.linspace(-1, 1, 16)[np.newaxis]
+        loss, grads = net.batch_loss(model, x, x, [0])
+        assert math.isfinite(loss)
+        assert {k: g.shape for k, g in grads.items()} == {
+            k: v.shape for k, v in model.params().items() if k != "f"}
+
+
+def zero_output_net(spec):
+    """A network whose output is 0 for every input: w1, w2 and b2 zero."""
+    n = small_net(spec=spec)
+    n.w1[:] = 0.0
+    n.w2[:] = 0.0
+    n.b2[:] = 0.0
+    return n
 
 
 class TestForward:
-    def test_zero_weights_zero_output(self, small_spec):
-        n = small_net(spec=small_spec)
-        n.w1[:] = 0.0
-        n.w2[:] = 0.0
-        Y, _ = net.forward_batch(n, np.ones((1, 16)))
-        assert np.all(Y == 0.0)
-
-    def test_unit_bias_isolates_filter_column(self, small_spec):
-        n = small_net(spec=small_spec)
-        n.w1[:] = 0.0
-        n.b1[:] = 0.0
-        n.w2[:] = 0.0
-        n.b2[:] = 0.0
-        n.b2[3] = 1.0
-        Y, _ = net.forward_batch(n, np.zeros((1, 16)))
-        assert np.array_equal(Y[0], n.f[:, 3])
+    """The network's forward map, as the loss against known targets
+    shows it."""
 
     def test_matches_straight_line_oracle(self, small_spec):
         rng = np.random.default_rng(5)
         n = small_net(hidden=7, seed=9, spec=small_spec)
         for _ in range(5):
-            x = rng.standard_normal(16)
-            Y, _ = net.forward_batch(n, x[np.newaxis])
-            assert np.max(np.abs(Y[0] - straight_line_forward(n, x))) < 1e-12
+            x, t = rng.standard_normal(16), rng.standard_normal(16)
+            y = straight_line_forward(n, x)
+            Y, _, _ = textbook_forward(n, x[np.newaxis])
+            assert np.max(np.abs(Y[0] - y)) < 1e-12
+            loss, _ = net.batch_loss(n, x[np.newaxis], t[np.newaxis], [0])
+            assert loss == pytest.approx(float(np.sum((y - t) ** 2)), rel=1e-12)
+
+    def test_zero_weights_zero_output(self, small_spec):
+        # A zero output leaves the target's energy as the loss.
+        n = zero_output_net(small_spec)
+        loss, _ = net.batch_loss(n, np.ones((1, 16)), np.ones((1, 16)), [0])
+        assert loss == 16.0
+
+    def test_unit_bias_isolates_filter_column(self, small_spec):
+        n = zero_output_net(small_spec)
+        n.b1[:] = 0.0
+        n.b2[3] = 1.0
+        column = n.f[:, 3][np.newaxis]
+        at_column, _ = net.batch_loss(n, np.zeros((1, 16)), column, [0])
+        at_zero, _ = net.batch_loss(n, np.zeros((1, 16)), np.zeros((1, 16)), [0])
+        assert 0.0 <= at_column <= 1e-12 * float(np.sum(column ** 2))
+        assert at_zero == pytest.approx(float(np.sum(column ** 2)), rel=1e-12)
 
     def test_folded_matches_explicit_filter_product(self, small_spec):
         rng = np.random.default_rng(8)
         n = released_net(spec=small_spec)
-        X = rng.standard_normal((5, 16))
-        Y, _ = net.forward_batch(n, X)
+        X, T = rng.standard_normal((5, 16)), rng.standard_normal((5, 16))
         explicit = (np.tanh(X @ n.w1.T + n.b1) @ n.w2.T + n.b2) @ n.f.T
-        assert np.max(np.abs(Y - explicit)) <= 1e-12 * np.max(np.abs(explicit))
+        loss, _ = net.batch_loss(n, X, T, np.arange(5))
+        assert loss == pytest.approx(float(np.sum((explicit - T) ** 2)) / 5, rel=1e-12)
 
     def test_batch_matches_single(self, small_spec):
         rng = np.random.default_rng(6)
         n = small_net(spec=small_spec)
-        X = rng.standard_normal((4, 16))
-        Y, _ = net.forward_batch(n, X)
-        for i in range(4):
-            y, _ = net.forward_batch(n, X[i:i + 1])
-            assert np.max(np.abs(Y[i] - y[0])) < 1e-12
+        X, T = rng.standard_normal((4, 16)), rng.standard_normal((4, 16))
+        loss, _ = net.batch_loss(n, X, T, np.arange(4))
+        singles = [net.batch_loss(n, X[i:i + 1], T[i:i + 1], [0])[0] for i in range(4)]
+        assert loss == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 class TestMseLoss:
-    def test_identical_is_zero(self):
-        y = np.arange(5.0)
-        assert net.residual_loss(y - y) == 0.0
+    """The loss of a network whose output is zero: the batch mean of
+    each row's target energy."""
 
-    def test_simple_sum(self):
-        y = np.zeros(8)
-        t = np.zeros(8)
-        y[0], y[1] = 1.0, -1.0
-        assert net.residual_loss(y - t) == 2.0
+    def test_identical_is_zero(self, small_spec):
+        loss, _ = net.batch_loss(zero_output_net(small_spec), np.ones((2, 16)),
+                                 np.zeros((1, 16)), [0, 0])
+        assert loss == 0.0
 
-    def test_random_matches_independent_sum(self):
+    def test_simple_sum(self, small_spec):
+        t = np.zeros((1, 16))
+        t[0, 0], t[0, 1] = 1.0, -1.0
+        loss, _ = net.batch_loss(zero_output_net(small_spec), np.ones((1, 16)), t, [0])
+        assert loss == 2.0
+
+    def test_random_matches_independent_sum(self, small_spec):
         rng = np.random.default_rng(2)
-        y, t = rng.standard_normal(64), rng.standard_normal(64)
-        expected = sum((float(a) - float(b)) ** 2 for a, b in zip(y, t))
-        assert net.residual_loss(y - t) == pytest.approx(expected, abs=1e-12)
+        t = rng.standard_normal((1, 16))
+        expected = sum(float(v) ** 2 for v in t[0])
+        loss, _ = net.batch_loss(zero_output_net(small_spec), np.ones((1, 16)), t, [0])
+        assert loss == pytest.approx(expected, abs=1e-12)
 
-    def test_batch_is_mean_of_per_example_sums(self):
+    def test_batch_is_mean_of_per_example_sums(self, small_spec):
         rng = np.random.default_rng(3)
-        Y, T = rng.standard_normal((3, 10)), rng.standard_normal((3, 10))
-        per = [net.residual_loss(Y[i] - T[i]) for i in range(3)]
-        assert net.residual_loss(Y - T) == pytest.approx(np.mean(per), abs=1e-12)
+        T = rng.standard_normal((3, 16))
+        per = [float(np.sum(t ** 2)) for t in T]
+        loss, _ = net.batch_loss(zero_output_net(small_spec), np.ones((3, 16)), T,
+                                 np.arange(3))
+        assert loss == pytest.approx(np.mean(per), abs=1e-12)
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("rows", [
+        [0, 0, 0, 1, 1, 2, 2, 2],
+        [0, 1, 1, 1, 2, 2],  # target 3 unused
+        [2, 0, 1, 2, 0, 0, 3, 1, 2],
+    ], ids=["repeated-targets", "one-row-group", "shuffled"])
+    def test_matches_oracle(self, small_spec, rows):
+        rng = np.random.default_rng(len(rows))
+        n = released_net(spec=small_spec)
+        X = rng.standard_normal((len(rows), 16))
+        C = rng.standard_normal((4, 16))
+        loss, grads = net.batch_loss(n, X, C, rows)
+        assert loss == pytest.approx(textbook_loss(n, X, C[rows]), rel=1e-12)
+        reference = textbook_backward(n, X, C[rows])
+        assert grads.keys() == reference.keys()
+        for k, g in reference.items():
+            assert np.max(np.abs(grads[k] - g)) <= 1e-12 * np.max(np.abs(g)), k
+
+    def test_perfect_fit(self, small_spec):
+        # Rows that share a target share their input, and each target is
+        # the network's own output, so every residual is zero.
+        rng = np.random.default_rng(19)
+        n = released_net(spec=small_spec)
+        X0 = rng.standard_normal((3, 16))
+        C, _, _ = textbook_forward(n, X0)
+        rows = np.array([2, 0, 0, 1, 2, 2, 1])
+        loss, _ = net.batch_loss(n, X0[rows], C, rows)
+        assert 0.0 <= loss < 1e-12 * float(np.sum(C[rows] ** 2))
+
+    def test_nan_input_row_rejected(self, small_spec):
+        X = np.random.default_rng(20).standard_normal((4, 16))
+        X[2, 5] = np.nan
+        with pytest.raises(NumericError):
+            net.batch_loss(released_net(spec=small_spec), X, X[:2], [0, 1, 0, 1])
 
 
 class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self, small_spec):
-        n = small_net(spec=small_spec)
-        _, cache = net.forward_batch(n, np.linspace(-1, 1, 16)[np.newaxis])
-        grads = net.backward_batch(n, cache, np.zeros((1, 16)))
-        assert grads.keys() == n.params().keys()
-        for g in grads.values():
-            assert np.all(g == 0.0)
+        # A zero output against zero targets; a frozen filter gets no
+        # gradient at all.
+        n = zero_output_net(small_spec)
+        for frozen in (True, False):
+            n.f_frozen = frozen
+            _, grads = net.batch_loss(n, np.linspace(-1, 1, 16)[np.newaxis],
+                                      np.zeros((1, 16)), [0])
+            assert grads.keys() == {k for k in n.params() if not (frozen and k == "f")}
+            for g in grads.values():
+                assert np.all(g == 0.0)
 
     @staticmethod
     def max_fd_error(n: net.Network) -> float:
@@ -190,34 +254,33 @@ class TestBackward:
         assert self.max_fd_error(small_net(hidden=6, seed=4, spec=small_spec)) < 1e-4
 
     def test_finite_difference_released_dense_filter(self, small_spec):
-        # A dense F and a non-zero b2 exercise the f.T @ dP and dc b2.T
-        # terms of the folded backward, which an init network hides.
+        # A dense F and a non-zero b2 exercise the f.T @ d[P|c] and
+        # d[P|c] @ [w2|b2].T terms of the folded gradients, which an
+        # init network hides.
         assert self.max_fd_error(released_net(hidden=6, seed=4, spec=small_spec)) < 1e-4
 
     def test_linear_path_filter_gradient(self, small_spec):
-        # Bypass the tanh path: w1 = 0 makes z = b2, so dL/df is the
-        # outer product grad_out x b2 (hand derivation).
-        n = small_net(spec=small_spec)
-        n.w1[:] = 0.0
-        n.w2[:] = 0.0
+        # Bypass the tanh path: w1 = w2 = 0 makes y = f @ b2, so for the
+        # loss of one row dL/df is the outer product 2 (y - t) x b2 (hand
+        # derivation); t is chosen to make 2 (y - t) = grad_out.
+        n = zero_output_net(small_spec)
         n.b2[:] = np.linspace(0.5, 2.0, 16)
-        _, cache = net.forward_batch(n, np.zeros((1, 16)))
+        n.f_frozen = False
         grad_out = np.arange(16.0)
-        grads = net.backward_batch(n, cache, grad_out[np.newaxis])
+        t = n.f @ n.b2 - grad_out / 2
+        _, grads = net.batch_loss(n, np.zeros((1, 16)), t[np.newaxis], [0])
         assert np.max(np.abs(grads["f"] - np.outer(grad_out, n.b2))) < 1e-12
 
     def test_batch_matches_sum_of_singles(self, small_spec):
         rng = np.random.default_rng(12)
         n = small_net(spec=small_spec)
-        X = rng.standard_normal((3, 16))
-        G = rng.standard_normal((3, 16))
-        Yb, cacheb = net.forward_batch(n, X)
-        batch = net.backward_batch(n, cacheb, G)
+        n.f_frozen = False
+        X, T = rng.standard_normal((3, 16)), rng.standard_normal((3, 16))
+        _, batch = net.batch_loss(n, X, T, np.arange(3))
         summed = {k: np.zeros_like(v) for k, v in batch.items()}
         for i in range(3):
-            _, cache = net.forward_batch(n, X[i:i + 1])
-            for k, g in net.backward_batch(n, cache, G[i:i + 1]).items():
-                summed[k] += g
+            for k, g in net.batch_loss(n, X[i:i + 1], T[i:i + 1], [0])[1].items():
+                summed[k] += g / 3
         for k in batch:
             assert np.max(np.abs(batch[k] - summed[k])) < 1e-10
 
@@ -302,8 +365,7 @@ class TestAdam:
             n.f_frozen = False
             state = net.AdamState()
             for _ in range(40):
-                Y, cache = net.forward_batch(n, X)
-                grads = net.backward_batch(n, cache, (2.0 / 6) * (Y - T))
+                _, grads = net.batch_loss(n, X, T, np.arange(6))
                 net.adam_step(n, grads, state)
             return n
 
@@ -473,9 +535,9 @@ def trained_like_net(hidden=16, seed=1, rng_seed=9):
 
 
 def explicit_chain(n: net.Network, frames):
-    """Inference as decimate, scale, forward_batch, unscale, interpolate."""
+    """Inference as decimate, scale, textbook forward, unscale, interpolate."""
     X = dsp.decimate(frames, n.fs, n.decim_factor) / n.input_scale
-    Y, _ = net.forward_batch(n, X)
+    Y, _, _ = textbook_forward(n, X)
     return dsp.interpolate(Y * n.input_scale, n.fs, n.decim_factor)
 
 

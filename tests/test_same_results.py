@@ -101,6 +101,17 @@ def test_every_command_runs_at_the_seed(tmp_path, monkeypatch, capsys, argv, see
         for k, stage in enumerate(stages, start=1)]
 
 
+def test_prints_the_blas_threads_of_the_commands(tmp_path, monkeypatch, capsys):
+    # The commands inherit this process's environment.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setattr(same_results, "run_command", lambda cmd, env, cwd: (0, "", 1.0, 1.0))
+    same_results.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c")])
+    assert ("BLAS threads of every command: OMP_NUM_THREADS=2, OPENBLAS_NUM_THREADS=1, "
+            "MKL_NUM_THREADS=unset") in capsys.readouterr().out.splitlines()
+
+
 def test_failed_command_raises_with_its_stderr(tmp_path, monkeypatch):
     monkeypatch.setattr(same_results, "run_command",
                         lambda cmd, env, cwd: (2, "data error: no manifest\n", 0.1, 50.0))

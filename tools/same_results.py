@@ -19,7 +19,10 @@ these results; identical files are counted per directory instead:
   parameter it is in;
 - ``differs``, or ``only in parent`` / ``only in change``.
 
-After the artefacts it prints each command's wall time and peak
+Before the artefacts it prints the BLAS thread variables every command
+ran with: products that sum over the rows of a batch round differently
+with the thread count, so the two sides' bytes compare only under one
+count. After the artefacts it prints each command's wall time and peak
 resident memory (the child's ``ru_maxrss``) in both checkouts; these
 lines are for information and do not change the exit status.
 
@@ -48,6 +51,8 @@ from mbdenoise.errors import DataError  # noqa: E402
 SETTINGS = ("--set", "rotation=0", "--set", "phase_iters=40", "--set", "freeze_iters=20")
 IDENTICAL = "identical"
 HEADER_ONLY = "differs only in # header lines"
+# The variables that set the BLAS library's thread count.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_command(cmd: list[str], env: dict[str, str],
@@ -162,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir()
             costs[side] = run_pipeline(getattr(args, side), out, args.seed)
         results = compare_trees(outs["parent"], outs["change"])
+    print("BLAS threads of every command: "
+          + ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS))
     identical: dict[str, int] = {}
     for rel, lines in results.items():
         if lines == [IDENTICAL]:
