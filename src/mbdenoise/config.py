@@ -205,13 +205,19 @@ def _parse_value(key: str, text: str):
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
 
+def _set_item(cfg: RunConfig, item: str, malformed: str) -> None:
+    """Set one key=value item on cfg; an item without "=" is a
+    ConfigError with the message malformed."""
+    key, sep, value = item.partition("=")
+    if not sep:
+        raise ConfigError(malformed)
+    setattr(cfg, key.strip(), _parse_value(key.strip(), value))
+
+
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply key=value override strings in order."""
     for item in overrides:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} is not key=value")
-        setattr(cfg, key.strip(), _parse_value(key.strip(), value))
+        _set_item(cfg, item, f"override {item!r} is not key=value")
     return cfg
 
 
@@ -224,12 +230,6 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
             raise ConfigError(f"config file {path} does not exist")
         for raw in path.read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"malformed config line {raw!r}")
-            setattr(cfg, key.strip(), _parse_value(key.strip(), value))
-    if overrides:
-        apply_overrides(cfg, overrides)
-    return cfg.validate()
+            if line:
+                _set_item(cfg, line, f"malformed config line {raw!r}")
+    return apply_overrides(cfg, overrides or []).validate()

@@ -17,8 +17,11 @@ full-rate stack outlives its block.
 
 Training takes two steps: training_frames turns a rotation's training
 and validation cells into the network's decimated inputs and targets,
-which refer to no record, and train_curriculum runs the phased schedule
-on those frames alone, so the corpus need not outlive the first step.
+which refer to no record, in one block ordered by SNR, highest first,
+and train_curriculum runs the phased schedule on those frames alone, so
+the corpus need not outlive the first step. Each phase admits the mixes
+at or above a falling threshold, so each phase trains on a prefix of
+the one block.
 """
 
 from __future__ import annotations
@@ -324,10 +327,12 @@ class TrainingFrames:
     no cell.
 
     inputs holds each row once, the n_val validation rows first and then
-    every training row in cell order. clean_val and clean_train hold each
-    distinct shot's decimated clean frame once, and val_rows and
-    train_rows give each validation and training row's index into them.
-    snrs holds each training row's grid SNR.
+    every training row, ordered by grid SNR, highest first. clean_val and
+    clean_train hold each distinct shot's decimated clean frame once, and
+    val_rows and train_rows give each validation and training row's index
+    into them. snrs holds each training row's grid SNR, so it does not
+    increase, and every phase's active rows are a prefix of the training
+    rows.
     """
 
     inputs: np.ndarray
@@ -343,38 +348,18 @@ def training_frames(net: Network, train: list[Cell], validation: list[Cell]
                     ) -> TrainingFrames:
     """The training and validation cells' network frames, made by
     _network_frames a block of rows at a time straight into one
-    [validation; training] block of inputs. The frames refer to no cell,
-    shot or noise record, so a caller can drop those before training;
-    train_curriculum scales and reorders them in place, so a set of
-    frames trains once."""
+    [validation; training] block of inputs, the training cells stably
+    sorted by grid SNR, highest first. The frames refer to no cell, shot
+    or noise record, so a caller can drop those before training;
+    train_curriculum scales them in place, so a set of frames trains
+    once."""
+    train = sorted(train, key=lambda cell: -cell[3])
     n_val, n_train = len(validation), len(train)
     inputs = np.empty((n_val + n_train, net.dim))
     _, clean_train, train_rows = _network_frames(net, train, inputs[n_val:])
     _, clean_val, val_rows = _network_frames(net, validation, inputs[:n_val])
     return TrainingFrames(inputs, n_val, clean_val, val_rows, clean_train, train_rows,
                           np.array([cell[3] for cell in train]))
-
-
-def _move_rows(block: np.ndarray, source: np.ndarray) -> None:
-    """block[:] = block[source] for a permutation source, in place: each
-    cycle of the permutation is walked once through one spare row, so no
-    second copy of the rows is made. 1400 rows of 256 samples took 1.6
-    ms, against 2.4 ms through a temporary copy (2-core x86-64 Xeon,
-    numpy 2.4.6)."""
-    spare = np.empty_like(block[0])
-    src = source.tolist()
-    moved = [s == k for k, s in enumerate(src)]
-    for start in range(len(src)):
-        if moved[start]:
-            continue
-        spare[:] = block[start]
-        k = start
-        while src[k] != start:
-            block[k] = block[src[k]]
-            moved[k] = True
-            k = src[k]
-        block[k] = spare
-        moved[k] = True
 
 
 def train_curriculum(
@@ -400,45 +385,34 @@ def train_curriculum(
     layer). Validation rows are only ever used for the logged validation
     loss, never for gradients.
 
-    Each phase starts by moving its active training rows to the front
-    of the training rows, grouped by target shot (each group in cell
-    order), so batch_loss sums each target's rows as one run. The
-    inputs sit in one block that holds each row once, the validation
-    rows first, so the block's first rows are exactly the validation and
-    active rows: one hidden_layer over them after each Adam step gives
-    that iteration's validation loss from the first rows and the next
-    iteration's training loss and gradients from the rest, and each
-    phase starts with one hidden_layer of its own. No network output,
-    residual or gathered target is made. The weights and the log equal
-    those of separate training and validation batch_loss calls per
-    iteration bit for bit, because a row of a matrix product does not
-    depend on the rows beside it; the one exception is OpenBLAS's kernel
-    for products of a few rows (under 19 at hidden 64), whose rounding
-    differs.
+    The training rows are ordered by SNR, highest first (frames whose
+    snrs increase anywhere are a DataError), so the block's first rows
+    are the validation rows and then every active row: one hidden_layer
+    over them after each Adam step gives that iteration's validation
+    loss and the next iteration's training loss and gradients, and each
+    phase starts with one hidden_layer of its own. No row is moved, and
+    no network output, residual or gathered target is made. The weights
+    and the log equal those of separate training and validation
+    batch_loss calls per iteration bit for bit, because a row of a
+    matrix product does not depend on the rows beside it; the one
+    exception is OpenBLAS's kernel for products of a few rows (under 19
+    at hidden 64), whose rounding differs.
     """
-    n_val, block = frames.n_val, frames.inputs
-    n_train = len(block) - n_val
-    clean_train, train_rows = frames.clean_train, frames.train_rows
+    n_val, block, snrs = frames.n_val, frames.inputs, frames.snrs
+    if np.any(snrs[1:] > snrs[:-1]):
+        raise DataError("training rows must be ordered by SNR, highest first")
+    clean_train = frames.clean_train
     net.input_scale = float(np.max(np.abs(clean_train)))
     for arr in (block, clean_train, frames.clean_val):
         arr /= net.input_scale
-    # order[k] is the training row at position k of block[n_val:].
-    order = np.arange(n_train)
-    position = np.empty(n_train, dtype=np.intp)
 
     state = AdamState()
     log = ConvergenceLog()
     for phase, threshold in enumerate(plan.thresholds_db):
-        admitted = frames.snrs >= threshold
-        active = np.flatnonzero(admitted)
-        n_act = active.size
+        n_act = int(np.count_nonzero(snrs >= threshold))
         if n_act == 0:
             raise DataError(f"phase {phase}: no training mixes at SNR >= {threshold} dB")
-        active = active[np.argsort(train_rows[active], kind="stable")]
-        position[order] = np.arange(n_train)
-        order = np.concatenate([active, np.flatnonzero(~admitted)])
-        _move_rows(block[n_val:], position[order])
-        rows = train_rows[active]
+        rows = frames.train_rows[:n_act]
         x = block[:n_val + n_act]
         net.f_frozen = True
         a = hidden_layer(net, x)

@@ -97,6 +97,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.load_config(tmp_path / "nope.cfg")
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("hidden = 32\nseed 3  # no equals sign\n")
+        with pytest.raises(ConfigError,
+                           match="malformed config line 'seed 3  # no equals sign'"):
+            config.load_config(path)
+
+    def test_override_without_equals_exits_1(self, tmp_path, capsys):
+        assert cli.main(["gen-data", "--set", "seed3", "--out", str(tmp_path / "c")]) == 1
+        assert "override 'seed3' is not key=value" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("override", [
         "frame_len=1001", "hidden=0", "rotation=6", "seed=-1",
         "filter_cutoff_mode=banana", "freeze_iters=500", "aa_kernel_len=63",

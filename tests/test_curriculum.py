@@ -49,6 +49,13 @@ def snr_bins(cell_list):
     return [cell[3] for cell in cell_list]
 
 
+def by_snr(cell_list):
+    """The cells stably sorted by grid SNR, highest first: the order of
+    training_frames' training rows."""
+    order = np.argsort(-np.array(snr_bins(cell_list)), kind="stable")
+    return [cell_list[k] for k in order]
+
+
 def clean_frames(cell_list):
     """Each distinct shot's clean frame once, keyed by shot id."""
     return {cell[0].shot_id: cell[0].waveform.samples for cell in cell_list}
@@ -443,10 +450,8 @@ class TestTrainCurriculum:
         assert model.input_scale == scale
         X = np.stack([dsp.decimate(row, FS, 8) for row in mixed]) / scale
         C, rows = decimated_targets(interleaved)
-        # The loop's order: the rows grouped by target, each group in
-        # cell order.
-        order = np.argsort(rows, kind="stable")
-        loss, _ = net.batch_loss(tiny_net(seed=4), X[order], C / scale, rows[order])
+        # The loop's order: cells by SNR, here one SNR, so cell order.
+        loss, _ = net.batch_loss(tiny_net(seed=4), X, C / scale, rows)
         assert log.records[0].train_mse == loss
 
     def test_validation_never_in_gradients(self, split10):
@@ -476,7 +481,9 @@ class TestTrainCurriculum:
     def test_matches_two_forward_reference_loop(self, split10):
         # The textbook loop: per iteration a batch_loss call on the
         # active rows, allocating Adam, then a separate validation
-        # batch_loss call, with the rows in the loop's order.
+        # batch_loss call, with the rows in the loop's order: each
+        # phase's active rows are a prefix of the cells stably sorted by
+        # SNR, highest first.
         # train_curriculum's one stacked hidden layer per parameter state
         # must give the same bits. The model is full width: OpenBLAS
         # rounds products of a few rows (under 19 at hidden 64) with a
@@ -497,18 +504,17 @@ class TestTrainCurriculum:
             return mixed, targets, rows
 
         ref = tiny_net(seed=6, hidden=64)
-        x_train, c_train, rows_train = frames(train)
+        ordered = by_snr(train)
+        x_train, c_train, rows_train = frames(ordered)
         scale = float(np.max(np.abs(c_train)))
         x_train, c_train = x_train / scale, c_train / scale
         x_val, c_val, rows_val = frames(val)
         x_val, c_val = x_val / scale, c_val / scale
-        snrs = np.array([snr for *_, snr in train])
+        snrs = np.array(snr_bins(ordered))
         moments, records = {}, []
         for phase, threshold in enumerate(plan.thresholds_db):
-            active = np.flatnonzero(snrs >= threshold)
-            # Grouped by target, each group in cell order.
-            active = active[np.argsort(rows_train[active], kind="stable")]
-            x, rows = x_train[active], rows_train[active]
+            n_act = int(np.count_nonzero(snrs >= threshold))
+            x, rows = x_train[:n_act], rows_train[:n_act]
             ref.f_frozen = True
             for it in range(plan.total_iters):
                 if it == plan.freeze_iters:
@@ -517,7 +523,7 @@ class TestTrainCurriculum:
                 textbook_adam_step(ref, grads, moments, lr, f_lr_scale)
                 val_mse, _ = net.batch_loss(ref, x_val, c_val, rows_val, grads=False)
                 records.append(curriculum.LogRecord(
-                    phase, it, train_mse, val_mse, ref.f_frozen, active.size))
+                    phase, it, train_mse, val_mse, ref.f_frozen, n_act))
 
         assert model.input_scale == scale
         assert moments["f"][2] == 2 * (plan.total_iters - plan.freeze_iters)
@@ -545,13 +551,13 @@ class TestTrainCurriculum:
     def test_each_training_row_held_once(self, split10):
         # Traced over the frames builder and the loop together, at the
         # config's hidden width of 64. Training holds a row in its input
-        # block, moved in place at each phase start, plus three arrays of
-        # the hidden width (the activations, their gradient and one
-        # temporary): no output, residual or gathered target is made. So
-        # doubling the training rows raises the traced peak by about
-        # 1 + 3 * 64/256 = 1.75 rows' bytes per added row. A slope near
-        # 1 would be the peak of mixing, not of training; a second copy
-        # of the inputs, or an output-sized array, makes it 2.75.
+        # block plus four arrays of the hidden width (the activations,
+        # batch_loss's copy of them sorted by target, their gradient and
+        # one temporary): no output, residual or gathered target is
+        # made. So doubling the training rows raises the traced peak by
+        # about 1 + 4 * 64/256 = 2.0 rows' bytes per added row. A slope
+        # near 1 would be the peak of mixing, not of training; a second
+        # copy of the inputs, or an output-sized array, makes it 3.0.
         train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0),
                                     per_cell=2)
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -10.0), freeze_iters=1,
@@ -570,13 +576,19 @@ class TestTrainCurriculum:
         per_row = (peak(2 * n) - peak(n)) / (n * row_bytes)
         assert 1.5 <= per_row < 2.25, per_row
 
-    def test_move_rows_permutes_in_place(self):
+    def test_rows_out_of_snr_order_rejected(self):
+        # A hand-built TrainingFrames whose training SNRs rise would
+        # train its phases on the wrong rows; it is rejected before any
+        # frame is scaled.
         rng = np.random.default_rng(3)
-        block = rng.standard_normal((50, 4))
-        for source in (np.arange(50), rng.permutation(50), np.roll(np.arange(50), 7)):
-            moved = block.copy()
-            curriculum._move_rows(moved, source)
-            assert np.array_equal(moved, block[source])
+        inputs, clean = rng.standard_normal((40, 256)), rng.standard_normal((2, 256))
+        rows = np.tile([0, 1], 10)
+        frames = curriculum.TrainingFrames(inputs.copy(), 20, clean.copy(), rows,
+                                           clean.copy(), rows, np.repeat([0.0, 5.0], 10))
+        plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
+        with pytest.raises(DataError, match="ordered by SNR"):
+            curriculum.train_curriculum(tiny_net(), frames, plan)
+        assert np.array_equal(frames.inputs, inputs)
 
     def test_determinism_bitwise(self, split10):
         def run():
@@ -659,9 +671,12 @@ class TestNetworkFrames:
 
     def test_training_frames_stack_validation_then_training(self, all_cells):
         # One block of inputs, the validation rows then the training
-        # rows, each as _network_frames makes it, and the training SNRs.
-        train, val = all_cells[:BLOCK + 9], all_cells[-30:]
-        frames = curriculum.training_frames(tiny_net(), train, val)
+        # rows stably sorted by SNR, highest first, each as
+        # _network_frames makes it, and the training SNRs.
+        cells_ = all_cells[:BLOCK + 9]
+        train, val = by_snr(cells_), all_cells[-30:]
+        assert snr_bins(train) != snr_bins(cells_)
+        frames = curriculum.training_frames(tiny_net(), cells_, val)
         for part, cell_list in ((frames.inputs[:30], val), (frames.inputs[30:], train)):
             noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
             assert np.array_equal(part, noisy)
