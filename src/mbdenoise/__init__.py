@@ -22,10 +22,9 @@ from .detect import (
     DetectionScore,
     DetectorConfig,
     default_tolerance,
-    detect_conditions,
     detect_impulses,
     match_detections,
-    scan_clean,
+    onsets_detected,
     score_rates,
 )
 from .dsp import (

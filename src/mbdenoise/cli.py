@@ -130,7 +130,7 @@ def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
         raise DataError(f"no manifest.txt in {root}")
     wavs: list[tuple[str, Path, bytes]] = []
     sidecars: dict[str, bytes] = {}
-    for line in manifest.read_text().splitlines():
+    for line in signals.utf8_text(manifest).splitlines():
         if not line or line.startswith("#"):
             continue
         fields = line.split()
@@ -175,8 +175,8 @@ def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
         records.append(record)
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
-    # Clean frames and clean detections are keyed by shot id, so a
-    # repeated id would pair one shot's mixes with another's clean frame.
+    # Clean outcomes are keyed by shot id (_score_cells), so a repeated
+    # id would pair one shot's mixes with another's clean frame.
     for kind, ids in (("shot", [s.shot_id for s in shots_a + shots_b]),
                       ("noise", [n.noise_id for n in noises])):
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -257,30 +257,41 @@ def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Pa
 def _score_cells(
     plan: net.Plan,
     cells: list[curriculum.Cell],
-    flags: dict[tuple[float, str], list[bool]],
+    flags: dict[str, dict[float, list[bool]]],
     det_cfg: detect.DetectorConfig,
     tolerance: int,
     fs: int,
 ) -> None:
-    """Append each cell's detection outcome under all four conditions to
-    flags, keyed by (SNR bin, condition).
+    """Append each cell's detection outcome under each of CONDITIONS to
+    flags[condition][snr].
 
-    Each distinct shot's clean frame is scanned once. The cells are then
-    scored a block at a time (curriculum.row_blocks): the block is
-    mixed, denoised in one batch and its noisy and denoised frames
-    scanned, and only its flags outlive it.
+    A cell's truth onset is its shot's onset, so its clean outcome is
+    its shot's: each distinct shot's clean frame is scored once. The
+    cells are then scored a block at a time (curriculum.row_blocks):
+    the block is mixed, denoised in one batch and its noisy and denoised
+    frames scored, and only its flags outlive it. Combined is the
+    parallel rule noisy OR denoised, so the combined rate can never fall
+    below either individual rate (denoising occasionally filters out a
+    blast the raw signal keeps).
     """
-    clean_dets = detect.scan_clean({cell[0].shot_id: cell[0].waveform.samples
-                                    for cell in cells}, fs, det_cfg)
+    if not cells:
+        return
+    shots = {cell[0].shot_id: cell[0] for cell in cells}
+    clean = dict(zip(shots, detect.onsets_detected(
+        np.stack([shot.waveform.samples for shot in shots.values()]),
+        [shot.onset for shot in shots.values()], tolerance, fs, det_cfg)))
     for block in curriculum.row_blocks(len(cells)):
         block_cells = cells[block]
+        onsets = [cell[0].onset for cell in block_cells]
         noisy = curriculum.mix_cells(block_cells)
-        outcomes = detect.detect_conditions(
-            clean_dets, noisy, plan(noisy), [cell[0].shot_id for cell in block_cells],
-            [cell[0].onset for cell in block_cells], tolerance, fs, det_cfg)
-        for (_, _, _, snr), outcome in zip(block_cells, outcomes):
-            for condition, matched in outcome.items():
-                flags.setdefault((snr, condition), []).append(matched)
+        outcomes = zip(block_cells,
+                       detect.onsets_detected(noisy, onsets, tolerance, fs, det_cfg),
+                       detect.onsets_detected(plan(noisy), onsets, tolerance, fs, det_cfg))
+        for (shot, _, _, snr), noisy_hit, denoised_hit in outcomes:
+            for condition, matched in zip(CONDITIONS, (
+                    clean[shot.shot_id], noisy_hit, denoised_hit,
+                    noisy_hit or denoised_hit)):
+                flags[condition].setdefault(snr, []).append(matched)
 
 
 def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
@@ -299,16 +310,13 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
     return cells
 
 
-def _score_csv(flags: dict[tuple[float, str], list[bool]], cfg: RunConfig) -> str:
+def _score_csv(flags: dict[str, dict[float, list[bool]]], cfg: RunConfig) -> str:
     buf = io.StringIO()
     buf.write(cfg.comment_header())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCORE_CSV_HEADER)
-    by_condition: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
-    for (snr, condition), values in flags.items():
-        by_condition[condition].setdefault(snr, []).extend(values)
     for condition in CONDITIONS:
-        for score in detect.score_rates(by_condition[condition]):
+        for score in detect.score_rates(flags[condition]):
             writer.writerow([
                 f"{score.snr_bin:.12g}", condition, f"{score.p:.12g}",
                 f"{score.delta_p:.12g}", score.n,
@@ -331,8 +339,8 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     split = curriculum.build_split(
         corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
     )
-    val_flags: dict[tuple[float, str], list[bool]] = {}
-    test_flags: dict[tuple[float, str], list[bool]] = {}
+    val_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
+    test_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
     for rotation in cfg.rotations():
         ckpt = Path(train_dir) / f"rotation_{rotation}" / "checkpoint.bin"
         if not ckpt.exists():

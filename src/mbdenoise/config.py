@@ -228,7 +228,12 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        for raw in path.read_text().splitlines():
+        try:
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+        for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if line:
                 _set_item(cfg, line, f"malformed config line {raw!r}")

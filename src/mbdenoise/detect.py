@@ -246,68 +246,27 @@ def score_rates(flags_by_bin: dict[float, list[bool]]) -> list[DetectionScore]:
     return scores
 
 
-def scan_clean(
-    clean: dict[str, np.ndarray], fs: int, config: DetectorConfig = DetectorConfig()
-) -> dict[str, list[Detection]]:
-    """The detections of each clean frame, keyed as clean is, all frames
-    scanned as one stack. The frames must share one length. The stack
-    is float64 whatever the frames' precision: _scan_frames squares and
-    sums in its input's dtype, and float32 window energies would move
-    detections."""
-    if not clean:
-        return {}
-    if len({frame.shape for frame in clean.values()}) > 1:
-        raise DataError("clean frames differ in length")
-    stack = np.stack(list(clean.values()), dtype=np.float64)
-    return dict(zip(clean, _scan_frames(stack, fs, config)))
-
-
-def detect_conditions(
-    clean_dets: dict[str, list[Detection]],
-    noisy: np.ndarray,
-    denoised: np.ndarray,
-    shot_ids: list[str],
-    truth_onsets: list[int],
+def onsets_detected(
+    frames: np.ndarray,
+    onsets: list[int],
     tolerance_samples: int,
     fs: int,
     config: DetectorConfig = DetectorConfig(),
-) -> list[dict[str, bool]]:
-    """Whether each example's truth onset is detected under each of the
-    four conditions: clean, noisy, denoised, and combined.
-
-    Row k of the noisy and denoised stacks is example k, a mix of shot
-    shot_ids[k] with its onset at truth_onsets[k]; clean_dets maps each
-    shot id to its clean frame's detections (scan_clean), so a shot's
-    clean frame is scanned once however many examples, or blocks of
-    examples, share it. An example has one truth onset, so it counts as
-    detected when any of its detections lies within tolerance_samples
-    of it (_onset_detected). Combined is the parallel rule noisy OR
-    denoised, so the combined rate can never fall below either
-    individual curve (denoising occasionally filters out a blast the
-    raw signal keeps).
-    """
+) -> list[bool]:
+    """Whether row k of an (n, L) stack detects its one truth onset,
+    onsets[k]: whether any of the row's detections lies within
+    tolerance_samples of it (_onset_detected). The stack is scanned as
+    float64 whatever its precision: _scan_frames squares and sums in
+    its input's dtype, and float32 window energies would move
+    detections."""
     if tolerance_samples < 0:
         raise DataError(f"tolerance must be >= 0, got {tolerance_samples}")
-    n, length = len(shot_ids), noisy.shape[-1]
-    if (noisy.shape != (n, length) or denoised.shape != (n, length)
-            or len(truth_onsets) != n):
-        raise DataError("noisy and denoised stacks disagree in shape")
-    missing = sorted(set(shot_ids) - clean_dets.keys())
-    if missing:
-        raise DataError(f"no clean detections for shots {', '.join(missing)}")
-    if n == 0:
-        return []
-    outcomes = []
-    for shot_id, onset, noisy_dets, denoised_dets in zip(
-            shot_ids, truth_onsets, _scan_frames(noisy, fs, config),
-            _scan_frames(denoised, fs, config)):
-        flags = {condition: _onset_detected(dets, onset, tolerance_samples)
-                 for condition, dets in (("clean", clean_dets[shot_id]),
-                                         ("noisy", noisy_dets),
-                                         ("denoised", denoised_dets))}
-        flags["combined"] = flags["noisy"] or flags["denoised"]
-        outcomes.append(flags)
-    return outcomes
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] != len(onsets):
+        raise DataError(f"{frames.shape} frame stack disagrees in shape "
+                        f"with {len(onsets)} onsets")
+    return [_onset_detected(dets, onset, tolerance_samples)
+            for dets, onset in zip(_scan_frames(frames, fs, config), onsets)]
 
 
 def _onset_detected(detections: list[Detection], onset: int, tolerance: int) -> bool:

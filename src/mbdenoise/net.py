@@ -397,7 +397,8 @@ def load_checkpoint(path: str | Path) -> Network:
     views of the file's bytes, so denoise_frame compiles its inference
     plan once; assign a new array to change a parameter. A header whose
     dim, hidden, fs or decim_factor is below 1, or whose input_scale is
-    not finite and positive, is a DataError."""
+    not finite and positive, is a DataError, and so is a parameter array
+    holding NaN or Inf."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -427,6 +428,8 @@ def load_checkpoint(path: str | Path) -> Network:
         count = math.prod(shape)
         params[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(
             float, copy=False)
+        if not np.isfinite(params[name]).all():
+            raise DataError(f"{path}: checkpoint parameter {name} holds NaN or Inf")
         offset += 8 * count
     return Network(**params, f_frozen=bool(f_frozen), input_scale=input_scale,
                    seed=seed, fs=fs, decim_factor=decim_factor)

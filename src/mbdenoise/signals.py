@@ -374,14 +374,19 @@ def load_wav(path: str | Path | RecordFiles,
     if len(data) == 0:
         raise EmptyDataError(f"{path}: zero-length data chunk")
 
-    if fmt_tag == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4")
-    elif fmt_tag == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _PCM16_FULL_SCALE
-    else:
+    dtype = {(_FMT_FLOAT, 32): "<f4", (_FMT_PCM, 16): "<i2"}.get((fmt_tag, bits))
+    if dtype is None:
         raise UnsupportedWavError(
             f"{path}: format tag {fmt_tag} with {bits} bits not supported"
         )
+    if len(data) % (bits // 8):
+        raise MalformedWavError(
+            f"{path}: {len(data)}-byte data chunk is not a whole number of "
+            f"{bits // 8}-byte samples"
+        )
+    samples = np.frombuffer(data, dtype=dtype)
+    if fmt_tag == _FMT_PCM:
+        samples = samples.astype(np.float64) / _PCM16_FULL_SCALE
 
     annotations, sidecar = load_sidecar(files or path)
     if "fs" in sidecar and _sidecar_int(path, f"fs={sidecar['fs']}", sidecar["fs"]) != fs:
@@ -408,15 +413,13 @@ def load_sidecar(
     path: str | Path | RecordFiles,
 ) -> tuple[list[tuple[str, int]], dict[str, str]]:
     """Return (annotations, other key=value pairs); empty if no sidecar."""
+    sc = sidecar_path(path)
     data = path.sidecar if isinstance(path, RecordFiles) else None
     annotations: list[tuple[str, int]] = []
     meta: dict[str, str] = {}
-    if data is None:
-        sc = sidecar_path(path)
-        if not sc.exists():
-            return annotations, meta
-        data = sc.read_bytes()
-    for line in data.decode("utf-8").splitlines():
+    if data is None and not sc.exists():
+        return annotations, meta
+    for line in utf8_text(sc, data).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -427,6 +430,17 @@ def load_sidecar(
         else:
             meta[key] = value
     return annotations, meta
+
+
+def utf8_text(path: str | Path, data: bytes | None = None) -> str:
+    """The text of the file at path, or of data, its bytes when already
+    read, as UTF-8; text that is not UTF-8 is a DataError naming the
+    file."""
+    try:
+        return Path(path).read_text("utf-8") if data is None else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                        f"{exc.start}") from None
 
 
 def _sidecar_int(path: str | Path, line: str, text: str) -> int:

@@ -129,6 +129,17 @@ CHECKPOINT_FIELDS = ("dim", "hidden", "seed", "fs", "decim_factor", "f_frozen",
                      "input_scale")
 
 
+def wav_bytes(fmt_tag: int, bits: int, payload: bytes, fs: int = 8000) -> bytes:
+    """A mono WAV file's bytes: a fmt chunk of the given format tag and
+    sample width, and payload as the data chunk, padded to an even
+    length as RIFF requires."""
+    width = bits // 8
+    body = b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, fmt_tag, 1, fs, fs * width,
+                                           width, bits)
+    body += b"data" + struct.pack("<I", len(payload)) + payload + bytes(len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def empty_layer_net(dim: int, hidden: int) -> net.Network:
     """A network with no input samples (dim 0) or no hidden units."""
     return net.Network(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden),

@@ -16,7 +16,7 @@ from pathlib import Path
 from mbdenoise import cli, config, curriculum, detect, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
-from conftest import empty_layer_net, rewrite_header
+from conftest import empty_layer_net, rewrite_header, wav_bytes
 
 SMOKE = dict(
     n_shots_a=12, n_shots_b=4, noise_duration=4.0,
@@ -102,6 +102,12 @@ class TestConfig:
         path.write_text("hidden = 32\nseed 3  # no equals sign\n")
         with pytest.raises(ConfigError,
                            match="malformed config line 'seed 3  # no equals sign'"):
+            config.load_config(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"hidden = 32  # \xff\n")
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
             config.load_config(path)
 
     def test_override_without_equals_exits_1(self, tmp_path, capsys):
@@ -421,6 +427,11 @@ class TestEvaluate:
                              tmp_path / "out2")
 
 
+def no_flags():
+    """An empty flag table for cli._score_cells."""
+    return {condition: {} for condition in cli.CONDITIONS}
+
+
 def scoring_inputs(cfg, root, n):
     """n cells of the pipeline corpus (its cells of every combination,
     repeated end to end) and rotation 0's inference plan."""
@@ -441,19 +452,46 @@ class TestScoreCells:
         cfg, root, _ = pipeline
         cells, plan = scoring_inputs(cfg, root, n)
         det_cfg, tol = cfg.detector(), detect.default_tolerance(cfg.fs)
-        flags = {}
+        flags = no_flags()
         cli._score_cells(plan, cells, flags, det_cfg, tol, cfg.fs)
         noisy = curriculum.mix_cells(cells)
-        clean = {cell[0].shot_id: cell[0].waveform.samples for cell in cells}
-        expected = {}
-        for (_, _, _, snr), outcome in zip(cells, detect.detect_conditions(
-                detect.scan_clean(clean, cfg.fs, det_cfg), noisy, plan(noisy),
-                [cell[0].shot_id for cell in cells], [cell[0].onset for cell in cells],
-                tol, cfg.fs, det_cfg)):
-            for condition, matched in outcome.items():
-                expected.setdefault((snr, condition), []).append(matched)
+        onsets = [cell[0].onset for cell in cells]
+        rows = {
+            "clean": np.stack([cell[0].waveform.samples for cell in cells]),
+            "noisy": noisy,
+            "denoised": plan(noisy),
+        }
+        outcomes = {condition: detect.onsets_detected(frames, onsets, tol, cfg.fs, det_cfg)
+                    for condition, frames in rows.items()}
+        outcomes["combined"] = [a or b for a, b in zip(outcomes["noisy"],
+                                                       outcomes["denoised"])]
+        expected = no_flags()
+        for condition, outcome in outcomes.items():
+            for (_, _, _, snr), matched in zip(cells, outcome):
+                expected[condition].setdefault(snr, []).append(matched)
         assert flags == expected
-        assert sum(len(v) for v in flags.values()) == 4 * n
+        assert sum(len(v) for c in flags.values() for v in c.values()) == 4 * n
+
+    def test_interleaved_shots_keep_their_clean_flags(self):
+        # Shot "hit" is a blast at its onset; shot "miss" is noise with no
+        # blast. Their cells interleave, so a clean flag taken from the
+        # wrong shot, or from the wrong row, changes the outcome. The
+        # plan denoises every frame to silence.
+        fs, onset = 32768, 4000
+        hit = signals.friedlander(10.0, 0.0025, fs, 8192, onset, shot_id="hit")
+        miss = signals.ShotRecord(signals.Waveform(
+            np.random.default_rng(4).standard_normal(8192), fs, [("MB", onset)]),
+            "A", "miss")
+        noise = signals.NoiseRecord(signals.Waveform(
+            np.random.default_rng(5).standard_normal(8192), fs), "N0")
+        shot_ids = ["hit", "miss", "miss", "hit", "miss"]
+        cells = [(hit if s == "hit" else miss, noise, 0, 40.0) for s in shot_ids]
+        flags = no_flags()
+        cli._score_cells(np.zeros_like, cells, flags, detect.DetectorConfig(),
+                         detect.default_tolerance(fs), fs)
+        hits = [s == "hit" for s in shot_ids]
+        assert flags == {"clean": {40.0: hits}, "noisy": {40.0: hits},
+                         "denoised": {40.0: [False] * 5}, "combined": {40.0: hits}}
 
     def test_peak_bounded_by_a_few_blocks(self, pipeline):
         # 700 cells of 2048 samples hold 11.5 MB per full-rate stack;
@@ -461,7 +499,7 @@ class TestScoreCells:
         cfg, root, _ = pipeline
         cells, plan = scoring_inputs(cfg, root, 700)
         assert cfg.frame_len == 2048
-        flags = {}
+        flags = no_flags()
         tracemalloc.start()
         try:
             cli._score_cells(plan, cells, flags, cfg.detector(),
@@ -469,7 +507,7 @@ class TestScoreCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(v) for v in flags.values()) == 4 * 700
+        assert sum(len(v) for c in flags.values() for v in c.values()) == 4 * 700
         assert peak < 8e6, peak
 
 
@@ -751,6 +789,76 @@ class TestMainEntry:
                          "--in", str(shot), "--out", str(tmp_path / "den.wav")])
         assert code == 2
         assert "malformed line 'annotation=MB:12x'" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"seed = 3  # \xff\n")
+        code = cli.main(["gen-data", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"config error: config file {cfg_file} is not "
+                                           f"UTF-8 text: invalid start byte at byte 12\n")
+        assert not (tmp_path / "c").exists()
+
+    def test_non_utf8_manifest_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        manifest = corpus / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
+        code = cli.main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest} is not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
+    def test_non_utf8_sidecar_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        shot = tmp_path / src.name
+        shutil.copy(src, shot)
+        meta = signals.sidecar_path(shot)
+        meta.write_bytes(signals.sidecar_path(src).read_bytes() + b"note=\xff\n")
+        code = cli.main(["denoise",
+                         "--checkpoint", str(root / "train" / "rotation_0" / "checkpoint.bin"),
+                         "--in", str(shot), "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {meta} is not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "den.wav").exists()
+
+    @pytest.mark.parametrize("fmt_tag, bits, payload",
+                             [(3, 32, bytes(5)), (1, 16, bytes(3))], ids=["float32", "pcm16"])
+    def test_partial_sample_wav_exits_2(self, pipeline, tmp_path, capsys, fmt_tag, bits,
+                                        payload):
+        cfg, root, _ = pipeline
+        wav = tmp_path / "partial.wav"
+        wav.write_bytes(wav_bytes(fmt_tag, bits, payload, fs=cfg.fs))
+        code = cli.main(["denoise",
+                         "--checkpoint", str(root / "train" / "rotation_0" / "checkpoint.bin"),
+                         "--in", str(wav), "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {wav}: {len(payload)}-byte data chunk is not a whole number "
+            f"of {bits // 8}-byte samples\n")
+        assert not (tmp_path / "den.wav").exists()
+
+    def test_non_finite_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        _, root, _ = pipeline
+        model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
+        model.w1 = model.w1.copy()
+        model.w1[0, 0] = np.nan
+        bad = tmp_path / "nan.bin"
+        net.save_checkpoint(bad, model)
+        src = next((root / "corpus" / "shots_a").glob("*.wav"))
+        code = cli.main(["denoise", "--checkpoint", str(bad), "--in", str(src),
+                         "--out", str(tmp_path / "den.wav")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: checkpoint parameter w1 holds NaN or Inf\n")
+        assert not (tmp_path / "den.wav").exists()
 
     def test_short_noise_sections_exit_1_before_loading(self, tmp_path, capsys):
         # The corpus does not exist: reading it would exit 2.

@@ -316,67 +316,44 @@ class TestScores:
 
 
 class TestCombined:
+    """onsets_detected, the row scorer behind every scored condition, and
+    the union rule that combines two conditions."""
+
     TOL = detect.default_tolerance(FS)
+
+    def hits(self, frames, onsets):
+        return detect.onsets_detected(frames, onsets, self.TOL, FS, CFG)
 
     def test_denoised_only_still_matches(self):
         onset = 4000
         clean = blast_in_silence(onset, noise=0.01)
         rng = np.random.default_rng(1)
         masked = clean + 20.0 * rng.standard_normal(clean.size)
-        [flags] = detect.detect_conditions(detect.scan_clean({"s": clean}, FS, CFG),
-                                           masked[np.newaxis], clean[np.newaxis],
-                                           ["s"], [onset], self.TOL, FS, CFG)
-        assert flags == {"clean": True, "noisy": False, "denoised": True,
-                         "combined": True}
+        assert self.hits([masked, clean], [onset, onset]) == [False, True]
 
     def test_neither_matches(self):
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(8192)
-        [flags] = detect.detect_conditions(detect.scan_clean({"s": noise}, FS, CFG),
-                                           noise[np.newaxis], noise[np.newaxis],
-                                           ["s"], [4000], self.TOL, FS, CFG)
-        assert not any(flags.values())
-
-    def test_interleaved_shots_keep_their_clean_flags(self):
-        # Shot "hit" is a blast at its onset; shot "miss" is noise with no
-        # blast. Their examples interleave, so a clean flag taken from the
-        # wrong shot, or from the wrong row, changes the outcome.
-        rng = np.random.default_rng(4)
-        clean = {"miss": rng.standard_normal(8192), "hit": blast_in_silence(4000)}
-        shot_ids = ["hit", "miss", "miss", "hit", "miss"]
-        onsets = [4000, 4000, 4000, 4000, 4000]
-        noisy = np.stack([clean[s] for s in shot_ids])
-        silent = np.zeros_like(noisy)
-        outcomes = detect.detect_conditions(detect.scan_clean(clean, FS, CFG), noisy,
-                                            silent, shot_ids, onsets, self.TOL, FS, CFG)
-        assert [o["clean"] for o in outcomes] == [s == "hit" for s in shot_ids]
-        assert [o["noisy"] for o in outcomes] == [s == "hit" for s in shot_ids]
-        assert not any(o["denoised"] for o in outcomes)
-        assert [o["combined"] for o in outcomes] == [s == "hit" for s in shot_ids]
+        assert self.hits([noise], [4000]) == [False]
 
     def test_matches_one_row_calls(self):
-        # Each example's flags equal matching detect_impulses of its own
-        # rows, across more examples than one scan block.
+        # Each row's flag equals matching detect_impulses of the row
+        # alone, across more rows than one scan block.
         n = detect.SCAN_BLOCK_ROWS + 3
-        shots = {f"s{k}": blast_in_silence(3000 + 50 * k, noise=0.05, seed=k)
-                 for k in range(4)}
-        shot_ids = [f"s{k % 4}" for k in range(n)]
+        shots = [blast_in_silence(3000 + 50 * k, noise=0.05, seed=k) for k in range(4)]
         onsets = [3000 + 50 * (k % 4) for k in range(n)]
         rng = np.random.default_rng(5)
-        noisy = np.stack([shots[s] + rng.uniform(0.5, 8.0) * rng.standard_normal(8192)
-                          for s in shot_ids])
-        denoised = 0.5 * (noisy + np.stack([shots[s] for s in shot_ids]))
-        outcomes = detect.detect_conditions(detect.scan_clean(shots, FS, CFG), noisy,
-                                            denoised, shot_ids, onsets, self.TOL, FS, CFG)
-        for k, outcome in enumerate(outcomes):
-            expected = {}
-            for condition, x in (("clean", shots[shot_ids[k]]), ("noisy", noisy[k]),
-                                 ("denoised", denoised[k])):
-                dets = detect.detect_impulses(x, FS, CFG)
-                expected[condition] = detect.match_detections(dets, [onsets[k]],
-                                                              self.TOL)[0][0]
-            expected["combined"] = expected["noisy"] or expected["denoised"]
-            assert outcome == expected
+        clean = np.stack([shots[k % 4] for k in range(n)])
+        noisy = clean + np.stack([rng.uniform(0.5, 8.0) * rng.standard_normal(8192)
+                                  for _ in range(n)])
+        seen = set()
+        for frames in (clean, noisy, 0.5 * (noisy + clean)):
+            expected = [detect.match_detections(detect.detect_impulses(row, FS, CFG),
+                                                [onset], self.TOL)[0][0]
+                        for row, onset in zip(frames, onsets)]
+            assert self.hits(frames, onsets) == expected
+            seen.update(expected)
+        assert seen == {False, True}
 
     def test_onset_detected_matches_one_onset_matching(self):
         # Random detection lists around one onset, the tolerance edges
@@ -391,9 +368,8 @@ class TestCombined:
             assert detect._onset_detected(dets, onset, tol) == expected
 
     def test_negative_tolerance_rejected(self):
-        x = np.zeros((1, 100))
-        with pytest.raises(DataError):
-            detect.detect_conditions({"s": []}, x, x, ["s"], [0], -1, FS, CFG)
+        with pytest.raises(DataError, match="tolerance must be >= 0"):
+            detect.onsets_detected(np.zeros((1, 8192)), [0], -1, FS, CFG)
 
     def test_combined_at_least_each_rate(self):
         # Union of matched sets dominates each side, bin by bin.
@@ -404,59 +380,52 @@ class TestCombined:
         assert combined.mean() >= max(noisy_flags.mean(), denoised_flags.mean())
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            detect.detect_conditions({"s": []}, np.zeros((1, 100)),
-                                     np.zeros((1, 99)), ["s"], [0], 10, FS, CFG)
+        # Rows shorter than the detector's long window cannot be scored.
+        with pytest.raises(DataError, match="shorter than long window"):
+            self.hits(np.zeros((1, 100)), [0])
 
-    @pytest.mark.parametrize("clean_len, noisy_rows, denoised_rows, n_ids, n_onsets", [
-        (100, 1, 2, 1, 1),  # denoised has a row too many
-        (100, 2, 2, 1, 1),  # two rows, one shot id
-        (100, 1, 1, 1, 2),  # one row, two onsets
+    @pytest.mark.parametrize("shape, n_onsets", [
+        pytest.param((1, 8192), 2, id="100-1-1-1-2"),  # one row, two onsets
+        pytest.param((2, 8192), 1, id="100-1-2-1-1"),  # a row too many
+        pytest.param((0, 8192), 1, id="no-rows"),
+        pytest.param((8192,), 8192, id="one-dimensional"),  # a row, not a stack
     ])
-    def test_count_mismatch(self, clean_len, noisy_rows, denoised_rows, n_ids, n_onsets):
-        # Every row is as long as the shot's clean frame; only the counts differ.
-        with pytest.raises(DataError, match="disagree in shape"):
-            detect.detect_conditions(
-                {"s": []}, np.zeros((noisy_rows, clean_len)),
-                np.zeros((denoised_rows, clean_len)), ["s"] * n_ids, [0] * n_onsets,
-                10, FS, CFG)
-
-    def test_shot_without_clean_detections_rejected(self):
-        with pytest.raises(DataError, match="no clean detections for shots t"):
-            detect.detect_conditions({"s": []}, np.zeros((2, 100)), np.zeros((2, 100)),
-                                     ["s", "t"], [0, 0], 10, FS, CFG)
+    def test_count_mismatch(self, shape, n_onsets):
+        with pytest.raises(DataError, match="disagrees in shape"):
+            self.hits(np.zeros(shape), [0] * n_onsets)
 
 
 class TestScanClean:
+    """onsets_detected on stacks of clean shot frames, as cli scores them."""
+
     def test_each_frame_scanned_as_alone(self):
-        clean = {f"s{k}": blast_in_silence(3000 + 100 * k, noise=0.05, seed=k)
-                 for k in range(detect.SCAN_BLOCK_ROWS + 2)}
-        dets = detect.scan_clean(clean, FS, CFG)
-        assert list(dets) == list(clean)
-        for shot_id, frame in clean.items():
-            assert dets[shot_id] == detect.detect_impulses(frame, FS, CFG)
-        assert all(dets.values())
+        frames = np.stack([blast_in_silence(3000 + 100 * k, noise=0.05, seed=k)
+                           for k in range(detect.SCAN_BLOCK_ROWS + 2)])
+        onsets = [3000 + 100 * k for k in range(len(frames))]
+        tol = detect.default_tolerance(FS)
+        stacked = detect.onsets_detected(frames, onsets, tol, FS, CFG)
+        assert stacked == [detect.onsets_detected(row[np.newaxis], [onset], tol, FS, CFG)[0]
+                           for row, onset in zip(frames, onsets)]
+        assert all(stacked)
 
     def test_float32_frames_scanned_as_float64(self):
-        # Frames loaded from float32 WAVs stay float32. Their detections
-        # and scores must be those of their exact float64 copies; squared
-        # and summed in float32, most of these frames score differently,
-        # and the 1e-25 Pa blast's squares underflow to zero.
-        clean = {f"s{k}": blast_in_silence(3000 + 100 * k, noise=0.05 * k, seed=k)
-                 .astype(np.float32) for k in range(detect.SCAN_BLOCK_ROWS + 2)}
-        clean["tiny"] = (1e-25 * blast_in_silence(4000)).astype(np.float32)
-        dets = detect.scan_clean(clean, FS, CFG)
-        wide = detect.scan_clean({k: v.astype(np.float64) for k, v in clean.items()},
-                                 FS, CFG)
-        assert dets == wide
-        assert dets["tiny"]
+        # Frames loaded from float32 WAVs stay float32. Their flags must
+        # be those of their exact float64 copies, each onset being the
+        # copy's first detection and the tolerance 0, so a detection
+        # moved by one sample fails. Squared and summed in float32, the
+        # 1e-25 Pa blast's squares underflow to zero and it goes unseen.
+        frames = np.stack([blast_in_silence(3000 + 100 * k, noise=0.05 * k, seed=k)
+                           for k in range(detect.SCAN_BLOCK_ROWS + 2)]
+                          + [1e-25 * blast_in_silence(4000)]).astype(np.float32)
+        onsets = [d[0].onset_sample if (d := detect.detect_impulses(row, FS, CFG)) else 0
+                  for row in frames.astype(np.float64)]
+        narrow = detect.onsets_detected(frames, onsets, 0, FS, CFG)
+        wide = detect.onsets_detected(frames.astype(np.float64), onsets, 0, FS, CFG)
+        assert narrow == wide
+        assert narrow[-1]
 
     def test_empty(self):
-        assert detect.scan_clean({}, FS, CFG) == {}
-
-    def test_frames_of_different_lengths_rejected(self):
-        with pytest.raises(DataError, match="differ in length"):
-            detect.scan_clean({"s": np.zeros(8192), "t": np.zeros(8191)}, FS, CFG)
+        assert detect.onsets_detected(np.zeros((0, 8192)), [], 328, FS, CFG) == []
 
 
 def test_default_tolerance_is_ten_ms():

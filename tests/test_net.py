@@ -463,6 +463,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="activation 'relu'"):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [("w1", np.nan), ("f", np.inf),
+                                             ("b2", -np.inf)])
+    def test_rejects_non_finite_parameter(self, tmp_path, small_spec, name, value):
+        model = small_net(spec=small_spec)
+        param = getattr(model, name).copy()
+        param.flat[-1] = value
+        setattr(model, name, param)
+        path = tmp_path / "model.bin"
+        net.save_checkpoint(path, model)
+        with pytest.raises(DataError, match=f"parameter {name} holds NaN or Inf") as info:
+            net.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_rejects_trailing_bytes(self, tmp_path, small_spec):
         path = tmp_path / "model.bin"
         net.save_checkpoint(path, small_net(spec=small_spec))

@@ -14,6 +14,8 @@ from mbdenoise.errors import (
     UnsupportedWavError,
 )
 
+from conftest import wav_bytes
+
 
 class TestWaveform:
     def test_rejects_nan(self):
@@ -233,6 +235,18 @@ class TestWavRoundTrip:
         with pytest.raises(UnsupportedWavError):
             signals.load_wav(path)
 
+    @pytest.mark.parametrize("fmt_tag, bits, payload", [
+        (3, 32, bytes(5)),  # float32: one sample and one byte
+        (1, 16, bytes(3)),  # PCM16: one sample and one byte
+    ], ids=["float32", "pcm16"])
+    def test_partial_sample_rejected(self, tmp_path, fmt_tag, bits, payload):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(wav_bytes(fmt_tag, bits, payload))
+        with pytest.raises(MalformedWavError,
+                           match=f"{len(payload)}-byte data chunk is not a whole number "
+                                 f"of {bits // 8}-byte samples"):
+            signals.load_wav(path)
+
     def test_shot_round_trip(self, tmp_path, shot_a):
         path = tmp_path / "shot.wav"
         signals.save_shot(path, shot_a)
@@ -261,6 +275,15 @@ class TestWavRoundTrip:
         with pytest.raises(DataError, match="malformed line") as info:
             signals.load_wav(path)
         assert str(meta) in str(info.value) and repr(bad) in str(info.value)
+
+    def test_non_utf8_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "shot.wav"
+        signals.save_wav(path, signals.Waveform(np.zeros(64), 32768, [("MB", 12)]))
+        meta = signals.sidecar_path(path)
+        meta.write_bytes(meta.read_bytes() + b"note=\xff\n")
+        with pytest.raises(DataError, match="is not UTF-8 text") as info:
+            signals.load_wav(path)
+        assert str(info.value).startswith(f"{meta} ")
 
     def test_record_sidecar_parsed_once(self, tmp_path, shot_a, noise_rec, monkeypatch):
         signals.save_shot(tmp_path / "shot.wav", shot_a)
