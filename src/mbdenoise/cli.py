@@ -3,7 +3,9 @@ detection-rate evaluation, and report emission.
 
 Jobs are reproducible: every output embeds the resolved config, file
 writes are atomic, and identical config+seed yields byte-identical
-CSVs and checkpoints.
+corpora, CSVs and checkpoints. gen-data writes the shots on one worker
+thread while the calling thread synthesizes the noise records; every
+other command runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -22,24 +25,11 @@ from typing import Callable
 import numpy as np
 
 from . import curriculum, detect, dsp, net, signals
-from .config import RunConfig, load_config
+from .config import CALIBER_B_PEAK_FACTOR, CALIBER_B_T_PLUS_FACTOR, RunConfig, load_config
 from .errors import ConfigError, DataError, MbDenoiseError, NumericError
-
-# Second caliber family for the cross-caliber test set: longer positive
-# phase and lower peak make an acoustically different blast.
-CALIBER_B_T_PLUS_FACTOR = 1.6
-CALIBER_B_PEAK_FACTOR = 0.7
 
 SCORE_CSV_HEADER = ("snr_db", "condition", "p", "delta_p", "n")
 CONDITIONS = ("clean", "noisy", "denoised", "combined")
-
-
-def _child_seed(*key: int) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -55,54 +45,60 @@ def _synth_shot(cfg: RunConfig, caliber: str, index: int) -> signals.ShotRecord:
         t_plus *= CALIBER_B_T_PLUS_FACTOR
     peak *= 1.0 + cfg.peak_jitter * rng.uniform(-1.0, 1.0)
     t_plus *= 1.0 + cfg.t_plus_jitter * rng.uniform(-1.0, 1.0)
+    # RunConfig.validate leaves room for the longest blast.
     support = int(np.ceil(8.0 * t_plus * cfg.fs))
-    lo = cfg.frame_len // 4
-    hi = min(3 * cfg.frame_len // 4, cfg.frame_len - support)
-    if hi <= lo:
-        raise ConfigError(
-            f"blast support {support} samples leaves no onset room in a "
-            f"{cfg.frame_len}-sample frame"
-        )
-    onset = int(rng.integers(lo, hi))
+    onset = int(rng.integers(cfg.frame_len // 4,
+                             min(3 * cfg.frame_len // 4, cfg.frame_len - support)))
     return signals.friedlander(
         peak, t_plus, cfg.fs, cfg.frame_len, onset,
         caliber_class=caliber, shot_id=f"{caliber}{index:04d}",
     )
 
 
+def _manifest_lines(rel: str, ident: str, written: tuple[bytes, bytes]) -> list[str]:
+    """The manifest lines of a WAV and its sidecar, checksummed from the
+    bytes save_wav wrote to them."""
+    return [f"{hashlib.sha256(data).hexdigest()}  {rel + suffix}  id={ident}"
+            for suffix, data in zip(("", ".meta"), written)]
+
+
+def _write_shots(cfg: RunConfig, out: Path) -> list[str]:
+    """Synthesize and write every caliber A shot, then every caliber B
+    shot; their manifest lines, in that order."""
+    lines = []
+    for caliber, count in (("A", cfg.n_shots_a), ("B", cfg.n_shots_b)):
+        for i in range(count):
+            shot = _synth_shot(cfg, caliber, i)
+            rel = f"shots_{caliber.lower()}/{shot.shot_id}.wav"
+            lines += _manifest_lines(rel, shot.shot_id, signals.save_shot(out / rel, shot))
+    return lines
+
+
 def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Write the synthetic corpus: two caliber classes of shots, three
-    noise records, sidecar metadata, and a checksum manifest."""
+    noise records, sidecar metadata, and a checksum manifest.
+
+    One worker thread writes the shots while this thread synthesizes and
+    writes the noise records, whose numpy work releases the GIL. The
+    worker is joined before the function returns or raises, and an error
+    it raises is raised here. Each file is checksummed from the bytes
+    written to it, and the manifest lists the shots, then the noises."""
     out = Path(out_dir)
-    (out / "shots_a").mkdir(parents=True, exist_ok=True)
-    (out / "shots_b").mkdir(parents=True, exist_ok=True)
-    (out / "noise").mkdir(parents=True, exist_ok=True)
+    for sub in ("shots_a", "shots_b", "noise"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
-    entries: list[tuple[str, str]] = []  # (relpath, id)
-    for i in range(cfg.n_shots_a):
-        shot = _synth_shot(cfg, "A", i)
-        rel = f"shots_a/{shot.shot_id}.wav"
-        signals.save_shot(out / rel, shot)
-        entries.append((rel, shot.shot_id))
-    for i in range(cfg.n_shots_b):
-        shot = _synth_shot(cfg, "B", i)
-        rel = f"shots_b/{shot.shot_id}.wav"
-        signals.save_shot(out / rel, shot)
-        entries.append((rel, shot.shot_id))
-    for j in range(3):
-        noise = signals.gen_vehicle_noise(
-            _child_seed(cfg.seed, 3, j), cfg.noise_duration, cfg.fs,
-            cfg.noise_rms_pa, noise_id=f"N{j}", burst_rate=cfg.burst_rate,
-        )
-        rel = f"noise/{noise.noise_id}.wav"
-        signals.save_noise(out / rel, noise)
-        entries.append((rel, noise.noise_id))
-
-    lines = []
-    for rel, ident in entries:
-        for suffix in ("", ".meta"):
-            path = out / (rel + suffix)
-            lines.append(f"{_sha256(path)}  {rel + suffix}  id={ident}")
+    with ThreadPoolExecutor(1) as worker:
+        shots = worker.submit(_write_shots, cfg, out)
+        noise_lines = []
+        for j in range(3):
+            noise = signals.gen_vehicle_noise(
+                curriculum.child_seed(cfg.seed, 3, j), cfg.noise_duration, cfg.fs,
+                cfg.noise_rms_pa, noise_id=f"N{j}", burst_rate=cfg.burst_rate,
+            )
+            rel = f"noise/{noise.noise_id}.wav"
+            noise_lines += _manifest_lines(rel, noise.noise_id,
+                                           signals.save_noise(out / rel, noise))
+        lines = shots.result() + noise_lines
     signals.atomic_write(out / "manifest.txt",
                          cfg.comment_header() + "\n".join(lines) + "\n")
     return out
@@ -223,7 +219,7 @@ def _train_rotation(
     train = _combo_cells(cfg, split, train_combos)
     validation = _combo_cells(cfg, split, (validation_combo,))
     model = net.init_network(
-        cfg.hidden, _child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
+        cfg.hidden, curriculum.child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
     )
     frames = curriculum.training_frames(model, train, validation)

@@ -7,6 +7,7 @@ are auditable and byte-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -16,6 +17,12 @@ from .errors import ConfigError
 # The SNRs, in dB, that frames can be mixed at; snr_grid values and
 # curriculum.combo_cells' cells must lie inside it.
 SNR_RANGE_DB = (-25.0, 15.0)
+
+# The second caliber family of the synthetic corpus, held out for the
+# cross-caliber test set: its shots' positive phase is this much longer
+# and their peak this much lower, an acoustically different blast.
+CALIBER_B_T_PLUS_FACTOR = 1.6
+CALIBER_B_PEAK_FACTOR = 0.7
 
 # Rates, amplitudes, durations and step sizes: zero or a negative value
 # has no meaning for any of them.
@@ -100,6 +107,19 @@ class RunConfig:
         for key in ("peak_jitter", "t_plus_jitter"):
             if not 0 <= getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        # A shot's blast spans 8 t_plus and starts in the frame's middle
+        # half, at least frame_len // 4 samples before its end. The
+        # longest caliber's t_plus at full jitter, scaled in the order
+        # cli._synth_shot scales a shot's, bounds every shot's.
+        t_plus = self.shot_t_plus
+        if self.n_shots_b > 0:
+            t_plus *= CALIBER_B_T_PLUS_FACTOR
+        t_plus *= 1.0 + self.t_plus_jitter
+        support = math.ceil(8.0 * t_plus * self.fs)
+        if support >= self.frame_len - self.frame_len // 4:
+            raise ConfigError(
+                f"shot_t_plus {self.shot_t_plus:g} s gives blasts of up to {support} "
+                f"samples, which leave no onset room in a {self.frame_len}-sample frame")
         if self.sections_per_noise < 1:
             raise ConfigError(
                 f"sections_per_noise must be >= 1, got {self.sections_per_noise}")

@@ -176,6 +176,13 @@ def seed_words(*key: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+def child_seed(*key: int) -> int:
+    """One integer seed drawn from the key, for a generator or
+    initializer that takes an int: the first 32-bit word of the state
+    np.random.SeedSequence makes of seed_words(*key)."""
+    return int(np.random.SeedSequence(seed_words(*key)).generate_state(1)[0])
+
+
 def combo_cells(
     split: DatasetSplit,
     combos: tuple[Combo, ...],

@@ -272,13 +272,16 @@ def gen_vehicle_noise(
     return NoiseRecord(wave, noise_id or f"noise-{seed}")
 
 
-def atomic_write(path: str | Path, data: bytes | str) -> None:
+def atomic_write(path: str | Path, data: bytes | str) -> bytes:
     """Write data to a temporary sibling, then rename it over path, so a
-    reader never sees a half-written file. Text is written as UTF-8."""
+    reader never sees a half-written file. Text is written as UTF-8.
+    Returns the bytes written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    tmp.write_bytes(raw)
     tmp.replace(path)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +298,11 @@ def save_wav(
     path: str | Path,
     waveform: Waveform,
     extra_meta: dict[str, str] | None = None,
-) -> None:
+) -> tuple[bytes, bytes]:
     """Write a mono IEEE float32 WAV plus its key=value sidecar metadata
-    file; lossless for float32-representable samples."""
+    file; lossless for float32-representable samples. Returns the bytes
+    written to the WAV and to the sidecar, so a caller can checksum the
+    files without reading them back."""
     path = Path(path)
     payload = waveform.samples.astype("<f4").tobytes()
     block_align = 4  # one float32 sample per frame
@@ -311,8 +316,8 @@ def save_wav(
         b"data",
         struct.pack("<I", len(payload)),
     ])
-    atomic_write(path, header + payload)
-    _save_sidecar(path, waveform, extra_meta or {})
+    wav = atomic_write(path, header + payload)
+    return wav, _save_sidecar(path, waveform, extra_meta or {})
 
 
 @dataclass(frozen=True)
@@ -400,13 +405,13 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta")
 
 
-def _save_sidecar(path: Path, waveform: Waveform, extra: dict[str, str]) -> None:
+def _save_sidecar(path: Path, waveform: Waveform, extra: dict[str, str]) -> bytes:
     lines = [f"fs={waveform.fs}"]
     for label, onset in waveform.annotations:
         lines.append(f"annotation={label}:{onset}")
     for key, value in extra.items():
         lines.append(f"{key}={value}")
-    atomic_write(sidecar_path(path), "\n".join(lines) + "\n")
+    return atomic_write(sidecar_path(path), "\n".join(lines) + "\n")
 
 
 def load_sidecar(
@@ -452,9 +457,10 @@ def _sidecar_int(path: str | Path, line: str, text: str) -> int:
         raise DataError(f"{sidecar_path(path)}: malformed line {line!r}") from None
 
 
-def save_shot(path: str | Path, shot: ShotRecord) -> None:
-    save_wav(path, shot.waveform,
-             {"caliber_class": shot.caliber_class, "shot_id": shot.shot_id})
+def save_shot(path: str | Path, shot: ShotRecord) -> tuple[bytes, bytes]:
+    """save_wav of the shot, its class and id in the sidecar."""
+    return save_wav(path, shot.waveform,
+                    {"caliber_class": shot.caliber_class, "shot_id": shot.shot_id})
 
 
 def load_shot(path: str | Path | RecordFiles) -> ShotRecord:
@@ -465,8 +471,9 @@ def load_shot(path: str | Path | RecordFiles) -> ShotRecord:
     return ShotRecord(waveform, meta["caliber_class"], meta["shot_id"])
 
 
-def save_noise(path: str | Path, noise: NoiseRecord) -> None:
-    save_wav(path, noise.waveform, {"noise_id": noise.noise_id})
+def save_noise(path: str | Path, noise: NoiseRecord) -> tuple[bytes, bytes]:
+    """save_wav of the noise record, its id in the sidecar."""
+    return save_wav(path, noise.waveform, {"noise_id": noise.noise_id})
 
 
 def load_noise(path: str | Path | RecordFiles) -> NoiseRecord:

@@ -1,9 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from mbdenoise import dsp, net, signals
+from mbdenoise import cli, dsp, net, signals
 
 FS = 32768
 
@@ -122,6 +123,37 @@ def make_corpus(n_shots: int, seed: int, fs: int = FS, frame_len: int = 2048,
         for j in range(3)
     ]
     return shots, noises
+
+
+def serial_gen_data(cfg, out):
+    """The corpus written one file after another, as gen-data first did:
+    every caliber A shot, every caliber B shot, then the three noise
+    records, each seeded by the first state word of a SeedSequence of
+    [seed, 3, j]; then every file read back and checksummed into the
+    manifest. The reference cli.cmd_gen_data's files must equal byte
+    for byte."""
+    entries = []
+    for caliber, count in (("A", cfg.n_shots_a), ("B", cfg.n_shots_b)):
+        for i in range(count):
+            shot = cli._synth_shot(cfg, caliber, i)
+            rel = f"shots_{caliber.lower()}/{shot.shot_id}.wav"
+            (out / rel).parent.mkdir(parents=True, exist_ok=True)
+            signals.save_shot(out / rel, shot)
+            entries.append((rel, shot.shot_id))
+    (out / "noise").mkdir(parents=True, exist_ok=True)
+    for j in range(3):
+        seed = int(np.random.SeedSequence([cfg.seed, 3, j]).generate_state(1)[0])
+        noise = signals.gen_vehicle_noise(seed, cfg.noise_duration, cfg.fs,
+                                          cfg.noise_rms_pa, noise_id=f"N{j}",
+                                          burst_rate=cfg.burst_rate)
+        rel = f"noise/{noise.noise_id}.wav"
+        signals.save_noise(out / rel, noise)
+        entries.append((rel, noise.noise_id))
+    lines = [f"{hashlib.sha256((out / (rel + suffix)).read_bytes()).hexdigest()}  "
+             f"{rel + suffix}  id={ident}"
+             for rel, ident in entries for suffix in ("", ".meta")]
+    (out / "manifest.txt").write_text(cfg.comment_header() + "\n".join(lines) + "\n")
+    return out
 
 
 CHECKPOINT_HEADER = "<IIqIIBd"

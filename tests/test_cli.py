@@ -4,6 +4,7 @@ import hashlib
 import re
 import shutil
 import struct
+import threading
 import time
 import tracemalloc
 import weakref
@@ -16,7 +17,7 @@ from pathlib import Path
 from mbdenoise import cli, config, curriculum, detect, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
-from conftest import empty_layer_net, rewrite_header, wav_bytes
+from conftest import empty_layer_net, rewrite_header, serial_gen_data, wav_bytes
 
 SMOKE = dict(
     n_shots_a=12, n_shots_b=4, noise_duration=4.0,
@@ -144,6 +145,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="2040-sample sections"):
             config.load_config(None, ["sections_per_noise=257"])
 
+    def test_blast_support_leaves_onset_room(self):
+        # At 0.004 s a caliber B blast at full jitter spans
+        # ceil(8 * 0.004 * 1.6 * 1.2 * 32768) = 2014 samples, past the
+        # 1536 that end a quarter frame after the earliest onset; a
+        # caliber A blast spans 1259.
+        with pytest.raises(ConfigError, match="blasts of up to 2014 samples"):
+            config.load_config(None, ["shot_t_plus=0.004"])
+        config.load_config(None, ["shot_t_plus=0.004", "n_shots_b=0"])
+
     def test_resolved_text_round_trips(self, tmp_path):
         cfg = smoke_cfg(hidden=48)
         path = tmp_path / "resolved.cfg"
@@ -182,6 +192,19 @@ class TestGenData:
         a = (root / "corpus" / "manifest.txt").read_text()
         b = (tmp_path / "again" / "manifest.txt").read_text()
         assert a == b
+
+    def test_matches_serial_recipe(self, pipeline, tmp_path):
+        cfg, root, _ = pipeline
+        reference = serial_gen_data(cfg, tmp_path / "serial")
+        files = sorted(p.relative_to(reference) for p in reference.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(root / "corpus")
+                      for p in (root / "corpus").rglob("*") if p.is_file()) == files
+        for rel in files:
+            assert (root / "corpus" / rel).read_bytes() == (reference / rel).read_bytes(), rel
+        # load_corpus checks each manifest checksum, made from the bytes
+        # gen-data wrote, against the file on disk.
+        corpus = cli.load_corpus(cfg, root / "corpus")
+        assert [n.noise_id for n in corpus.noises] == ["N0", "N1", "N2"]
 
     def test_tampered_file_detected(self, pipeline, tmp_path):
         cfg, _, _ = pipeline
@@ -610,6 +633,36 @@ class TestMainEntry:
             "--in", str(src), "--out", str(out),
         ])
         assert code == 0 and out.exists()
+
+    def test_blast_without_onset_room_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert cli.main(["gen-data", "--set", "shot_t_plus=0.004", "--out", str(out)]) == 1
+        assert "leave no onset room" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("writer", ["save_shot", "save_noise"])
+    def test_gen_data_error_on_either_thread_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      writer):
+        # The shots are written on the worker thread, the noise records
+        # on the calling one; the fifth shot or the second noise fails.
+        save = getattr(signals, writer)
+        calls = []
+
+        def failing(path, record):
+            calls.append(path)
+            if len(calls) == (5 if writer == "save_shot" else 2):
+                raise DataError(f"cannot write {path}")
+            return save(path, record)
+
+        monkeypatch.setattr(signals, writer, failing)
+        out = tmp_path / "c"
+        before = threading.active_count()
+        code = cli.main(["gen-data", "--set", "n_shots_a=8", "--set", "n_shots_b=2",
+                         "--set", "noise_duration=1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: cannot write {calls[-1]}\n"
+        assert threading.active_count() == before
+        assert not (out / "manifest.txt").exists()
 
     def test_bad_detector_time_exits_1_before_reading_the_corpus(self, tmp_path, capsys):
         assert cli.main(["train", "--corpus", str(tmp_path / "absent"),

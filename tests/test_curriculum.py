@@ -310,6 +310,14 @@ class TestSeedWords:
         assert np.array_equal(np.random.SeedSequence(words).generate_state(8),
                               np.random.SeedSequence(key).generate_state(8))
 
+    @pytest.mark.parametrize("seed", SEEDS_ACROSS_WORDS)
+    def test_child_seed_as_list_form(self, seed):
+        # The seeds of gen-data's noise records and of each rotation's
+        # initial weights.
+        for key in ([seed, 3, 2], [seed, 4, 5]):
+            assert curriculum.child_seed(*key) == int(
+                np.random.SeedSequence(key).generate_state(1)[0])
+
     def test_splits_large_entries_little_endian(self):
         assert curriculum.seed_words(2**40 + 7, 5).tolist() == [7, 256, 5]
         assert curriculum.seed_words(2**32, 0).tolist() == [0, 1, 0]
