@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, MbDenoiseError) as exc:
+    except (MbDenoiseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -91,7 +91,7 @@ def build_split(
     shots: list[ShotRecord],
     noises: list[NoiseRecord],
     seed: int,
-    sections_per_noise: int = 2,
+    sections_per_noise: int,
 ) -> DatasetSplit:
     """Deterministically halve the shots and cut each noise record into
     sections_per_noise equal sections."""

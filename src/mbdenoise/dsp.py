@@ -1,13 +1,16 @@
 """Deterministic DSP primitives.
 
 Butterworth-magnitude FIR design, anti-aliased x8 decimation and
-interpolation around the 256-point network frame, peak-over-RMS SNR,
-SNR-controlled mixing, and the banded convolution-matrix construction
-that turns filtering into a trainable matrix-vector product.
+interpolation around the 256-point network frame (the inference plan's
+matrices are read off these two maps, a block of unit frames at a
+time), peak-over-RMS SNR, SNR-controlled mixing, and the banded
+convolution-matrix construction that turns filtering into a trainable
+matrix-vector product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,9 +23,8 @@ from .signals import ShotRecord, Waveform, rms
 DEFAULT_KERNEL_LEN = 63
 AA_KERNEL_LEN = 127
 _DESIGN_GRID = 8192
-
-_design_cache: dict[tuple, "FilterSpec"] = {}
-_resampling_cache: dict[tuple, np.ndarray] = {}
+# Unit frames per decimate or interpolate call while a matrix is read off.
+_UNIT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,19 @@ def design_butterworth(
         raise DataError(f"cutoff {cutoff_hz} Hz not in (0, {fs / 2}) Hz")
     if kernel_len % 2 != 1 or kernel_len < 1:
         raise DataError(f"kernel_len must be odd and positive, got {kernel_len}")
-    key = (order, float(cutoff_hz), float(fs), kernel_len)
-    if key in _design_cache:
-        return _design_cache[key]
+    return _design(order, float(cutoff_hz), float(fs), kernel_len)
 
+
+@functools.cache
+def _design(order: int, cutoff_hz: float, fs: float, kernel_len: int) -> FilterSpec:
+    """design_butterworth's spec for checked arguments, built once."""
     freqs = np.arange(_DESIGN_GRID // 2 + 1) * (fs / _DESIGN_GRID)
     mag = 1.0 / np.sqrt(1.0 + (freqs / cutoff_hz) ** (2 * order))
     impulse = np.fft.irfft(mag, n=_DESIGN_GRID)
     half = kernel_len // 2
     kernel = np.concatenate([impulse[-half:], impulse[: half + 1]]) if half else impulse[:1].copy()
     kernel = kernel / np.sum(kernel)
-    spec = FilterSpec(order, float(cutoff_hz), float(fs), kernel)
-    _design_cache[key] = spec
-    return spec
+    return FilterSpec(order, cutoff_hz, fs, kernel)
 
 
 def anti_alias_spec(fs: float, factor: int) -> FilterSpec:
@@ -151,8 +153,7 @@ def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
     phases and rows.
     """
     y = np.asarray(y, dtype=np.float64)
-    spec = anti_alias_spec(fs_out, factor)
-    branches = _interp_branches(spec, factor)
+    branches = _interp_branches(fs_out, factor)
     pad = branches.shape[0] // 2
     padded = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(pad, pad)], mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, branches.shape[0], axis=-1)
@@ -162,62 +163,38 @@ def interpolate(y: np.ndarray, fs_out: float, factor: int = 8) -> np.ndarray:
 def decimation_matrix(frame_len: int, fs: float, factor: int = 8) -> np.ndarray:
     """decimate as a (frame_len // factor, frame_len) matrix D, so that
     D @ x equals decimate(x, fs, factor) for a frame x up to summation
-    order. Row i holds the kernel at columns i*factor - half onwards;
-    taps that fall off an edge add to that edge's column, as edge
-    padding repeats the edge sample. Cached read-only."""
-    if frame_len % factor != 0:
-        raise DataError(f"length {frame_len} not divisible by factor {factor}")
-    kernel = anti_alias_spec(fs, factor).kernel
-    key = ("decimation", kernel.tobytes(), frame_len, factor)
-    if key not in _resampling_cache:
-        half = (kernel.size - 1) // 2
-        rows = np.arange(frame_len // factor)[:, np.newaxis]
-        cols = np.clip(rows * factor + np.arange(kernel.size) - half, 0, frame_len - 1)
-        _resampling_cache[key] = _scatter_taps(rows, cols, kernel, frame_len // factor,
-                                           frame_len)
-    return _resampling_cache[key]
+    order. Read off decimate and cached read-only."""
+    return _linear_map("decimate", frame_len, fs, factor)
 
 
 def interpolation_matrix(dim: int, fs_out: float, factor: int = 8) -> np.ndarray:
     """interpolate as a (dim * factor, dim) matrix I, so that I @ y
     equals interpolate(y, fs_out, factor) for a dim-sample frame y up to
-    summation order. Output sample i*factor + r holds branch r of the
-    interpolation taps at columns i - pad onwards, edge taps adding to
-    the edge column. Cached read-only."""
-    branches = _interp_branches(anti_alias_spec(fs_out, factor), factor)
-    key = ("interpolation", branches.tobytes(), dim, factor)
-    if key not in _resampling_cache:
-        pad = branches.shape[0] // 2
-        # (input position i, phase r, branch tap d), flattened to rows
-        # i*factor + r of the output.
-        rows = np.arange(dim * factor).reshape(dim, factor, 1)
-        cols = np.clip(np.arange(dim)[:, None, None] + np.arange(branches.shape[0]) - pad,
-                       0, dim - 1)
-        _resampling_cache[key] = _scatter_taps(rows, cols, branches.T[np.newaxis],
-                                           dim * factor, dim)
-    return _resampling_cache[key]
+    summation order. Read off interpolate and cached read-only."""
+    return _linear_map("interpolate", dim, fs_out, factor)
 
 
-def _scatter_taps(rows: np.ndarray, cols: np.ndarray, taps: np.ndarray,
-                  n_rows: int, n_cols: int) -> np.ndarray:
-    """A read-only (n_rows, n_cols) matrix summing each tap into its
-    (row, column), the three broadcast against each other."""
-    rows, cols, taps = np.broadcast_arrays(rows, cols, taps)
-    matrix = np.bincount((rows * n_cols + cols).ravel(), weights=taps.ravel(),
-                         minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+@functools.cache
+def _linear_map(kind: str, n: int, fs: float, factor: int) -> np.ndarray:
+    """The matrix of decimate or interpolate (kind names which) on
+    n-sample frames, read-only: column j is the map of the j-th unit
+    frame, computed _UNIT_BLOCK unit frames at a time."""
+    resample, n_out = (decimate, n // factor) if kind == "decimate" else (interpolate, n * factor)
+    matrix = np.empty((n_out, n))
+    for start in range(0, n, _UNIT_BLOCK):
+        units = np.eye(min(_UNIT_BLOCK, n - start), n, k=start)
+        matrix[:, start:start + units.shape[0]] = resample(units, fs, factor).T
     matrix.setflags(write=False)
     return matrix
 
 
-def _interp_branches(spec: FilterSpec, factor: int) -> np.ndarray:
+@functools.cache
+def _interp_branches(fs_out: float, factor: int) -> np.ndarray:
     """The interpolation taps as a (2*pad + 1, factor) branch matrix:
     entry (d, r) weighs input position i + d - pad in output sample
     i*factor + r, where pad = ceil(half / factor) for the kernel
-    half-width half. Cached read-only with the kernel."""
-    key = ("branches", spec.kernel.tobytes(), factor)
-    if key in _resampling_cache:
-        return _resampling_cache[key]
-    kernel = _interp_kernel(spec, factor)
+    half-width half. Cached read-only."""
+    kernel = _interp_kernel(anti_alias_spec(fs_out, factor), factor)
     half = (kernel.size - 1) // 2
     pad = -(-half // factor)
     # Kernel tap that lands input position i + d - pad on output sample
@@ -226,17 +203,12 @@ def _interp_branches(spec: FilterSpec, factor: int) -> np.ndarray:
     inside = (k >= 0) & (k < kernel.size)
     branches = np.where(inside, kernel[np.where(inside, k, 0)], 0.0)
     branches.setflags(write=False)
-    _resampling_cache[key] = branches
     return branches
 
 
 def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
     """Interpolation taps: the low-pass kernel scaled by the factor,
-    with each polyphase branch normalized to unit sum. Built once per
-    (kernel, factor) and cached read-only."""
-    key = (spec.kernel.tobytes(), factor)
-    if key in _resampling_cache:
-        return _resampling_cache[key]
+    with each polyphase branch normalized to unit sum."""
     kernel = spec.kernel * factor
     half = (kernel.size - 1) // 2
     for r in range(factor):
@@ -244,8 +216,6 @@ def _interp_kernel(spec: FilterSpec, factor: int) -> np.ndarray:
         idx = np.arange(kernel.size)
         branch = (idx - half) % factor == r
         kernel[branch] /= np.sum(kernel[branch])
-    kernel.setflags(write=False)
-    _resampling_cache[key] = kernel
     return kernel
 
 

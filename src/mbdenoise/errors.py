@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError -> 2, NumericError -> 3.
+DataError -> 2, NumericError -> 3; an OSError (a file that cannot be
+read or written) is a data error too, exit 2.
 """
 
 

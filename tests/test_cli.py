@@ -634,6 +634,21 @@ class TestMainEntry:
         ])
         assert code == 0 and out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["denoise", "--checkpoint", "missing.bin", "--in", "missing.wav",
+          "--out", "out.wav"], "No such file or directory: 'missing.bin'"),
+        (["report", "--eval-dir", "eval", "--out", "taken"], "File exists: 'taken'"),
+        (["gen-data", "--set", "noise_duration=1", "--out", "taken"],
+         "Not a directory: 'taken/shots_a'"),
+    ], ids=["missing_checkpoint", "report_out_is_a_file", "gen_data_out_is_a_file"])
+    def test_os_error_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_blast_without_onset_room_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert cli.main(["gen-data", "--set", "shot_t_plus=0.004", "--out", str(out)]) == 1

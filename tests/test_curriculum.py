@@ -171,8 +171,8 @@ class TestBuildSplit:
 
     def test_deterministic(self, corpus10):
         shots, noises = corpus10
-        a = curriculum.build_split(shots, noises, seed=5)
-        b = curriculum.build_split(shots, noises, seed=5)
+        a = curriculum.build_split(shots, noises, seed=5, sections_per_noise=2)
+        b = curriculum.build_split(shots, noises, seed=5, sections_per_noise=2)
         assert subset_ids(a) == subset_ids(b)
 
     def test_noise_sections_tile_record(self, split10, corpus10):
@@ -186,12 +186,12 @@ class TestBuildSplit:
     def test_requires_three_noises(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots, noises[:2], seed=0)
+            curriculum.build_split(shots, noises[:2], seed=0, sections_per_noise=2)
 
     def test_requires_two_shots(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots[:1], noises, seed=0)
+            curriculum.build_split(shots[:1], noises, seed=0, sections_per_noise=2)
 
 
 class TestMaterialize:

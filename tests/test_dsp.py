@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,11 +116,11 @@ class TestInterpolate:
         rhs = 3.0 * dsp.interpolate(x, FS) + 0.5 * dsp.interpolate(y, FS)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
-    def test_interp_kernel_cached_read_only(self):
-        spec = dsp.anti_alias_spec(FS, 8)
-        kernel = dsp._interp_kernel(spec, 8)
-        assert dsp._interp_kernel(spec, 8) is kernel
-        assert not kernel.flags.writeable
+    def test_interp_branches_cached_read_only(self):
+        branches = dsp._interp_branches(FS, 8)
+        assert dsp._interp_branches(FS, 8) is branches
+        assert not branches.flags.writeable
+        kernel = dsp._interp_kernel(dsp.anti_alias_spec(FS, 8), 8)
         half = (kernel.size - 1) // 2
         phase = (np.arange(kernel.size) - half) % 8
         for r in range(8):
@@ -222,6 +223,41 @@ class TestLinearMaps:
         assert dsp.decimation_matrix(2048, FS, 8) is D
         assert dsp.interpolation_matrix(256, FS, 8) is I
         assert not D.flags.writeable and not I.flags.writeable
+
+    def test_cache_ignores_swapped_maps(self, monkeypatch):
+        # A tracer swaps the module's decimate and interpolate for
+        # wrappers; the cached matrices must still be found, and no
+        # wrapper called.
+        D = dsp.decimation_matrix(2048, FS, 8)
+        I = dsp.interpolation_matrix(256, FS, 8)
+        calls = []
+        for name in ("decimate", "interpolate"):
+            original = getattr(dsp, name)
+
+            def passthrough(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dsp, name, passthrough)
+        assert dsp.decimation_matrix(2048, FS, 8) is D
+        assert dsp.interpolation_matrix(256, FS, 8) is I
+        assert calls == []
+
+    @pytest.mark.parametrize("build, n", [(dsp.decimation_matrix, 2048),
+                                          (dsp.interpolation_matrix, 256)])
+    def test_read_off_holds_little_beside_the_matrix(self, build, n):
+        # With the filter designs warm, reading a matrix off its map
+        # allocates the matrix and one block of unit frames at a time,
+        # never a whole identity (2048 x 2048 doubles is 33.5 MB).
+        dsp.interpolate(np.zeros(n), FS)
+        dsp._linear_map.cache_clear()
+        tracemalloc.start()
+        try:
+            matrix = build(n, FS, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix.nbytes
 
     def test_length_must_divide(self):
         with pytest.raises(DataError):
