@@ -194,8 +194,7 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
 def _combo_cells(cfg: RunConfig, split: curriculum.DatasetSplit,
                  combos: tuple[curriculum.Combo, ...]) -> list[curriculum.Cell]:
     """Every cell of the split's given combinations."""
-    return curriculum.combo_cells(split, combos, list(cfg.snr_grid),
-                                  cfg.examples_per_cell, cfg.seed)
+    return curriculum.combo_cells(split, combos, list(cfg.snr_grid), cfg.seed)
 
 
 def _train_rotation(
@@ -212,9 +211,7 @@ def _train_rotation(
     dropped before the first optimizer step, so the loop holds only the
     frames."""
     corpus = load_corpus(cfg, corpus_dir)
-    split = curriculum.build_split(
-        corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
-    )
+    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
     train_combos, validation_combo = curriculum.rotation_combos(rotation)
     train = _combo_cells(cfg, split, train_combos)
     validation = _combo_cells(cfg, split, (validation_combo,))
@@ -294,15 +291,14 @@ def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
                 split: curriculum.DatasetSplit) -> list[curriculum.Cell]:
     """Cross-caliber cells: held-out caliber shots mixed with the
     rotation's validation noise (scoring only, never trained on)."""
-    nsub = split.noise_subsets[curriculum.COMBOS[rotation].noise_subset]
+    noise = split.noises[curriculum.COMBOS[rotation].noise_subset]
     cells = []
     for i, shot in enumerate(corpus.shots_b):
         for snr_idx, snr in enumerate(cfg.snr_grid):
             rng = np.random.default_rng(curriculum.seed_words(cfg.seed, 5, rotation, i,
                                                               snr_idx))
-            start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
-            offset = int(rng.integers(start, stop - cfg.frame_len + 1))
-            cells.append((shot, nsub.noise, offset, snr))
+            offset = int(rng.integers(0, len(noise.waveform) - cfg.frame_len + 1))
+            cells.append((shot, noise, offset, snr))
     return cells
 
 
@@ -332,9 +328,7 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
     det_cfg = cfg.detector()
     tolerance = detect.default_tolerance(cfg.fs)
 
-    split = curriculum.build_split(
-        corpus.shots_a, corpus.noises, cfg.seed, cfg.sections_per_noise
-    )
+    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
     val_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
     test_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
     for rotation in cfg.rotations():

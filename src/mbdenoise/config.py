@@ -49,9 +49,7 @@ class RunConfig:
     noise_rms_pa: float = 1.0
     burst_rate: float = 2.0
     # split and materialization
-    sections_per_noise: int = 1
     snr_grid: tuple[float, ...] = (10.0, 5.0, 0.0, -5.0, -10.0, -15.0, -20.0)
-    examples_per_cell: int = 1
     # network
     hidden: int = 64
     kernel_len: int = 63
@@ -120,20 +118,12 @@ class RunConfig:
             raise ConfigError(
                 f"shot_t_plus {self.shot_t_plus:g} s gives blasts of up to {support} "
                 f"samples, which leave no onset room in a {self.frame_len}-sample frame")
-        if self.sections_per_noise < 1:
+        # Every mix takes one frame from inside a noise record.
+        noise_len = int(round(self.noise_duration * self.fs))
+        if noise_len < self.frame_len:
             raise ConfigError(
-                f"sections_per_noise must be >= 1, got {self.sections_per_noise}")
-        # The shortest of the equal noise sections the split cuts; every
-        # mix takes one frame from inside a section.
-        section = int(round(self.noise_duration * self.fs)) // self.sections_per_noise
-        if section < self.frame_len:
-            raise ConfigError(
-                f"noise_duration {self.noise_duration:g} s in {self.sections_per_noise} "
-                f"sections gives {section}-sample sections, shorter than the "
-                f"{self.frame_len}-sample frame")
-        if self.examples_per_cell < 1:
-            raise ConfigError(
-                f"examples_per_cell must be >= 1, got {self.examples_per_cell}")
+                f"noise_duration {self.noise_duration:g} s gives {noise_len}-sample "
+                f"noise records, shorter than the {self.frame_len}-sample frame")
         lo, hi = SNR_RANGE_DB
         if not self.snr_grid:
             raise ConfigError("snr_grid is empty")

@@ -2,13 +2,14 @@
 loop with filter-layer freeze and release.
 
 One split serves all rotations: shots are halved into two subsets and
-each of the three noise records is cut into sections, giving six noised
-combinations (COMBOS). Rotation r holds COMBOS[r] out for validation and
-trains on the other shot half noised by the two remaining noises
+crossed with the three noise records, giving six noised combinations
+(COMBOS). Rotation r holds COMBOS[r] out for validation and trains on
+the other shot half noised by the two remaining noises
 (rotation_combos), so validation shots and noise never touch training.
 
 A combination is walked into cells, one (shot, noise, offset, SNR) mix
-each, and mix_cells turns any list of cells into a stack of full-rate
+per shot and grid SNR, its offset drawn anywhere in the whole noise
+record, and mix_cells turns any list of cells into a stack of full-rate
 noisy frames, one row per cell; each row's shot id, onset and grid SNR
 stay in its cell. Training, validation and scoring all read cells a
 block of rows at a time (row_blocks): each block is mixed and reduced
@@ -67,19 +68,13 @@ class Combo:
 COMBOS = tuple(Combo(si, nj) for si in range(2) for nj in range(3))
 
 
-@dataclass(frozen=True)
-class NoiseSubset:
-    noise: NoiseRecord
-    sections: tuple[tuple[int, int], ...]
-
-
 @dataclass
 class DatasetSplit:
     """The corpus cut once for all six rotations: two disjoint shot
-    halves, and each noise record with the sections it is cut into."""
+    halves, and the three noise records."""
 
     shot_subsets: tuple[tuple[ShotRecord, ...], tuple[ShotRecord, ...]]
-    noise_subsets: tuple[NoiseSubset, NoiseSubset, NoiseSubset]
+    noises: tuple[NoiseRecord, NoiseRecord, NoiseRecord]
 
     def __post_init__(self):
         halves = [{shot.shot_id for shot in half} for half in self.shot_subsets]
@@ -87,14 +82,9 @@ class DatasetSplit:
             raise DataError("shot subsets overlap")
 
 
-def build_split(
-    shots: list[ShotRecord],
-    noises: list[NoiseRecord],
-    seed: int,
-    sections_per_noise: int,
-) -> DatasetSplit:
-    """Deterministically halve the shots and cut each noise record into
-    sections_per_noise equal sections."""
+def build_split(shots: list[ShotRecord], noises: list[NoiseRecord], seed: int
+                ) -> DatasetSplit:
+    """Deterministically halve the shots; each noise record is kept whole."""
     if len(shots) < 2:
         raise DataError(f"need >= 2 shots, got {len(shots)}")
     if len(noises) != 3:
@@ -106,16 +96,8 @@ def build_split(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(shots))
     half = len(shots) // 2
-    noise_subsets = []
-    for rec in noises:
-        n = len(rec.waveform)
-        edges = np.linspace(0, n, sections_per_noise + 1).astype(int)
-        sections = tuple(
-            (int(edges[i]), int(edges[i + 1])) for i in range(sections_per_noise)
-        )
-        noise_subsets.append(NoiseSubset(rec, sections))
     return DatasetSplit((tuple(shots[i] for i in order[:half]),
-                         tuple(shots[i] for i in order[half:])), tuple(noise_subsets))
+                         tuple(shots[i] for i in order[half:])), tuple(noises))
 
 
 def rotation_combos(rotation: int) -> tuple[tuple[Combo, ...], Combo]:
@@ -187,15 +169,14 @@ def combo_cells(
     split: DatasetSplit,
     combos: tuple[Combo, ...],
     snr_grid: list[float],
-    examples_per_cell: int,
     seed: int,
 ) -> list[Cell]:
-    """Every (shot, noise section, SNR, repeat) cell of the combinations,
-    in order.
+    """Every (shot, SNR) cell of the combinations, in order.
 
-    Noise offsets are drawn deterministically per cell from the seed and
-    the combination's index in COMBOS, so the same seed gives identical
-    cells whichever combinations are walked.
+    Each cell's noise offset is drawn deterministically, anywhere in the
+    whole noise record, from the seed and the combination's index in
+    COMBOS, so the same seed gives identical cells whichever
+    combinations are walked.
     """
     lo, hi = SNR_RANGE_DB
     for snr in snr_grid:
@@ -204,22 +185,18 @@ def combo_cells(
     cells = []
     for combo in combos:
         combo_idx = COMBOS.index(combo)
-        nsub = split.noise_subsets[combo.noise_subset]
+        noise = split.noises[combo.noise_subset]
         for shot_pos, shot in enumerate(split.shot_subsets[combo.shot_subset]):
             frame_len = len(shot.waveform)
-            for sec_idx, (start, stop) in enumerate(nsub.sections):
-                if stop - start < frame_len:
-                    raise DataError(
-                        f"noise section {sec_idx} of {nsub.noise.noise_id} shorter "
-                        f"than the {frame_len}-sample frame"
-                    )
-                for snr_idx, snr in enumerate(snr_grid):
-                    for rep in range(examples_per_cell):
-                        rng = np.random.default_rng(
-                            seed_words(seed, combo_idx, shot_pos, sec_idx, snr_idx, rep)
-                        )
-                        offset = int(rng.integers(start, stop - frame_len + 1))
-                        cells.append((shot, nsub.noise, offset, snr))
+            if len(noise.waveform) < frame_len:
+                raise DataError(f"noise record {noise.noise_id} is shorter than the "
+                                f"{frame_len}-sample frame")
+            for snr_idx, snr in enumerate(snr_grid):
+                # The zeros keep the key of the former section and repeat.
+                rng = np.random.default_rng(
+                    seed_words(seed, combo_idx, shot_pos, 0, snr_idx, 0))
+                offset = int(rng.integers(0, len(noise.waveform) - frame_len + 1))
+                cells.append((shot, noise, offset, snr))
     return cells
 
 

@@ -87,14 +87,14 @@ class Waveform:
 class ShotRecord:
     """One clean shot: a waveform with exactly one MB annotation.
 
-    peak_pa, measured when not given, is the maximum absolute pressure
-    over the MB support (onset to end of record; before it is pre-trigger).
+    peak_pa is measured: the maximum absolute pressure over the MB
+    support (onset to end of record; before it is pre-trigger).
     """
 
     waveform: Waveform
     caliber_class: str
     shot_id: str
-    peak_pa: float | None = None
+    peak_pa: float = field(init=False)
 
     def __post_init__(self):
         if not self.caliber_class:
@@ -102,15 +102,9 @@ class ShotRecord:
         mb = self.waveform.onsets("MB")
         if len(mb) != 1:
             raise DataError(f"shot needs exactly one MB annotation, got {len(mb)}")
-        expected = float(np.max(np.abs(self.waveform.samples[mb[0]:])))
-        if self.peak_pa is None:
-            self.peak_pa = expected
+        self.peak_pa = float(np.max(np.abs(self.waveform.samples[mb[0]:])))
         if not (self.peak_pa > 0):
             raise DataError("peak_pa must be positive")
-        if not math.isclose(self.peak_pa, expected, rel_tol=1e-9):
-            raise DataError(
-                f"peak_pa {self.peak_pa} != max |samples| over MB support {expected}"
-            )
 
     @property
     def onset(self) -> int:
@@ -120,22 +114,18 @@ class ShotRecord:
 @dataclass
 class NoiseRecord:
     """One noise recording: an unannotated waveform plus its RMS
-    pressure, measured from the waveform when not given."""
+    pressure, measured from the waveform."""
 
     waveform: Waveform
     noise_id: str
-    rms_pa: float | None = None
+    rms_pa: float = field(init=False)
 
     def __post_init__(self):
         if self.waveform.annotations:
             raise DataError("noise records carry no annotations")
-        expected = rms(self.waveform.samples)
-        if self.rms_pa is None:
-            self.rms_pa = expected
+        self.rms_pa = rms(self.waveform.samples)
         if not (self.rms_pa > 0):
             raise DataError("rms_pa must be positive")
-        if abs(self.rms_pa - expected) > 1e-9 * expected:
-            raise DataError(f"rms_pa {self.rms_pa} != measured RMS {expected}")
 
     def segment(self, offset: int, n: int) -> np.ndarray:
         """The n samples from offset on, as a view of the record."""
@@ -185,7 +175,7 @@ def friedlander(
     t = np.arange(n_samples - onset, dtype=np.float64) / fs
     samples[onset:] = peak_pa * (1.0 - t / t_plus) * np.exp(-t / t_plus)
     wave = Waveform(samples, fs, [("MB", onset)])
-    return ShotRecord(wave, caliber_class, shot_id, peak_pa)
+    return ShotRecord(wave, caliber_class, shot_id)
 
 
 def gen_vehicle_noise(

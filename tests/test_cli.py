@@ -127,6 +127,8 @@ class TestConfig:
         "burst_rate=-1", "n_shots_b=-4", "shot_peak_pa=-3", "noise_rms_pa=0",
         "shot_t_plus=0", "peak_jitter=1.5", "t_plus_jitter=1.2", "f_lr_scale=-1",
         "noise_duration=0.05", "sections_per_noise=257",
+        # Removed keys, at the one value they were ever set to.
+        "sections_per_noise=1", "examples_per_cell=1",
         "decim_factor=1", "decim_factor=32", "decim_factor=64",
         "kernel_len=513", "kernel_len=1023",
     ])
@@ -138,12 +140,13 @@ class TestConfig:
     def test_signal_chain_limits_accepted(self, override):
         config.load_config(None, [override])
 
-    def test_noise_sections_at_least_a_frame(self):
-        # 16 s at 32768 Hz is 524288 samples: 256 sections of 2048 fit,
-        # 257 sections of 2040 do not.
-        config.load_config(None, ["sections_per_noise=256"])
-        with pytest.raises(ConfigError, match="2040-sample sections"):
-            config.load_config(None, ["sections_per_noise=257"])
+    def test_noise_record_at_least_a_frame(self):
+        # At 32768 Hz, 0.0625 s is a 2048-sample record, which holds one
+        # frame; 0.0624 s rounds to 2045 samples, which does not.
+        config.load_config(None, ["noise_duration=0.0625"])
+        with pytest.raises(ConfigError, match="2045-sample noise records, shorter than "
+                                              "the 2048-sample frame"):
+            config.load_config(None, ["noise_duration=0.0624"])
 
     def test_blast_support_leaves_onset_room(self):
         # At 0.004 s a caliber B blast at full jitter spans
@@ -286,17 +289,16 @@ class TestGenData:
     def test_test_cell_offsets_as_list_form(self, pipeline, seed):
         cfg, root, _ = pipeline
         corpus = cli.load_corpus(cfg, root / "corpus")
-        split = curriculum.build_split(corpus.shots_a, corpus.noises, 0,
-                                       cfg.sections_per_noise)
-        nsub = split.noise_subsets[curriculum.rotation_combos(2)[1].noise_subset]
+        split = curriculum.build_split(corpus.shots_a, corpus.noises, 0)
+        record = split.noises[curriculum.rotation_combos(2)[1].noise_subset]
         cells = cli._test_cells(smoke_cfg(seed=seed), corpus, 2, split)
-        assert all(noise is nsub.noise for _, noise, _, _ in cells)
+        assert all(noise is record for _, noise, _, _ in cells)
         expected = []
         for i in range(len(corpus.shots_b)):
             for snr_idx in range(len(cfg.snr_grid)):
                 rng = np.random.default_rng([seed, 5, 2, i, snr_idx])
-                start, stop = nsub.sections[int(rng.integers(0, len(nsub.sections)))]
-                expected.append(int(rng.integers(start, stop - cfg.frame_len + 1)))
+                expected.append(
+                    int(rng.integers(0, len(record.waveform) - cfg.frame_len + 1)))
         assert [offset for _, _, offset, _ in cells] == expected
 
     def test_caliber_families_differ(self, pipeline):
@@ -459,8 +461,7 @@ def scoring_inputs(cfg, root, n):
     """n cells of the pipeline corpus (its cells of every combination,
     repeated end to end) and rotation 0's inference plan."""
     corpus = cli.load_corpus(cfg, root / "corpus")
-    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed,
-                                   cfg.sections_per_noise)
+    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
     cells = cli._combo_cells(cfg, split, curriculum.COMBOS)
     cells = (cells * (n // len(cells) + 1))[:n]
     model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
@@ -928,13 +929,13 @@ class TestMainEntry:
             f"data error: {bad}: checkpoint parameter w1 holds NaN or Inf\n")
         assert not (tmp_path / "den.wav").exists()
 
-    def test_short_noise_sections_exit_1_before_loading(self, tmp_path, capsys):
+    def test_short_noise_record_exit_1_before_loading(self, tmp_path, capsys):
         # The corpus does not exist: reading it would exit 2.
-        code = cli.main(["train", "--set", "noise_duration=2",
-                         "--set", "sections_per_noise=100",
+        code = cli.main(["train", "--set", "noise_duration=0.05",
                          "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "t")])
         assert code == 1
-        assert "655-sample sections" in capsys.readouterr().err
+        assert ("1638-sample noise records, shorter than the 2048-sample frame"
+                in capsys.readouterr().err)
         assert not (tmp_path / "t").exists()
 
     def test_even_kernel_len_exits_1_before_loading(self, tmp_path, capsys):

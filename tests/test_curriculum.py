@@ -20,11 +20,16 @@ def corpus10():
 @pytest.fixture(scope="module")
 def split10(corpus10):
     shots, noises = corpus10
-    return curriculum.build_split(shots, noises, seed=0, sections_per_noise=2)
+    return curriculum.build_split(shots, noises, seed=0)
 
 
-def cells(split, combos, grid=(0.0,), per_cell=1, seed=0):
-    return curriculum.combo_cells(split, combos, list(grid), per_cell, seed)
+# Eight grid SNRs, so every combination's cells number 40 and all six
+# combinations' 240.
+WIDE_GRID = (10.0, 5.0, 0.0, -5.0, -10.0, -15.0, -20.0, -25.0)
+
+
+def cells(split, combos, grid=(0.0,), seed=0):
+    return curriculum.combo_cells(split, combos, list(grid), seed)
 
 
 def rotation_cells(split, rotation, **kwargs):
@@ -121,16 +126,16 @@ class TestBuildSplit:
 
     def test_holds_the_records(self, split10, corpus10):
         # The halves hold the corpus's shot records themselves and cover
-        # every shot; each noise subset holds its noise record.
+        # every shot; the split holds the noise records themselves, whole.
         shots, noises = corpus10
         held = [shot for half in split10.shot_subsets for shot in half]
         assert sorted(map(id, held)) == sorted(map(id, shots))
-        assert [id(sub.noise) for sub in split10.noise_subsets] == list(map(id, noises))
+        assert list(map(id, split10.noises)) == list(map(id, noises))
 
     def test_overlapping_halves_rejected(self, split10):
         first, second = split10.shot_subsets
         with pytest.raises(DataError, match="shot subsets overlap"):
-            curriculum.DatasetSplit((first, second + first[:1]), split10.noise_subsets)
+            curriculum.DatasetSplit((first, second + first[:1]), split10.noises)
 
     def test_validation_isolated_from_training(self):
         for rotation in range(6):
@@ -171,35 +176,27 @@ class TestBuildSplit:
 
     def test_deterministic(self, corpus10):
         shots, noises = corpus10
-        a = curriculum.build_split(shots, noises, seed=5, sections_per_noise=2)
-        b = curriculum.build_split(shots, noises, seed=5, sections_per_noise=2)
+        a = curriculum.build_split(shots, noises, seed=5)
+        b = curriculum.build_split(shots, noises, seed=5)
         assert subset_ids(a) == subset_ids(b)
-
-    def test_noise_sections_tile_record(self, split10, corpus10):
-        _, noises = corpus10
-        for sub, rec in zip(split10.noise_subsets, noises):
-            assert sub.sections[0][0] == 0
-            assert sub.sections[-1][1] == len(rec.waveform)
-            for (a, b), (c, d) in zip(sub.sections, sub.sections[1:]):
-                assert b == c  # contiguous, non-overlapping
 
     def test_requires_three_noises(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots, noises[:2], seed=0, sections_per_noise=2)
+            curriculum.build_split(shots, noises[:2], seed=0)
 
     def test_requires_two_shots(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots[:1], noises, seed=0, sections_per_noise=2)
+            curriculum.build_split(shots[:1], noises, seed=0)
 
 
 class TestMaterialize:
     def test_counts(self, split10):
         train, val = rotation_cells(split10, 0)
-        # Validation cells: 5 shots x 2 sections x 1 SNR x 1 per cell.
-        # Training: other shot half x 2 noises x 2 sections each.
-        for c, n in ((val, 10), (train, 20)):
+        # Validation cells: 5 shots x 1 SNR, one cell each.
+        # Training: the other shot half x 2 noises.
+        for c, n in ((val, 5), (train, 10)):
             assert len(c) == n
             assert curriculum.mix_cells(c).shape == (n, 2048)
             assert len(clean_frames(c)) == 5
@@ -214,9 +211,9 @@ class TestMaterialize:
             assert np.array_equal(row, mixed_alone(cell))
 
     def test_every_row_is_a_scaled_segment_on_its_shot(self, split10):
-        # The stacked mix of every cell of every combination, at two grid
-        # SNRs and two repeats, equals the cell's mix worked out alone.
-        cells = curriculum.combo_cells(split10, curriculum.COMBOS, [5.0, -10.0], 2, 0)
+        # The stacked mix of every cell of every combination, at eight
+        # grid SNRs, equals the cell's mix worked out alone.
+        cells = curriculum.combo_cells(split10, curriculum.COMBOS, list(WIDE_GRID), 0)
         noisy = curriculum.mix_cells(cells)
         assert noisy.shape == (len(cells), 2048) and len(cells) == 240
         for row, cell in zip(noisy, cells):
@@ -259,29 +256,25 @@ class TestMaterialize:
         train, val = rotation_cells(split10, 0)
         val_noisy, val_clean = curriculum.mix_cells(val), clean_frames(val)
         combo = curriculum.COMBOS[0]
-        nsub = split10.noise_subsets[combo.noise_subset]
-        record = nsub.noise.waveform.samples
-        row = 0
-        for shot_pos, shot_id in enumerate(subset_ids(split10)[combo.shot_subset]):
-            for sec_idx, (start, stop) in enumerate(nsub.sections):
-                rng = np.random.default_rng(
-                    [0, curriculum.COMBOS.index(combo), shot_pos, sec_idx, 0, 0])
-                offset = int(rng.integers(start, stop - 2048 + 1))
-                segment = record[offset:offset + 2048]
-                residual = val_noisy[row] - val_clean[shot_id]
-                scale = residual @ segment / (segment @ segment)
-                assert shot_ids(val)[row] == shot_id and scale > 0
-                assert np.allclose(residual, scale * segment, rtol=0, atol=1e-12)
-                assert best_match(residual, record) > 1 - 1e-9
-                row += 1
-        assert row == len(val)
+        record = split10.noises[combo.noise_subset].waveform.samples
+        ids = subset_ids(split10)[combo.shot_subset]
+        assert shot_ids(val) == list(ids)
+        for row, shot_id in enumerate(ids):
+            rng = np.random.default_rng([0, curriculum.COMBOS.index(combo), row, 0, 0, 0])
+            offset = int(rng.integers(0, record.size - 2048 + 1))
+            segment = record[offset:offset + 2048]
+            residual = val_noisy[row] - val_clean[shot_id]
+            scale = residual @ segment / (segment @ segment)
+            assert scale > 0
+            assert np.allclose(residual, scale * segment, rtol=0, atol=1e-12)
+            assert best_match(residual, record) > 1 - 1e-9
         assert not set(shot_ids(train)) & set(shot_ids(val))
         for noisy, clean in zip(curriculum.mix_cells(train), clean_rows(train)):
             assert best_match(noisy - clean, record) < 0.5
 
     def test_validation_combo_alone_matches_full_rotation(self, split10):
         train, validation = curriculum.rotation_combos(4)
-        kwargs = dict(grid=(5.0, -10.0), per_cell=2, seed=7)
+        kwargs = dict(grid=(5.0, -10.0), seed=7)
         full = cells(split10, train + (validation,), **kwargs)
         alone = cells(split10, (validation,), **kwargs)
         n = len(alone)
@@ -296,6 +289,16 @@ class TestMaterialize:
     def test_rejects_out_of_range_grid(self, split10):
         with pytest.raises(ConfigError):
             rotation_cells(split10, 0, grid=(20.0,))
+
+    def test_noise_shorter_than_a_frame_rejected(self, split10):
+        # A record one sample short of a frame leaves the offset draw an
+        # empty range, on which numpy raises its own ValueError.
+        short = signals.NoiseRecord(signals.Waveform(
+            split10.noises[0].waveform.samples[:2047], FS), "short")
+        split = curriculum.DatasetSplit(split10.shot_subsets, (short,) + split10.noises[1:])
+        with pytest.raises(DataError, match="noise record short is shorter than the "
+                                            "2048-sample frame"):
+            cells(split, (curriculum.COMBOS[0],))
 
 
 SEEDS_ACROSS_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
@@ -328,18 +331,18 @@ class TestSeedWords:
 
     @pytest.mark.parametrize("seed", SEEDS_ACROSS_WORDS)
     def test_combo_cell_offsets_as_list_form(self, split10, seed):
-        grid, per_cell = [0.0, -5.0], 2
-        cells = curriculum.combo_cells(split10, curriculum.COMBOS, grid, per_cell, seed)
+        # The key keeps a zero where the section index and the repeat
+        # index were, so cells keep the offsets of earlier corpora.
+        grid = [0.0, -5.0]
+        cells = curriculum.combo_cells(split10, curriculum.COMBOS, grid, seed)
         expected = []
         for combo_idx, combo in enumerate(curriculum.COMBOS):
-            nsub = split10.noise_subsets[combo.noise_subset]
+            noise = split10.noises[combo.noise_subset]
             for shot_pos, _ in enumerate(split10.shot_subsets[combo.shot_subset]):
-                for sec_idx, (start, stop) in enumerate(nsub.sections):
-                    for snr_idx in range(len(grid)):
-                        for rep in range(per_cell):
-                            rng = np.random.default_rng(
-                                [seed, combo_idx, shot_pos, sec_idx, snr_idx, rep])
-                            expected.append(int(rng.integers(start, stop - 2048 + 1)))
+                for snr_idx in range(len(grid)):
+                    rng = np.random.default_rng([seed, combo_idx, shot_pos, 0, snr_idx, 0])
+                    expected.append(
+                        int(rng.integers(0, len(noise.waveform) - 2048 + 1)))
         assert [offset for _, _, offset, _ in cells] == expected
 
 
@@ -498,9 +501,9 @@ class TestTrainCurriculum:
         # kernel of their own, so a row's bits depend on the batch only
         # below that size; 30 validation and 40 or 60 training rows stay
         # above it.
-        train, val = rotation_cells(split10, 1, grid=(5.0, 0.0, -5.0))
+        train, val = rotation_cells(split10, 1, grid=WIDE_GRID[1:7])
         assert (len(val), len(train)) == (30, 60)
-        plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
+        plan = curriculum.PhasePlan(thresholds_db=(-10.0, -20.0),
                                     freeze_iters=4, total_iters=9)
         lr, f_lr_scale = 2e-3, 0.7
         model, log = train_cells(tiny_net(seed=6, hidden=64), train, val, plan, lr,
@@ -538,6 +541,7 @@ class TestTrainCurriculum:
         for k, v in ref.params().items():
             assert np.array_equal(model.params()[k], v), k
         assert log.records == records
+        assert {r.n_active for r in records} == {40, 60}
 
     def test_empty_active_set_aborts(self, split10):
         train, val = rotation_cells(split10, 0, grid=(-5.0,))
@@ -566,8 +570,7 @@ class TestTrainCurriculum:
         # about 1 + 4 * 64/256 = 2.0 rows' bytes per added row. A slope
         # near 1 would be the peak of mixing, not of training; a second
         # copy of the inputs, or an output-sized array, makes it 3.0.
-        train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0),
-                                    per_cell=2)
+        train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0))
         plan = curriculum.PhasePlan(thresholds_db=(0.0, -10.0), freeze_iters=1,
                                     total_iters=2)
 
@@ -618,7 +621,7 @@ BLOCK = curriculum.MIX_BLOCK_ROWS
 @pytest.fixture(scope="module")
 def all_cells(split10):
     """Every cell of every combination: 240 cells over all ten shots."""
-    return cells(split10, curriculum.COMBOS, grid=(5.0, -10.0), per_cell=2)
+    return cells(split10, curriculum.COMBOS, grid=WIDE_GRID)
 
 
 def repeated(cells_, n):
