@@ -5,7 +5,9 @@ Jobs are reproducible: every output embeds the resolved config, file
 writes are atomic, and identical config+seed yields byte-identical
 corpora, CSVs and checkpoints. gen-data writes the shots on one worker
 thread while the calling thread synthesizes the noise records; every
-other command runs on the calling thread alone.
+other command runs on the calling thread alone. train and evaluate load
+the corpus as one curriculum.DatasetSplit and take their cells from
+curriculum's combo_cells and held_out_cells.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import hashlib
 import io
 import sys
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -104,22 +104,15 @@ def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> Path:
     return out
 
 
-@dataclass
-class Corpus:
-    """The loaded records: both shot caliber classes and the noise records."""
-
-    shots_a: list[signals.ShotRecord]
-    shots_b: list[signals.ShotRecord]
-    noises: list[signals.NoiseRecord]
-
-
-def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
+def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> curriculum.DatasetSplit:
     """Load a generated corpus, verifying every manifest checksum and,
     as each record is parsed, that it was made at cfg's fs with
     frame_len samples per shot and noise_duration seconds per noise
     record. Each listed file is read once: the bytes whose checksum was
     verified are the bytes parsed, and a float32 WAV's samples stay a
-    float32 view of them, so the loaded corpus holds its stored size."""
+    float32 view of them, so the loaded corpus holds its stored size.
+    Returns the corpus as its split (curriculum.build_split): caliber A
+    halved for training and validation, caliber B held out."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -171,14 +164,7 @@ def load_corpus(cfg: RunConfig, corpus_dir: str | Path) -> Corpus:
         records.append(record)
     if not shots_a or len(noises) != 3:
         raise DataError(f"incomplete corpus in {root}")
-    # Clean outcomes are keyed by shot id (_score_cells), so a repeated
-    # id would pair one shot's mixes with another's clean frame.
-    for kind, ids in (("shot", [s.shot_id for s in shots_a + shots_b]),
-                      ("noise", [n.noise_id for n in noises])):
-        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
-        if repeated:
-            raise DataError(f"duplicate {kind} ids in {root}: {', '.join(repeated)}")
-    return Corpus(shots_a, shots_b, noises)
+    return curriculum.build_split(shots_a, shots_b, noises, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +177,6 @@ def _filter_spec(cfg: RunConfig) -> dsp.FilterSpec:
     )
 
 
-def _combo_cells(cfg: RunConfig, split: curriculum.DatasetSplit,
-                 combos: tuple[curriculum.Combo, ...]) -> list[curriculum.Cell]:
-    """Every cell of the split's given combinations."""
-    return curriculum.combo_cells(split, combos, list(cfg.snr_grid), cfg.seed)
-
-
 def _train_rotation(
     cfg: RunConfig,
     corpus_dir: str | Path,
@@ -207,20 +187,18 @@ def _train_rotation(
     corpus, walk the rotation's training and validation combinations
     into cells, initialize its network from the rotation's child seed,
     build the network's frames from the cells, and run the phased
-    schedule on the frames. The corpus, its split and the cells are
-    dropped before the first optimizer step, so the loop holds only the
-    frames."""
-    corpus = load_corpus(cfg, corpus_dir)
-    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
+    schedule on the frames. The split and the cells are dropped before
+    the first optimizer step, so the loop holds only the frames."""
+    split, snr_grid = load_corpus(cfg, corpus_dir), list(cfg.snr_grid)
     train_combos, validation_combo = curriculum.rotation_combos(rotation)
-    train = _combo_cells(cfg, split, train_combos)
-    validation = _combo_cells(cfg, split, (validation_combo,))
+    train = curriculum.combo_cells(split, train_combos, snr_grid, cfg.seed)
+    validation = curriculum.combo_cells(split, (validation_combo,), snr_grid, cfg.seed)
     model = net.init_network(
         cfg.hidden, curriculum.child_seed(cfg.seed, 4, rotation), _filter_spec(cfg),
         dim=cfg.frame_dim(), fs=cfg.fs, decim_factor=cfg.decim_factor,
     )
     frames = curriculum.training_frames(model, train, validation)
-    del corpus, split, train, validation
+    del split, train, validation
     plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
                                 cfg.phase_iters)
     return curriculum.train_curriculum(model, frames, plan, cfg.lr, cfg.f_lr_scale,
@@ -230,8 +208,8 @@ def _train_rotation(
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
     """Train one network per requested rotation; each rotation writes a
     checkpoint and a per-iteration convergence CSV. Each rotation reads
-    and verifies the corpus, and drops it, its split and its cells
-    before the first optimizer step (_train_rotation)."""
+    and verifies the corpus, and drops its split and its cells before
+    the first optimizer step (_train_rotation)."""
     out = Path(out_dir)
     for rotation in cfg.rotations():
         model, log = _train_rotation(cfg, corpus_dir, rotation)
@@ -287,21 +265,6 @@ def _score_cells(
                 flags[condition].setdefault(snr, []).append(matched)
 
 
-def _test_cells(cfg: RunConfig, corpus: Corpus, rotation: int,
-                split: curriculum.DatasetSplit) -> list[curriculum.Cell]:
-    """Cross-caliber cells: held-out caliber shots mixed with the
-    rotation's validation noise (scoring only, never trained on)."""
-    noise = split.noises[curriculum.COMBOS[rotation].noise_subset]
-    cells = []
-    for i, shot in enumerate(corpus.shots_b):
-        for snr_idx, snr in enumerate(cfg.snr_grid):
-            rng = np.random.default_rng(curriculum.seed_words(cfg.seed, 5, rotation, i,
-                                                              snr_idx))
-            offset = int(rng.integers(0, len(noise.waveform) - cfg.frame_len + 1))
-            cells.append((shot, noise, offset, snr))
-    return cells
-
-
 def _score_csv(flags: dict[str, dict[float, list[bool]]], cfg: RunConfig) -> str:
     buf = io.StringIO()
     buf.write(cfg.comment_header())
@@ -320,15 +283,14 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                  out_dir: str | Path) -> Path:
     """Score detection per SNR bin on clean, noisy, denoised, and
     combined signals, concatenated across rotations; the held-out
-    caliber class is scored separately. Each cell list is scored a
-    block of rows at a time (_score_cells)."""
-    corpus = load_corpus(cfg, corpus_dir)
+    caliber class is scored separately (curriculum.held_out_cells).
+    Each cell list is scored a block of rows at a time (_score_cells)."""
+    split, snr_grid = load_corpus(cfg, corpus_dir), list(cfg.snr_grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     det_cfg = cfg.detector()
     tolerance = detect.default_tolerance(cfg.fs)
 
-    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
     val_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
     test_flags: dict[str, dict[float, list[bool]]] = {c: {} for c in CONDITIONS}
     for rotation in cfg.rotations():
@@ -341,10 +303,11 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
         plan = net.compile_plan(model)
-        _score_cells(plan, _combo_cells(cfg, split, (curriculum.COMBOS[rotation],)),
+        _score_cells(plan, curriculum.combo_cells(split, (curriculum.COMBOS[rotation],),
+                                                  snr_grid, cfg.seed),
                      val_flags, det_cfg, tolerance, cfg.fs)
-        _score_cells(plan, _test_cells(cfg, corpus, rotation, split), test_flags,
-                     det_cfg, tolerance, cfg.fs)
+        _score_cells(plan, curriculum.held_out_cells(split, rotation, snr_grid, cfg.seed),
+                     test_flags, det_cfg, tolerance, cfg.fs)
 
     signals.atomic_write(out / "scores_validation.csv", _score_csv(val_flags, cfg))
     signals.atomic_write(out / "scores_test.csv", _score_csv(test_flags, cfg))

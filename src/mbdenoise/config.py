@@ -68,6 +68,13 @@ class RunConfig:
     warmup_ms: float = 10.0
 
     def validate(self) -> "RunConfig":
+        # No rate, duration, step size or threshold means anything at
+        # inf or nan, and inf passes the positive-value bounds below.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if f.type != "int" and not all(map(math.isfinite, values)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for key in _POSITIVE:
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")

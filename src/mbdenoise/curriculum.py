@@ -1,20 +1,24 @@
 """Dataset splitting, SNR-graded mixing, and the SNR-phased training
 loop with filter-layer freeze and release.
 
-One split serves all rotations: shots are halved into two subsets and
-crossed with the three noise records, giving six noised combinations
-(COMBOS). Rotation r holds COMBOS[r] out for validation and trains on
-the other shot half noised by the two remaining noises
-(rotation_combos), so validation shots and noise never touch training.
+The loaded corpus is one DatasetSplit, made once for all rotations: the
+training caliber's shots are halved into two subsets and crossed with
+the three noise records, giving six noised combinations (COMBOS), and
+the held-out caliber's shots are kept whole for the cross-caliber test.
+Rotation r holds COMBOS[r] out for validation and trains on the other
+shot half noised by the two remaining noises (rotation_combos), so
+validation shots and noise never touch training.
 
-A combination is walked into cells, one (shot, noise, offset, SNR) mix
-per shot and grid SNR, its offset drawn anywhere in the whole noise
-record, and mix_cells turns any list of cells into a stack of full-rate
-noisy frames, one row per cell; each row's shot id, onset and grid SNR
-stay in its cell. Training, validation and scoring all read cells a
-block of rows at a time (row_blocks): each block is mixed and reduced
-(decimated, or denoised and scanned) before the next is made, so no
-full-rate stack outlives its block.
+One walk turns shots and a noise record into cells, one (shot, noise,
+offset, SNR) mix per shot and grid SNR, its offset drawn anywhere in
+the whole noise record: combo_cells walks combinations, held_out_cells
+the held-out shots with a rotation's validation noise. mix_cells turns
+any list of cells into a stack of full-rate noisy frames, one row per
+cell; each row's shot id, onset and grid SNR stay in its cell.
+Training, validation and scoring all read cells a block of rows at a
+time (row_blocks): each block is mixed and reduced (decimated, or
+denoised and scanned) before the next is made, so no full-rate stack
+outlives its block.
 
 Training takes two steps: training_frames turns a rotation's training
 and validation cells into the network's decimated inputs and targets,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,10 +75,12 @@ COMBOS = tuple(Combo(si, nj) for si in range(2) for nj in range(3))
 
 @dataclass
 class DatasetSplit:
-    """The corpus cut once for all six rotations: two disjoint shot
-    halves, and the three noise records."""
+    """The loaded corpus, cut once for all six rotations: two disjoint
+    shot halves of the training caliber, the held-out caliber's shots,
+    and the three noise records."""
 
     shot_subsets: tuple[tuple[ShotRecord, ...], tuple[ShotRecord, ...]]
+    held_out: tuple[ShotRecord, ...]
     noises: tuple[NoiseRecord, NoiseRecord, NoiseRecord]
 
     def __post_init__(self):
@@ -82,22 +89,28 @@ class DatasetSplit:
             raise DataError("shot subsets overlap")
 
 
-def build_split(shots: list[ShotRecord], noises: list[NoiseRecord], seed: int
-                ) -> DatasetSplit:
-    """Deterministically halve the shots; each noise record is kept whole."""
+def build_split(shots: list[ShotRecord], held_out: list[ShotRecord],
+                noises: list[NoiseRecord], seed: int) -> DatasetSplit:
+    """Deterministically halve the shots; the held-out shots and each
+    noise record are kept whole."""
     if len(shots) < 2:
         raise DataError(f"need >= 2 shots, got {len(shots)}")
     if len(noises) != 3:
         raise DataError(f"need exactly 3 noise records, got {len(noises)}")
-    ids = [s.shot_id for s in shots]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate shot_ids")
+    # Clean outcomes are keyed by shot id (cli._score_cells), so a
+    # repeated id would pair one shot's mixes with another's clean frame.
+    for kind, ids in (("shot", [s.shot_id for s in (*shots, *held_out)]),
+                      ("noise", [n.noise_id for n in noises])):
+        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if repeated:
+            raise DataError(f"duplicate {kind} ids: {', '.join(repeated)}")
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(shots))
     half = len(shots) // 2
     return DatasetSplit((tuple(shots[i] for i in order[:half]),
-                         tuple(shots[i] for i in order[half:])), tuple(noises))
+                         tuple(shots[i] for i in order[half:])), tuple(held_out),
+                        tuple(noises))
 
 
 def rotation_combos(rotation: int) -> tuple[tuple[Combo, ...], Combo]:
@@ -165,39 +178,54 @@ def child_seed(*key: int) -> int:
     return int(np.random.SeedSequence(seed_words(*key)).generate_state(1)[0])
 
 
-def combo_cells(
-    split: DatasetSplit,
-    combos: tuple[Combo, ...],
-    snr_grid: list[float],
-    seed: int,
-) -> list[Cell]:
-    """Every (shot, SNR) cell of the combinations, in order.
-
-    Each cell's noise offset is drawn deterministically, anywhere in the
-    whole noise record, from the seed and the combination's index in
-    COMBOS, so the same seed gives identical cells whichever
-    combinations are walked.
-    """
+def _walk(shots: tuple[ShotRecord, ...], noise: NoiseRecord, snr_grid: list[float],
+          key: Callable[[int, int], tuple[int, ...]]) -> list[Cell]:
+    """Every (shot, SNR) cell of the shots mixed with noise, in order:
+    the cell of shots[i] at snr_grid[k] takes its offset, anywhere in
+    the whole noise record, from a generator seeded with key(i, k)."""
     lo, hi = SNR_RANGE_DB
     for snr in snr_grid:
         if not lo <= snr <= hi:
             raise ConfigError(f"snr {snr} dB outside [{lo:g}, {hi:+g}] grid range")
     cells = []
+    for i, shot in enumerate(shots):
+        frame_len = len(shot.waveform)
+        if len(noise.waveform) < frame_len:
+            raise DataError(f"noise record {noise.noise_id} is shorter than the "
+                            f"{frame_len}-sample frame")
+        for k, snr in enumerate(snr_grid):
+            rng = np.random.default_rng(seed_words(*key(i, k)))
+            offset = int(rng.integers(0, len(noise.waveform) - frame_len + 1))
+            cells.append((shot, noise, offset, snr))
+    return cells
+
+
+def combo_cells(split: DatasetSplit, combos: tuple[Combo, ...], snr_grid: list[float],
+                seed: int) -> list[Cell]:
+    """Every (shot, SNR) cell of the combinations, in order.
+
+    Each cell's noise offset is drawn deterministically from the seed
+    and the combination's index in COMBOS, so the same seed gives
+    identical cells whichever combinations are walked.
+    """
+    cells = []
     for combo in combos:
         combo_idx = COMBOS.index(combo)
-        noise = split.noises[combo.noise_subset]
-        for shot_pos, shot in enumerate(split.shot_subsets[combo.shot_subset]):
-            frame_len = len(shot.waveform)
-            if len(noise.waveform) < frame_len:
-                raise DataError(f"noise record {noise.noise_id} is shorter than the "
-                                f"{frame_len}-sample frame")
-            for snr_idx, snr in enumerate(snr_grid):
-                # The zeros keep the key of the former section and repeat.
-                rng = np.random.default_rng(
-                    seed_words(seed, combo_idx, shot_pos, 0, snr_idx, 0))
-                offset = int(rng.integers(0, len(noise.waveform) - frame_len + 1))
-                cells.append((shot, noise, offset, snr))
+        # The zeros keep the key of the former section and repeat.
+        cells += _walk(split.shot_subsets[combo.shot_subset],
+                       split.noises[combo.noise_subset], snr_grid,
+                       lambda shot_pos, snr_idx: (seed, combo_idx, shot_pos, 0, snr_idx, 0))
     return cells
+
+
+def held_out_cells(split: DatasetSplit, rotation: int, snr_grid: list[float],
+                   seed: int) -> list[Cell]:
+    """Every (shot, SNR) cell of the held-out caliber's shots mixed with
+    the rotation's validation noise, in order: the cross-caliber test
+    cells, scored only and never trained on."""
+    noise = split.noises[rotation_combos(rotation)[1].noise_subset]
+    return _walk(split.held_out, noise, snr_grid,
+                 lambda i, snr_idx: (seed, 5, rotation, i, snr_idx))
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,8 @@ class RecordFiles:
     the caller has read it too, from its sidecar. load_wav,
     load_sidecar, load_shot and load_noise parse these bytes instead of
     reading the files again; a sidecar left None is read from disk.
-    Formats and converts to a path as the WAV path does."""
+    Formats and converts to a path as the WAV path does: a traced
+    benchmark run stats the path that load_wav is given."""
 
     path: Path
     wav: bytes

@@ -105,7 +105,7 @@ def textbook_adam_step(model, grads, moments, lr=1e-3, f_lr_scale=0.5):
 
 
 def make_corpus(n_shots: int, seed: int, fs: int = FS, frame_len: int = 2048,
-                noise_seconds: float = 3.0):
+                noise_seconds: float = 3.0, id_prefix: str = "s"):
     """Small deterministic corpus for split/training tests."""
     rng = np.random.default_rng(seed)
     shots = []
@@ -116,7 +116,7 @@ def make_corpus(n_shots: int, seed: int, fs: int = FS, frame_len: int = 2048,
         onset = int(rng.integers(frame_len // 4,
                                  min(3 * frame_len // 4, frame_len - support)))
         shots.append(signals.friedlander(peak, t_plus, fs, frame_len, onset,
-                                         shot_id=f"s{i:03d}"))
+                                         shot_id=f"{id_prefix}{i:03d}"))
     noises = [
         signals.gen_vehicle_noise(seed * 10 + j, noise_seconds, fs, 1.0,
                                   noise_id=f"n{j}")

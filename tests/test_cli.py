@@ -174,12 +174,13 @@ class TestConfig:
 class TestGenData:
     def test_corpus_contents(self, pipeline):
         cfg, root, _ = pipeline
-        corpus = cli.load_corpus(cfg, root / "corpus")
-        assert len(corpus.shots_a) == cfg.n_shots_a
-        assert len(corpus.shots_b) == cfg.n_shots_b
-        assert len(corpus.noises) == 3
-        assert {s.caliber_class for s in corpus.shots_a} == {"A"}
-        assert {s.caliber_class for s in corpus.shots_b} == {"B"}
+        split = cli.load_corpus(cfg, root / "corpus")
+        shots_a = [shot for half in split.shot_subsets for shot in half]
+        assert len(shots_a) == cfg.n_shots_a
+        assert len(split.held_out) == cfg.n_shots_b
+        assert len(split.noises) == 3
+        assert {s.caliber_class for s in shots_a} == {"A"}
+        assert {s.caliber_class for s in split.held_out} == {"B"}
 
     def test_manifest_covers_every_file(self, pipeline):
         _, root, _ = pipeline
@@ -271,8 +272,12 @@ class TestGenData:
         manifest.write_text("".join(ln + "\n" for ln in manifest.read_text().splitlines()
                                     if ".meta " not in ln))
         full, partial = cli.load_corpus(cfg, root / "corpus"), cli.load_corpus(cfg, corpus)
-        assert ([(s.shot_id, s.onset, s.caliber_class) for s in partial.shots_a]
-                == [(s.shot_id, s.onset, s.caliber_class) for s in full.shots_a])
+
+        def shots(split):
+            return [(s.shot_id, s.onset, s.caliber_class) for s in
+                    (*split.shot_subsets[0], *split.shot_subsets[1], *split.held_out)]
+
+        assert shots(partial) == shots(full)
         assert [n.noise_id for n in partial.noises] == ["N0", "N1", "N2"]
 
     def test_tampered_sidecar_detected(self, pipeline, tmp_path):
@@ -288,13 +293,13 @@ class TestGenData:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
     def test_test_cell_offsets_as_list_form(self, pipeline, seed):
         cfg, root, _ = pipeline
-        corpus = cli.load_corpus(cfg, root / "corpus")
-        split = curriculum.build_split(corpus.shots_a, corpus.noises, 0)
+        split = cli.load_corpus(cfg, root / "corpus")
         record = split.noises[curriculum.rotation_combos(2)[1].noise_subset]
-        cells = cli._test_cells(smoke_cfg(seed=seed), corpus, 2, split)
+        cells = curriculum.held_out_cells(split, 2, list(cfg.snr_grid), seed)
         assert all(noise is record for _, noise, _, _ in cells)
+        assert [shot for shot, _, _, _ in cells[::len(cfg.snr_grid)]] == list(split.held_out)
         expected = []
-        for i in range(len(corpus.shots_b)):
+        for i in range(len(split.held_out)):
             for snr_idx in range(len(cfg.snr_grid)):
                 rng = np.random.default_rng([seed, 5, 2, i, snr_idx])
                 expected.append(
@@ -303,9 +308,9 @@ class TestGenData:
 
     def test_caliber_families_differ(self, pipeline):
         cfg, root, _ = pipeline
-        corpus = cli.load_corpus(cfg, root / "corpus")
-        peak_a = np.mean([s.peak_pa for s in corpus.shots_a])
-        peak_b = np.mean([s.peak_pa for s in corpus.shots_b])
+        split = cli.load_corpus(cfg, root / "corpus")
+        peak_a = np.mean([s.peak_pa for half in split.shot_subsets for s in half])
+        peak_b = np.mean([s.peak_pa for s in split.held_out])
         assert peak_b < peak_a
 
 
@@ -339,18 +344,19 @@ class TestTrain:
         assert "# n_shots_a=12" in text
 
     def test_corpus_released_before_first_step(self, pipeline, monkeypatch):
-        # By the first optimizer step no record _train_rotation loaded
-        # is alive: the loop holds only the network's frames.
+        # By the first optimizer step no record _train_rotation loaded,
+        # nor its split, is alive: the loop holds only the network's frames.
         cfg, root, _ = pipeline
         refs = []
         load_corpus = cli.load_corpus
 
         def tracked(*args):
-            corpus = load_corpus(*args)
+            split = load_corpus(*args)
             refs.extend(weakref.ref(record) for record in
-                        corpus.shots_a + corpus.shots_b + corpus.noises)
-            refs.append(weakref.ref(corpus))
-            return corpus
+                        (*split.shot_subsets[0], *split.shot_subsets[1], *split.held_out,
+                         *split.noises))
+            refs.append(weakref.ref(split))
+            return split
 
         steps = []
 
@@ -460,9 +466,8 @@ def no_flags():
 def scoring_inputs(cfg, root, n):
     """n cells of the pipeline corpus (its cells of every combination,
     repeated end to end) and rotation 0's inference plan."""
-    corpus = cli.load_corpus(cfg, root / "corpus")
-    split = curriculum.build_split(corpus.shots_a, corpus.noises, cfg.seed)
-    cells = cli._combo_cells(cfg, split, curriculum.COMBOS)
+    split = cli.load_corpus(cfg, root / "corpus")
+    cells = curriculum.combo_cells(split, curriculum.COMBOS, list(cfg.snr_grid), cfg.seed)
     cells = (cells * (n // len(cells) + 1))[:n]
     model = net.load_checkpoint(root / "train" / "rotation_0" / "checkpoint.bin")
     return cells, net.compile_plan(model)
@@ -813,7 +818,7 @@ class TestMainEntry:
                          "--out", str(tmp_path / "t")])
         assert code == 2
         kind, ident = new.split("_id=")
-        assert f"duplicate {kind} ids in {corpus}: {ident}" in capsys.readouterr().err
+        assert f"duplicate {kind} ids: {ident}" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("field, value", [("decim_factor", 0), ("input_scale", 0.0),
@@ -976,6 +981,24 @@ class TestMainEntry:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+
+    @pytest.mark.parametrize("override", [
+        "noise_duration=inf", "shot_t_plus=inf", "sta_ms=inf", "lta_ms=inf",
+        "warmup_ms=inf", "refractory_ms=inf", "burst_rate=inf", "shot_peak_pa=inf",
+        "noise_rms_pa=inf", "lr=inf", "f_lr_scale=inf", "phase_thresholds_db=nan,-5",
+        "threshold=inf",
+    ])
+    def test_non_finite_config_exits_1_before_loading(self, tmp_path, capsys, override):
+        # The corpus does not exist: reading it would exit 2.
+        code = cli.main(["train", "--set", override,
+                         "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        key = override.partition("=")[0]
+        assert err.startswith(f"config error: {key} must be finite")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
 
 
 class TestDeterminism:

@@ -18,9 +18,16 @@ def corpus10():
 
 
 @pytest.fixture(scope="module")
-def split10(corpus10):
+def held3():
+    """Three shots whose ids no corpus10 shot has: split10's held-out
+    caliber."""
+    return make_corpus(3, seed=101, id_prefix="h")[0]
+
+
+@pytest.fixture(scope="module")
+def split10(corpus10, held3):
     shots, noises = corpus10
-    return curriculum.build_split(shots, noises, seed=0)
+    return curriculum.build_split(shots, held3, noises, seed=0)
 
 
 # Eight grid SNRs, so every combination's cells number 40 and all six
@@ -124,18 +131,29 @@ class TestBuildSplit:
         first, second = subset_ids(split10)
         assert not set(first) & set(second)
 
-    def test_holds_the_records(self, split10, corpus10):
+    def test_holds_the_records(self, split10, corpus10, held3):
         # The halves hold the corpus's shot records themselves and cover
-        # every shot; the split holds the noise records themselves, whole.
+        # every shot; the split holds the held-out shots and the noise
+        # records themselves, whole and in order.
         shots, noises = corpus10
         held = [shot for half in split10.shot_subsets for shot in half]
         assert sorted(map(id, held)) == sorted(map(id, shots))
+        assert list(map(id, split10.held_out)) == list(map(id, held3))
         assert list(map(id, split10.noises)) == list(map(id, noises))
 
     def test_overlapping_halves_rejected(self, split10):
         first, second = split10.shot_subsets
         with pytest.raises(DataError, match="shot subsets overlap"):
-            curriculum.DatasetSplit((first, second + first[:1]), split10.noises)
+            curriculum.DatasetSplit((first, second + first[:1]), split10.held_out,
+                                    split10.noises)
+
+    def test_held_out_shot_reusing_an_id_rejected(self, corpus10, held3):
+        # Clean outcomes are keyed by shot id, so a held-out shot may not
+        # share one with a training-caliber shot.
+        shots, noises = corpus10
+        impostor = signals.ShotRecord(held3[0].waveform, "B", shots[3].shot_id)
+        with pytest.raises(DataError, match="duplicate shot ids: s003"):
+            curriculum.build_split(shots, [impostor, *held3[1:]], noises, seed=0)
 
     def test_validation_isolated_from_training(self):
         for rotation in range(6):
@@ -176,19 +194,19 @@ class TestBuildSplit:
 
     def test_deterministic(self, corpus10):
         shots, noises = corpus10
-        a = curriculum.build_split(shots, noises, seed=5)
-        b = curriculum.build_split(shots, noises, seed=5)
+        a = curriculum.build_split(shots, [], noises, seed=5)
+        b = curriculum.build_split(shots, [], noises, seed=5)
         assert subset_ids(a) == subset_ids(b)
 
     def test_requires_three_noises(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots, noises[:2], seed=0)
+            curriculum.build_split(shots, [], noises[:2], seed=0)
 
     def test_requires_two_shots(self, corpus10):
         shots, noises = corpus10
         with pytest.raises(DataError):
-            curriculum.build_split(shots[:1], noises, seed=0)
+            curriculum.build_split(shots[:1], [], noises, seed=0)
 
 
 class TestMaterialize:
@@ -289,16 +307,40 @@ class TestMaterialize:
     def test_rejects_out_of_range_grid(self, split10):
         with pytest.raises(ConfigError):
             rotation_cells(split10, 0, grid=(20.0,))
+        with pytest.raises(ConfigError):
+            curriculum.held_out_cells(split10, 0, [20.0], seed=0)
 
     def test_noise_shorter_than_a_frame_rejected(self, split10):
         # A record one sample short of a frame leaves the offset draw an
         # empty range, on which numpy raises its own ValueError.
         short = signals.NoiseRecord(signals.Waveform(
             split10.noises[0].waveform.samples[:2047], FS), "short")
-        split = curriculum.DatasetSplit(split10.shot_subsets, (short,) + split10.noises[1:])
+        split = curriculum.DatasetSplit(split10.shot_subsets, split10.held_out,
+                                        (short,) + split10.noises[1:])
         with pytest.raises(DataError, match="noise record short is shorter than the "
                                             "2048-sample frame"):
             cells(split, (curriculum.COMBOS[0],))
+        with pytest.raises(DataError, match="noise record short is shorter than the "
+                                            "2048-sample frame"):
+            curriculum.held_out_cells(split, 0, [0.0], seed=0)
+
+
+class TestHeldOutCells:
+    @pytest.mark.parametrize("rotation", range(6))
+    def test_held_out_shots_on_the_validation_noise(self, split10, rotation):
+        grid = [5.0, -10.0]
+        held = curriculum.held_out_cells(split10, rotation, grid, seed=0)
+        record = split10.noises[curriculum.COMBOS[rotation].noise_subset]
+        assert [(shot, snr) for shot, _, _, snr in held] == [
+            (shot, snr) for shot in split10.held_out for snr in grid]
+        assert all(noise is record for _, noise, _, _ in held)
+
+    @pytest.mark.parametrize("rotation", [-1, 6])
+    def test_rotation_out_of_range_rejected(self, split10, rotation):
+        # -1 does not wrap around to the last combination's noise.
+        with pytest.raises(ConfigError,
+                           match=rf"rotation must be in \[0, 5\], got {rotation}"):
+            curriculum.held_out_cells(split10, rotation, [0.0], seed=0)
 
 
 SEEDS_ACROSS_WORDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
