@@ -9,7 +9,6 @@ from .config import RunConfig, load_config
 from .curriculum import (
     ConvergenceLog,
     DatasetSplit,
-    PhasePlan,
     TrainingFrames,
     build_split,
     combo_cells,

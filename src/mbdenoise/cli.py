@@ -199,10 +199,7 @@ def _train_rotation(
     )
     frames = curriculum.training_frames(model, train, validation)
     del split, train, validation
-    plan = curriculum.PhasePlan(cfg.phase_thresholds_db, cfg.freeze_iters,
-                                cfg.phase_iters)
-    return curriculum.train_curriculum(model, frames, plan, cfg.lr, cfg.f_lr_scale,
-                                       on_iteration)
+    return curriculum.train_curriculum(model, frames, cfg, on_iteration)
 
 
 def cmd_train(cfg: RunConfig, corpus_dir: str | Path, out_dir: str | Path) -> Path:
@@ -303,8 +300,8 @@ def cmd_evaluate(cfg: RunConfig, corpus_dir: str | Path, train_dir: str | Path,
                 f"checkpoint fs {model.fs} != corpus fs {cfg.fs} ({ckpt})"
             )
         plan = net.compile_plan(model)
-        _score_cells(plan, curriculum.combo_cells(split, (curriculum.COMBOS[rotation],),
-                                                  snr_grid, cfg.seed),
+        validation = curriculum.rotation_combos(rotation)[1]
+        _score_cells(plan, curriculum.combo_cells(split, (validation,), snr_grid, cfg.seed),
                      val_flags, det_cfg, tolerance, cfg.fs)
         _score_cells(plan, curriculum.held_out_cells(split, rotation, snr_grid, cfg.seed),
                      test_flags, det_cfg, tolerance, cfg.fs)
@@ -362,7 +359,7 @@ def _merge_tables(cfg: RunConfig, key: str, header: tuple[str, ...],
     for label, path in tables:
         if not path.exists():
             raise DataError(f"missing table {path}")
-        reader = csv.reader(ln for ln in path.read_text().splitlines()
+        reader = csv.reader(ln for ln in signals.utf8_text(path).splitlines()
                             if ln and not ln.startswith("#"))
         found = tuple(next(reader, ()))
         if found != header:

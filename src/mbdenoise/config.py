@@ -243,13 +243,14 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
     cfg = RunConfig()
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
         try:
             text = path.read_text("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
                               f"at byte {exc.start}") from None
+        except OSError as exc:
+            # A missing file, a directory or one without read permission.
+            raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if line:

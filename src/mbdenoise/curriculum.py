@@ -23,10 +23,11 @@ outlives its block.
 Training takes two steps: training_frames turns a rotation's training
 and validation cells into the network's decimated inputs and targets,
 which refer to no record, in one block ordered by SNR, highest first,
-and train_curriculum runs the phased schedule on those frames alone, so
-the corpus need not outlive the first step. Each phase admits the mixes
-at or above a falling threshold, so each phase trains on a prefix of
-the one block.
+and train_curriculum runs the RunConfig's phased schedule on those
+frames alone, so the corpus need not outlive the first step. Each phase
+admits the mixes at or above a falling threshold, so each phase trains
+on a prefix of the one block. RunConfig.validate is the one check of
+the schedule.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import SNR_RANGE_DB
+from .config import SNR_RANGE_DB, RunConfig
 from .dsp import decimate, mix_stack
 from .errors import ConfigError, DataError
 from .net import AdamState, Network, adam_step, batch_loss, hidden_layer
@@ -229,29 +230,6 @@ def held_out_cells(split: DatasetSplit, rotation: int, snr_grid: list[float],
 
 
 @dataclass(frozen=True)
-class PhasePlan:
-    """SNR thresholds and per-phase iteration budget.
-
-    Phase k trains on all mixes at or above thresholds_db[k]; the
-    filter layer is frozen for the first freeze_iters iterations of
-    every phase and released for the rest.
-    """
-
-    thresholds_db: tuple[float, ...] = (0.0, -5.0, -10.0, -15.0, -20.0)
-    freeze_iters: int = 250
-    total_iters: int = 500
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.thresholds_db, self.thresholds_db[1:])):
-            raise ConfigError("thresholds must be strictly decreasing")
-        if not 0 < self.freeze_iters < self.total_iters:
-            raise ConfigError(
-                f"need 0 < freeze_iters ({self.freeze_iters}) < total_iters "
-                f"({self.total_iters})"
-            )
-
-
-@dataclass(frozen=True)
 class LogRecord:
     phase: int
     iteration: int
@@ -303,33 +281,31 @@ class ConvergenceLog:
         return log
 
 
-def _network_frames(net: Network, cells: list[Cell], noisy: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells' noisy frames decimated at the network's rate, one row
-    per cell, written into noisy (a new (len(cells), net.dim) array when
-    not given); each distinct shot's decimated clean frame once; and
-    each row's index into those clean frames. Nothing is scaled.
+def _network_frames(net: Network, cells: list[Cell], out: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Write the cells' noisy frames, decimated at the network's rate,
+    into out, a (len(cells), net.dim) array, one row per cell; return
+    each distinct shot's decimated clean frame once and each row's index
+    into those clean frames. Nothing is scaled.
 
     The cells are mixed and decimated a block at a time (row_blocks)
-    into the one array. Mixing and decimation are both row by row, so
-    every row equals the row of decimate(mix_cells(cells)).
+    into out. Mixing and decimation are both row by row, so every row
+    equals the row of decimate(mix_cells(cells)).
     """
     if not cells:
         raise DataError("no cells to mix")
     shots = {cell[0].shot_id: cell[0] for cell in cells}
     shot_row = {shot_id: k for k, shot_id in enumerate(shots)}
     rows = np.array([shot_row[cell[0].shot_id] for cell in cells])
-    if noisy is None:
-        noisy = np.empty((len(cells), net.dim))
     for block in row_blocks(len(cells)):
         # Mixed and decimated in one expression, the blocks left glibc's
         # heap laid out so that a process that trains and then scores
         # (the benchmark's evaluate run) peaked 4.5 MB higher.
         mixed = mix_cells(cells[block])
-        noisy[block] = decimate(mixed, net.fs, net.decim_factor)
+        out[block] = decimate(mixed, net.fs, net.decim_factor)
     clean = decimate(np.stack([shot.waveform.samples for shot in shots.values()]), net.fs,
                      net.decim_factor)
-    return noisy, clean, rows
+    return clean, rows
 
 
 @dataclass
@@ -368,8 +344,8 @@ def training_frames(net: Network, train: list[Cell], validation: list[Cell]
     train = sorted(train, key=lambda cell: -cell[3])
     n_val, n_train = len(validation), len(train)
     inputs = np.empty((n_val + n_train, net.dim))
-    _, clean_train, train_rows = _network_frames(net, train, inputs[n_val:])
-    _, clean_val, val_rows = _network_frames(net, validation, inputs[:n_val])
+    clean_train, train_rows = _network_frames(net, train, inputs[n_val:])
+    clean_val, val_rows = _network_frames(net, validation, inputs[:n_val])
     return TrainingFrames(inputs, n_val, clean_val, val_rows, clean_train, train_rows,
                           np.array([cell[3] for cell in train]))
 
@@ -377,13 +353,11 @@ def training_frames(net: Network, train: list[Cell], validation: list[Cell]
 def train_curriculum(
     net: Network,
     frames: TrainingFrames,
-    plan: PhasePlan = PhasePlan(),
-    lr: float = 1e-3,
-    f_lr_scale: float = 0.5,
+    cfg: RunConfig,
     on_iteration: Callable[[int, int, Network], None] | None = None,
 ) -> tuple[Network, ConvergenceLog]:
-    """Run the SNR-phased schedule on frames that training_frames built
-    for net, and log every iteration.
+    """Run cfg's SNR-phased schedule on frames that training_frames
+    built for net, and log every iteration.
 
     The network's inputs are the frames divided by its input_scale,
     which is set here to the largest |decimated clean training sample|;
@@ -391,9 +365,10 @@ def train_curriculum(
     decimated clean frame is kept once as the target of all its rows,
     which refer to it by index. Each phase warm-starts from the previous
     one, admits all training rows whose grid SNR is at or above its
-    threshold, re-freezes the filter layer at its start, and releases it
-    after freeze_iters iterations. One iteration is one optimizer step on the
-    full active set, an Adam step at lr (lr * f_lr_scale for the filter
+    cfg.phase_thresholds_db entry, re-freezes the filter layer at its
+    start, and releases it after cfg.freeze_iters of its cfg.phase_iters
+    iterations. One iteration is one optimizer step on the full active
+    set, an Adam step at cfg.lr (cfg.lr * cfg.f_lr_scale for the filter
     layer). Validation rows are only ever used for the logged validation
     loss, never for gradients.
 
@@ -420,7 +395,7 @@ def train_curriculum(
 
     state = AdamState()
     log = ConvergenceLog()
-    for phase, threshold in enumerate(plan.thresholds_db):
+    for phase, threshold in enumerate(cfg.phase_thresholds_db):
         n_act = int(np.count_nonzero(snrs >= threshold))
         if n_act == 0:
             raise DataError(f"phase {phase}: no training mixes at SNR >= {threshold} dB")
@@ -428,11 +403,11 @@ def train_curriculum(
         x = block[:n_val + n_act]
         net.f_frozen = True
         a = hidden_layer(net, x)
-        for it in range(plan.total_iters):
-            if it == plan.freeze_iters:
+        for it in range(cfg.phase_iters):
+            if it == cfg.freeze_iters:
                 net.f_frozen = False
             train_mse, grads = batch_loss(net, x[n_val:], clean_train, rows, a[n_val:])
-            adam_step(net, grads, state, lr=lr, f_lr_scale=f_lr_scale)
+            adam_step(net, grads, state, cfg.lr, cfg.f_lr_scale)
             del a
             a = hidden_layer(net, x)
             val_mse, _ = batch_loss(net, x[:n_val], frames.clean_val, frames.val_rows,

@@ -227,8 +227,8 @@ def adam_step(
     net: Network,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    lr: float = 1e-3,
-    f_lr_scale: float = 0.5,
+    lr: float,
+    f_lr_scale: float,
 ) -> Network:
     """One Adam update on the unfrozen parameters, in place.
 

@@ -80,6 +80,11 @@ class TestConfig:
     def test_defaults_valid(self):
         config.RunConfig().validate()
 
+    def test_schedule_defaults(self):
+        cfg = config.RunConfig()
+        assert cfg.phase_thresholds_db == (0.0, -5.0, -10.0, -15.0, -20.0)
+        assert cfg.freeze_iters == 250 and cfg.phase_iters == 500
+
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("hidden = 32\nsnr_grid = 5,0  # trailing comment\n")
@@ -97,6 +102,10 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             config.load_config(tmp_path / "nope.cfg")
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"config file {tmp_path} cannot be read"):
+            config.load_config(tmp_path)
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -123,6 +132,7 @@ class TestConfig:
         "lr=-1", "batch_size=-3", "kernel_len=4",
         "snr_grid=", "phase_thresholds_db=", "snr_grid=20,0",
         "lta_ms=100", "warmup_ms=70", "threshold=-1", "phase_thresholds_db=12,0",
+        "phase_thresholds_db=0,0", "phase_thresholds_db=-5,0", "phase_iters=250",
         "sta_ms=-5", "lta_ms=0", "refractory_ms=-20", "warmup_ms=-1",
         "burst_rate=-1", "n_shots_b=-4", "shot_peak_pa=-3", "noise_rms_pa=0",
         "shot_t_plus=0", "peak_jitter=1.5", "t_plus_jitter=1.2", "f_lr_scale=-1",
@@ -873,6 +883,30 @@ class TestMainEntry:
         assert capsys.readouterr().err == (f"config error: config file {cfg_file} is not "
                                            f"UTF-8 text: invalid start byte at byte 12\n")
         assert not (tmp_path / "c").exists()
+
+    def test_config_directory_exits_1(self, tmp_path, capsys):
+        code = cli.main(["gen-data", "--config", str(tmp_path),
+                         "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"config error: config file {tmp_path} cannot "
+                                           f"be read: Is a directory\n")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("table", ["eval/scores_validation.csv",
+                                       "train/rotation_0/convergence.csv"])
+    def test_non_utf8_table_exits_2(self, pipeline, tmp_path, capsys, table):
+        _, root, _ = pipeline
+        for sub in ("eval", "train"):
+            shutil.copytree(root / sub, tmp_path / sub)
+        (tmp_path / table).write_bytes(b"\xff\xfe")
+        code = cli.main(["report", "--set", "rotation=0",
+                         "--eval-dir", str(tmp_path / "eval"),
+                         "--train-dir", str(tmp_path / "train"),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / table} is not UTF-8 text")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_utf8_manifest_exits_2(self, pipeline, tmp_path, capsys):
         _, root, _ = pipeline

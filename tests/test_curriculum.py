@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbdenoise import curriculum, dsp, net, signals
+from mbdenoise import config, curriculum, dsp, net, signals
 from mbdenoise.errors import ConfigError, DataError
 
 from conftest import make_corpus, textbook_adam_step, textbook_loss
@@ -388,21 +388,6 @@ class TestSeedWords:
         assert [offset for _, _, offset, _ in cells] == expected
 
 
-class TestPhasePlan:
-    def test_defaults_valid(self):
-        plan = curriculum.PhasePlan()
-        assert plan.thresholds_db == (0.0, -5.0, -10.0, -15.0, -20.0)
-        assert plan.freeze_iters == 250 and plan.total_iters == 500
-
-    def test_rejects_non_decreasing(self):
-        with pytest.raises(ConfigError):
-            curriculum.PhasePlan(thresholds_db=(0.0, 0.0))
-
-    def test_rejects_freeze_past_total(self):
-        with pytest.raises(ConfigError):
-            curriculum.PhasePlan(freeze_iters=10, total_iters=10)
-
-
 class TestConvergenceLog:
     def test_csv_round_trip(self):
         log = curriculum.ConvergenceLog()
@@ -429,6 +414,13 @@ def tiny_net(seed=0, hidden=16):
     return net.init_network(hidden, seed, spec, dim=256, fs=FS)
 
 
+def network_frames(model, cell_list):
+    """The noisy frames _network_frames writes into a new array, then
+    the clean frames and the rows it returns."""
+    noisy = np.empty((len(cell_list), model.dim))
+    return (noisy, *curriculum._network_frames(model, cell_list, noisy))
+
+
 def train_cells(model, train, val, *args, **kwargs):
     """train_curriculum on the frames training_frames builds from the cells."""
     return curriculum.train_curriculum(
@@ -439,11 +431,10 @@ def train_cells(model, train, val, *args, **kwargs):
 def trained(split10):
     train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0))
     model = tiny_net()
-    plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
-                                freeze_iters=6, total_iters=14)
+    cfg = config.RunConfig(phase_thresholds_db=(0.0, -5.0), freeze_iters=6, phase_iters=14)
     hashes = []
     model, log = train_cells(
-        model, train, val, plan,
+        model, train, val, cfg,
         on_iteration=lambda ph, it, n: hashes.append((ph, it, n.f_hash())),
     )
     return train, model, log, hashes
@@ -495,8 +486,8 @@ class TestTrainCurriculum:
                        for k in pair]
         mixed = curriculum.mix_cells(interleaved)
         assert np.array_equal(mixed[1], curriculum.mix_cells(train)[half])
-        plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
-        model, log = train_cells(tiny_net(seed=4), interleaved, val, plan)
+        cfg = config.RunConfig(phase_thresholds_db=(0.0,), freeze_iters=1, phase_iters=2)
+        model, log = train_cells(tiny_net(seed=4), interleaved, val, cfg)
 
         scale = max(float(np.max(np.abs(dsp.decimate(clean, FS, 8))))
                     for clean in clean_rows(interleaved))
@@ -515,15 +506,15 @@ class TestTrainCurriculum:
         train, val = rotation_cells(split10, 0, grid=(0.0,))
         corrupted = [shifted(cell, 2e6) for cell in val]
         (x, clean, rows), (x_c, clean_c, rows_c) = (
-            curriculum._network_frames(tiny_net(), v) for v in (val, corrupted))
+            network_frames(tiny_net(), v) for v in (val, corrupted))
         assert np.array_equal(rows, rows_c)
         assert np.min(x_c - x) >= 1e6 and np.min(clean_c - clean) >= 1e6
 
         def run(corrupt):
             model = tiny_net(seed=9)
-            plan = curriculum.PhasePlan(thresholds_db=(0.0,),
-                                        freeze_iters=3, total_iters=8)
-            model, _ = train_cells(model, train, corrupted if corrupt else val, plan)
+            cfg = config.RunConfig(phase_thresholds_db=(0.0,),
+                                   freeze_iters=3, phase_iters=8)
+            model, _ = train_cells(model, train, corrupted if corrupt else val, cfg)
             return model
 
         clean_run, corrupted_run = run(False), run(True)
@@ -545,11 +536,9 @@ class TestTrainCurriculum:
         # above it.
         train, val = rotation_cells(split10, 1, grid=WIDE_GRID[1:7])
         assert (len(val), len(train)) == (30, 60)
-        plan = curriculum.PhasePlan(thresholds_db=(-10.0, -20.0),
-                                    freeze_iters=4, total_iters=9)
-        lr, f_lr_scale = 2e-3, 0.7
-        model, log = train_cells(tiny_net(seed=6, hidden=64), train, val, plan, lr,
-                                 f_lr_scale)
+        cfg = config.RunConfig(phase_thresholds_db=(-10.0, -20.0), freeze_iters=4,
+                               phase_iters=9, lr=2e-3, f_lr_scale=0.7)
+        model, log = train_cells(tiny_net(seed=6, hidden=64), train, val, cfg)
 
         def frames(c):
             targets, rows = decimated_targets(c)
@@ -565,21 +554,21 @@ class TestTrainCurriculum:
         x_val, c_val = x_val / scale, c_val / scale
         snrs = np.array(snr_bins(ordered))
         moments, records = {}, []
-        for phase, threshold in enumerate(plan.thresholds_db):
+        for phase, threshold in enumerate(cfg.phase_thresholds_db):
             n_act = int(np.count_nonzero(snrs >= threshold))
             x, rows = x_train[:n_act], rows_train[:n_act]
             ref.f_frozen = True
-            for it in range(plan.total_iters):
-                if it == plan.freeze_iters:
+            for it in range(cfg.phase_iters):
+                if it == cfg.freeze_iters:
                     ref.f_frozen = False
                 train_mse, grads = net.batch_loss(ref, x, c_train, rows)
-                textbook_adam_step(ref, grads, moments, lr, f_lr_scale)
+                textbook_adam_step(ref, grads, moments, cfg.lr, cfg.f_lr_scale)
                 val_mse, _ = net.batch_loss(ref, x_val, c_val, rows_val, grads=False)
                 records.append(curriculum.LogRecord(
                     phase, it, train_mse, val_mse, ref.f_frozen, n_act))
 
         assert model.input_scale == scale
-        assert moments["f"][2] == 2 * (plan.total_iters - plan.freeze_iters)
+        assert moments["f"][2] == 2 * (cfg.phase_iters - cfg.freeze_iters)
         for k, v in ref.params().items():
             assert np.array_equal(model.params()[k], v), k
         assert log.records == records
@@ -588,17 +577,17 @@ class TestTrainCurriculum:
     def test_empty_active_set_aborts(self, split10):
         train, val = rotation_cells(split10, 0, grid=(-5.0,))
         model = tiny_net()
-        plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
-                                    freeze_iters=2, total_iters=5)
+        cfg = config.RunConfig(phase_thresholds_db=(0.0, -5.0),
+                               freeze_iters=2, phase_iters=5)
         with pytest.raises(DataError):
-            train_cells(model, train, val, plan)
+            train_cells(model, train, val, cfg)
 
     def test_overfits_single_example(self, split10):
         train, val = rotation_cells(split10, 0, grid=(0.0,))
         model = tiny_net(seed=2)
-        plan = curriculum.PhasePlan(thresholds_db=(0.0,),
-                                    freeze_iters=250, total_iters=2000)
-        model, log = train_cells(model, train[:1], val[:1], plan)
+        cfg = config.RunConfig(phase_thresholds_db=(0.0,),
+                               freeze_iters=250, phase_iters=2000)
+        model, log = train_cells(model, train[:1], val[:1], cfg)
         first = log.records[0].train_mse
         assert log.records[-1].train_mse < 0.01 * first
 
@@ -613,14 +602,14 @@ class TestTrainCurriculum:
         # near 1 would be the peak of mixing, not of training; a second
         # copy of the inputs, or an output-sized array, makes it 3.0.
         train, val = rotation_cells(split10, 0, grid=(5.0, 0.0, -5.0, -10.0))
-        plan = curriculum.PhasePlan(thresholds_db=(0.0, -10.0), freeze_iters=1,
-                                    total_iters=2)
+        cfg = config.RunConfig(phase_thresholds_db=(0.0, -10.0), freeze_iters=1,
+                               phase_iters=2)
 
         def peak(n_train):
             tracemalloc.start()
             try:
                 train_cells(tiny_net(hidden=64), repeated(train, n_train), repeated(val, 64),
-                            plan)
+                            cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -638,18 +627,18 @@ class TestTrainCurriculum:
         rows = np.tile([0, 1], 10)
         frames = curriculum.TrainingFrames(inputs.copy(), 20, clean.copy(), rows,
                                            clean.copy(), rows, np.repeat([0.0, 5.0], 10))
-        plan = curriculum.PhasePlan(thresholds_db=(0.0,), freeze_iters=1, total_iters=2)
+        cfg = config.RunConfig(phase_thresholds_db=(0.0,), freeze_iters=1, phase_iters=2)
         with pytest.raises(DataError, match="ordered by SNR"):
-            curriculum.train_curriculum(tiny_net(), frames, plan)
+            curriculum.train_curriculum(tiny_net(), frames, cfg)
         assert np.array_equal(frames.inputs, inputs)
 
     def test_determinism_bitwise(self, split10):
         def run():
             train, val = rotation_cells(split10, 2, grid=(0.0, -5.0))
             model = tiny_net(seed=5)
-            plan = curriculum.PhasePlan(thresholds_db=(0.0, -5.0),
-                                        freeze_iters=4, total_iters=9)
-            return train_cells(model, train, val, plan)
+            cfg = config.RunConfig(phase_thresholds_db=(0.0, -5.0),
+                                   freeze_iters=4, phase_iters=9)
+            return train_cells(model, train, val, cfg)
 
         (net_a, log_a), (net_b, log_b) = run(), run()
         for k in net_a.params():
@@ -698,7 +687,7 @@ class TestNetworkFrames:
         # whole stack mixed and decimated at once, and each row's target
         # is its shot's decimated clean frame.
         cell_list = repeated(all_cells[::-1], n)
-        noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
+        noisy, clean, rows = network_frames(tiny_net(), cell_list)
         whole = dsp.decimate(curriculum.mix_cells(cell_list), FS, 8)
         assert noisy.shape == (n, 256) and rows.shape == (n,)
         for k in range(n):
@@ -714,13 +703,13 @@ class TestNetworkFrames:
         spec = dsp.design_butterworth(8, FS / 41.0, FS / 4.0)
         model = net.init_network(4, 0, spec, dim=512, fs=FS, decim_factor=4)
         cell_list = all_cells[:BLOCK + 3]
-        noisy, clean, rows = curriculum._network_frames(model, cell_list)
+        noisy, clean, rows = network_frames(model, cell_list)
         assert np.array_equal(noisy, dsp.decimate(curriculum.mix_cells(cell_list), FS, 4))
         assert np.array_equal(clean[rows], dsp.decimate(clean_rows(cell_list), FS, 4))
 
     def test_empty_cell_list_rejected(self):
         with pytest.raises(DataError):
-            curriculum._network_frames(tiny_net(), [])
+            curriculum._network_frames(tiny_net(), [], np.empty((0, 256)))
 
     def test_training_frames_stack_validation_then_training(self, all_cells):
         # One block of inputs, the validation rows then the training
@@ -731,7 +720,7 @@ class TestNetworkFrames:
         assert snr_bins(train) != snr_bins(cells_)
         frames = curriculum.training_frames(tiny_net(), cells_, val)
         for part, cell_list in ((frames.inputs[:30], val), (frames.inputs[30:], train)):
-            noisy, clean, rows = curriculum._network_frames(tiny_net(), cell_list)
+            noisy, clean, rows = network_frames(tiny_net(), cell_list)
             assert np.array_equal(part, noisy)
         assert frames.n_val == 30
         assert np.array_equal(frames.clean_val[frames.val_rows],
@@ -750,7 +739,7 @@ class TestNetworkFrames:
         full_rate = len(cell_list) * len(cell_list[0][0].waveform) * 8
         tracemalloc.start()
         try:
-            frames = curriculum._network_frames(model, cell_list)
+            frames = network_frames(model, cell_list)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

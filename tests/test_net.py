@@ -12,6 +12,8 @@ from conftest import (empty_layer_net, gradient_errors, rewrite_header,
                       textbook_loss)
 
 FS = 32768
+# RunConfig's default step sizes.
+LR, F_LR_SCALE = 1e-3, 0.5
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +294,7 @@ class TestAdam:
         state = net.AdamState()
         grads = {k: np.ones_like(v) for k, v in n.params().items()}
         for _ in range(5):
-            net.adam_step(n, grads, state)
+            net.adam_step(n, grads, state, LR, F_LR_SCALE)
         assert np.array_equal(n.f, before)
         assert "f" not in state.m
 
@@ -301,7 +303,7 @@ class TestAdam:
         n.f_frozen = False
         snapshot = {k: v.copy() for k, v in n.params().items()}
         zeros = {k: np.zeros_like(v) for k, v in n.params().items()}
-        net.adam_step(n, zeros, net.AdamState())
+        net.adam_step(n, zeros, net.AdamState(), LR, F_LR_SCALE)
         for k, v in n.params().items():
             assert np.array_equal(v, snapshot[k])
 
@@ -314,7 +316,7 @@ class TestAdam:
         n.w1[0, 0] = 1.0
         grads = {k: np.zeros_like(v) for k, v in n.params().items()}
         grads["w1"][0, 0] = 0.5
-        net.adam_step(n, grads, net.AdamState(), lr=0.1)
+        net.adam_step(n, grads, net.AdamState(), 0.1, F_LR_SCALE)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert n.w1[0, 0] == pytest.approx(expected, abs=1e-15)
 
@@ -322,10 +324,10 @@ class TestAdam:
         n = small_net(spec=small_spec)
         state = net.AdamState()
         grads = {k: np.ones_like(v) * 0.1 for k, v in n.params().items()}
-        net.adam_step(n, grads, state)
-        net.adam_step(n, grads, state)
+        net.adam_step(n, grads, state, LR, F_LR_SCALE)
+        net.adam_step(n, grads, state, LR, F_LR_SCALE)
         n.f_frozen = False
-        net.adam_step(n, grads, state)
+        net.adam_step(n, grads, state, LR, F_LR_SCALE)
         assert state.t["w1"] == 3 and state.t["f"] == 1
 
     def test_in_place_step_matches_allocating_formula(self, small_spec):
@@ -353,7 +355,7 @@ class TestAdam:
         grads = {k: np.zeros_like(v) for k, v in n.params().items()}
         grads["w2"][0, 0] = np.inf
         with pytest.raises(NumericError):
-            net.adam_step(n, grads, net.AdamState())
+            net.adam_step(n, grads, net.AdamState(), LR, F_LR_SCALE)
 
     def test_training_determinism(self, small_spec):
         rng = np.random.default_rng(13)
@@ -366,7 +368,7 @@ class TestAdam:
             state = net.AdamState()
             for _ in range(40):
                 _, grads = net.batch_loss(n, X, T, np.arange(6))
-                net.adam_step(n, grads, state)
+                net.adam_step(n, grads, state, LR, F_LR_SCALE)
             return n
 
         a, b = run(), run()
